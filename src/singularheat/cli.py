@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,15 +45,6 @@ _INPUT_ERRORS = (AdmissibilityError, RangeError, DomainError,
 _NUMERIC_ERRORS = (QuadratureError, TruncationError, IllConditionedError)
 
 
-def _threads() -> int:
-    raw = os.environ.get("SINGULAR_HEAT_THREADS", "")
-    try:
-        n = int(raw) if raw else 4
-    except ValueError:
-        n = 4
-    return max(1, n)
-
-
 def _parse_complex(text: str) -> complex:
     """'re' or 're,im' -> complex."""
     parts = text.split(",")
@@ -69,7 +58,7 @@ def _parse_complex(text: str) -> complex:
 # ---------------------------------------------------------------------------
 # problem configuration
 
-_PROBLEMS = ("halfline", "interval", "warped", "circle-product")
+_PROBLEMS = ("halfline", "interval", "circle-product")
 
 
 @dataclass
@@ -86,7 +75,6 @@ class ProblemConfig:
     tmin: float = 1e-6
     tmax: float = 1e-2
     num: int = 40
-    warp: WarpedProfile | None = None
     phi_fourier: list = field(default_factory=list)
     rho_fourier: list = field(default_factory=list)
     tolerances: dict = field(default_factory=dict)
@@ -107,8 +95,9 @@ class ProblemConfig:
                 if a >= 1.0:
                     raise AdmissibilityError(
                         f"need alpha < 1 for integrability, got {a}")
-        if self.problem == "warped" and self.warp is None:
-            raise RangeError("warped problem needs a 'warp' section")
+        if self.problem == "halfline" and self.c != 0.0:
+            raise RangeError("the half-line simulator needs c = 0 "
+                             "(Dirichlet or Neumann)")
         if self.problem == "circle-product" and (
                 not self.phi_fourier or not self.rho_fourier):
             raise RangeError(
@@ -116,13 +105,12 @@ class ProblemConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ProblemConfig":
-        warp = None
-        if "warp" in obj and obj["warp"] is not None:
-            w = obj["warp"]
-            warp = WarpedProfile(fprime=tuple(w["fprime"]),
-                                 fsecond=tuple(w["fsecond"]),
-                                 SR0=float(w.get("SR0", 0.0)),
-                                 m=int(w.get("m", 2)))
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise RangeError(f"unknown config keys: {sorted(unknown)}")
+        unknown = set(obj.get("tolerances", {})) - {"halfline"}
+        if unknown:
+            raise RangeError(f"unknown tolerances: {sorted(unknown)}")
         cutoff = obj.get("cutoff", 0.5)
         return cls(
             problem=obj["problem"], bc=obj.get("bc", "dirichlet"),
@@ -133,7 +121,6 @@ class ProblemConfig:
             tmin=float(obj.get("tmin", 1e-6)),
             tmax=float(obj.get("tmax", 1e-2)),
             num=int(obj.get("num", 40)),
-            warp=warp,
             phi_fourier=list(obj.get("phi_fourier", [])),
             rho_fourier=list(obj.get("rho_fourier", [])),
             tolerances=dict(obj.get("tolerances", {})),
@@ -166,27 +153,21 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
 
         def one(t):
             return halfline_heat_content(phi, rho, bc, t, tol=tol)
-    elif cfg.problem in ("interval", "warped"):
+    elif cfg.problem == "interval":
         kind = (SpectralKind.DIRICHLET_INTERVAL if cfg.bc == "dirichlet"
                 else SpectralKind.ROBIN_INTERVAL)
         spec = interval_spectrum(kind, cfg.c if cfg.bc == "robin" else 0.0)
         phi = make_profile(cfg.alpha1, math.pi)
         rho = make_profile(cfg.alpha2, math.pi)
-        # cross-section factor: the torus fibers integrate out exactly
-        weight = (2.0 * math.pi) ** (cfg.warp.m - 1) \
-            if cfg.problem == "warped" else 1.0
 
         def one(t):
-            b, e = interval_heat_content(phi, rho, spec, t)
-            return weight * b, weight * e
+            return interval_heat_content(phi, rho, spec, t)
     else:
         def one(t):
             return circle_heat_content(cfg.phi_fourier, cfg.rho_fourier,
                                        t), 0.0
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(one, ts))
-    entries = [(t, b, e) for t, (b, e) in zip(ts, results)]
+    entries = [(t, *one(t)) for t in ts]
     return HeatContentSamples(problem=cfg.problem, entries=entries)
 
 

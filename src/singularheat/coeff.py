@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import AdmissibilityError, RangeError
+from .errors import AdmissibilityError
 from .specfun import gamma_ratio
 
 DEFAULT_DELTA = 1e-6
@@ -265,15 +265,3 @@ def closed_form_crosscheck(pair: ExponentPair) -> dict:
         refs["eps16"] = _base_eps(1, a1 - 1, a2 - 1, pair.delta) \
             / ((a1 - 1.0) * (a2 - 1.0)) + 2.0 / (3.0 - sigma) * e_r
     return {key: _rel_residual(table[key], ref) for key, ref in refs.items()}
-
-
-def exponent_grid(pair: ExponentPair, n_interior: int, j_boundary: int) -> list:
-    """Sorted exponents {n} union {(1 + j - sigma) / 2} for series fitting."""
-    if n_interior < 0 or j_boundary < 0:
-        raise RangeError("term counts must be nonnegative")
-    sigma = pair.sigma
-    if abs(sigma.imag) > 1e-14:
-        raise RangeError("real exponent pair required for a fitting grid")
-    ints = [float(n) for n in range(n_interior + 1)]
-    bnds = [(1.0 + j - sigma.real) / 2.0 for j in range(j_boundary + 1)]
-    return sorted(ints + bnds)

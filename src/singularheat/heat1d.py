@@ -21,7 +21,8 @@ from .coeff import BoundaryConditionKind
 from .errors import (DomainError, QuadratureError, RangeError,
                      TruncationError)
 from .profiles import IntertwinedFactor, SingularProfile
-from .quadrature import gauss_legendre, tanh_sinh, tanh_sinh_nodes
+from .quadrature import (gauss_legendre, gauss_rule, segments, tanh_sinh,
+                         tanh_sinh_nodes)
 
 #: kernel window: exp(-45^2/4) ~ 1e-220, far below any tolerance in use
 _WINDOW_SIGMAS = 45.0
@@ -108,6 +109,8 @@ class HeatContentSamples:
     entries: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for e in self.entries for v in e):
+            raise RangeError("t, beta and err must be finite")
         ts = [e[0] for e in self.entries]
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
             raise RangeError("sample times must be strictly increasing")
@@ -150,14 +153,6 @@ def halfline_kernel(bc: BoundaryConditionKind, x1, x2, t: float):
     return norm * (direct + sign * image)
 
 
-def _segments(lo: float, hi: float, cuts) -> list:
-    """Split [lo, hi] at interior cut points."""
-    inner = sorted(c for c in cuts if lo < c < hi)
-    edges = [lo] + inner + [hi]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)
-            if edges[i + 1] > edges[i]]
-
-
 def _cross_correlation(phi: SingularProfile, rho: SingularProfile,
                        d: float, tol: float, err_box: list) -> float:
     """F(d) = int rho(y) phi(y + d) dy for d >= 0.
@@ -172,7 +167,7 @@ def _cross_correlation(phi: SingularProfile, rho: SingularProfile,
     cuts = list(rho.smooth.breakpoints) \
         + [b - d for b in phi.smooth.breakpoints]
     total = 0.0
-    for a, b in _segments(0.0, hi, cuts):
+    for a, b in segments(0.0, hi, cuts):
         f = lambda y: rho(y) * phi(y + d)
         if a == 0.0:
             if b <= _TINY:
@@ -203,7 +198,7 @@ def _endpoint_convolution(phi: SingularProfile, rho: SingularProfile,
         lo = max(0.0, s - g.support_end())
         if hi <= lo:
             continue
-        for a, b in _segments(lo, hi, cuts):
+        for a, b in segments(lo, hi, cuts):
             fn = lambda x: f(x) * g(s - x)
             if a == 0.0:
                 if b <= _TINY:
@@ -292,11 +287,6 @@ _PANEL_NODES = 8       # Gauss nodes per oscillation panel
 _HEAD_PERIODS = 10.0   # head covers [0, _HEAD_PERIODS / n]
 
 
-@lru_cache(maxsize=4)
-def _panel_rule(npts: int):
-    return np.polynomial.legendre.leggauss(npts)
-
-
 class _FourierMoments:
     """Cached S_n = int phi sin(nx) and C_n = int phi cos(nx), n = 1..N.
 
@@ -322,7 +312,7 @@ class _FourierMoments:
         err = np.concatenate([self.err, np.zeros(n_max - have)])
         pieces = self.profile.pieces()
         support_end = pieces[-1][1]
-        gx, gw = _panel_rule(_PANEL_NODES)
+        gx, gw = gauss_rule(_PANEL_NODES)
         for n in range(have + 1, n_max + 1):
             s_tot = c_tot = e_tot = 0.0
             for (a, b) in pieces:
@@ -376,13 +366,9 @@ class _FourierMoments:
         return self._exp_cache[c]
 
 
-_MOMENTS: dict = {}
-
-
+@lru_cache(maxsize=8)
 def _moments(profile: SingularProfile) -> _FourierMoments:
-    if profile not in _MOMENTS:
-        _MOMENTS[profile] = _FourierMoments(profile)
-    return _MOMENTS[profile]
+    return _FourierMoments(profile)
 
 
 def _gammas(mom: _FourierMoments, spec: SpectralResolution, n_max: int):
@@ -414,17 +400,31 @@ def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
         # e^{-t N^2} cannot reach the 1e-13 tail target within the cap
         raise TruncationError(
             f"needed more than {_SUM_CAP} modes at t = {t:g}")
-    mphi, mrho = _moments(phi), _moments(rho)
     base = 0.0
     if spec.has_zero_mode:
         z = _robin_zero_norm(spec.c)
-        base = (z * mphi.exp_moment(spec.c)) * (z * mrho.exp_moment(spec.c))
+        base = (z * _moments(phi).exp_moment(spec.c)) \
+            * (z * _moments(rho).exp_moment(spec.c))
+    return _spectral_sum(phi, rho, spec, spec.c, t, base)
+
+
+def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
+                  spec: SpectralResolution, c: float, t: float,
+                  base: float = 0.0):
+    """(base + sum_n e^{-t (n^2 + c^2)} gamma_n(phi) gamma_n(rho), err).
+
+    The modes come from spec and c enters only the weights, so the
+    Dirichlet modes with c != 0 give the flow of D = -d^2/dx^2 + c^2.
+    N doubles from 64 under the truncation rule of interval_heat_content;
+    err is the tail bound plus the propagated moment quadrature error.
+    """
+    mphi, mrho = _moments(phi), _moments(rho)
     n_max = 64
     while True:
         gp, ep = _gammas(mphi, spec, n_max)
         gr, er = _gammas(mrho, spec, n_max)
         n = np.arange(1, n_max + 1, dtype=float)
-        weights = np.exp(-t * (n ** 2 + spec.c ** 2))
+        weights = np.exp(-t * (n ** 2 + c ** 2))
         partial = base + float(np.dot(weights, gp * gr))
         bound = 2.0 * float(np.max(np.abs(gp * gr)[n_max // 2:]))
         tail = math.exp(-t * n_max ** 2) * bound \
@@ -478,22 +478,7 @@ def intertwine_residual(phi: SingularProfile, rho: SingularProfile,
 
     def beta_d_shifted(p, r, s):
         # D = -d^2/dx^2 + c^2: Dirichlet sum with sin modes reweighted
-        mp, mr = _moments(p), _moments(r)
-        n_max = 64
-        while True:
-            gp, ep = _gammas(mp, diri, n_max)
-            gr, er = _gammas(mr, diri, n_max)
-            n = np.arange(1, n_max + 1, dtype=float)
-            weights = np.exp(-s * (n ** 2 + c ** 2))
-            partial = float(np.dot(weights, gp * gr))
-            bound = 2.0 * float(np.max(np.abs(gp * gr)[n_max // 2:]))
-            tail = math.exp(-s * n_max ** 2) * bound \
-                * (1.0 + 1.0 / (2.0 * s * n_max))
-            if tail < _TAIL_REL * max(abs(partial), 1e-300):
-                return partial
-            if n_max >= _SUM_CAP:
-                raise TruncationError(f"mode cap exceeded at t = {s:g}")
-            n_max = min(2 * n_max, _SUM_CAP)
+        return _spectral_sum(p, r, diri, c, s)[0]
 
     if not dual:
         hi, _ = interval_heat_content(phi, rho, robin, t + dt)

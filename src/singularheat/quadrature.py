@@ -130,8 +130,25 @@ def tanh_sinh_nodes(a: float, b: float, level: int):
     return x, w, w_coarse
 
 
+@lru_cache(maxsize=16)
+def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def gauss_legendre(f, a: float, b: float, n: int = 80):
     """Fixed-order Gauss-Legendre panel for smooth integrands."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = gauss_rule(n)
     x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     return 0.5 * (b - a) * np.dot(weights, np.asarray(f(x)))
+
+
+def segments(lo: float, hi: float, cuts) -> list:
+    """Split [lo, hi] at the cut points strictly inside it."""
+    inner = sorted(c for c in cuts if lo < c < hi)
+    edges = [lo] + inner + [hi]
+    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)
+            if edges[i + 1] > edges[i]]

@@ -20,7 +20,7 @@ from .coeff import DEFAULT_DELTA
 from .errors import DomainError, PoleError, RangeError
 from .profiles import (OperatorApplied, Product, SingularProfile,
                        SmoothFunction)
-from .quadrature import tanh_sinh
+from .quadrature import segments, tanh_sinh
 
 #: default subtraction margin: remainder exponent real part > -1 + margin
 _TOL = 1e-13
@@ -132,8 +132,8 @@ def i_reg(integrand: SingularIntegrand,
             t = t + h * x ** complex(j)
         return x ** (-sigma) * (integrand.smooth(x) - t)
 
-    cuts = sorted(b for b in integrand.smooth.breakpoints)
-    for a, b in _segments(lo, eps, cuts):
+    cuts = integrand.smooth.breakpoints
+    for a, b in segments(lo, eps, cuts):
         val, _ = tanh_sinh(remainder, a, b, tol=_TOL, abs_tol=1e-16)
         total += val
 
@@ -142,17 +142,10 @@ def i_reg(integrand: SingularIntegrand,
         x = np.asarray(x, float)
         return x ** (-sigma) * integrand.smooth(x)
 
-    for a, b in _segments(eps, integrand.L, cuts):
+    for a, b in segments(eps, integrand.L, cuts):
         val, _ = tanh_sinh(plain, a, b, tol=_TOL, abs_tol=1e-16)
         total += val
     return total
-
-
-def _segments(lo: float, hi: float, cuts) -> list:
-    inner = [c for c in cuts if lo < c < hi]
-    edges = [lo] + inner + [hi]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)
-            if edges[i + 1] > edges[i]]
 
 
 def interior_coefficients(phi: SingularProfile, rho: SingularProfile,

@@ -111,11 +111,22 @@ def test_simulate_missing_config_file(capsys, tmp_path):
 
 
 def test_simulate_invalid_config(capsys, tmp_path):
-    cfg = write_config(tmp_path, {"problem": "moebius"})
-    code, _, err = run(capsys, ["simulate", cfg,
-                                "--out", str(tmp_path / "out.csv")])
-    assert code == 2
-    assert "error:" in err
+    interval = {"problem": "interval", "tmin": 0.01, "tmax": 0.01, "num": 1}
+    for obj in ({"problem": "moebius"},
+                # the warped kind was removed from simulate
+                {"problem": "warped",
+                 "warp": {"fprime": [0.1], "fsecond": [0.2]}},
+                # a misspelt key must not silently fall back to a default
+                {**interval, "cuttoff": 0.3},
+                {**interval, "tolerances": {"interval": 1e-6}},
+                # the half-line kernels are Dirichlet or Neumann only
+                {"problem": "halfline", "bc": "robin", "c": 0.5}):
+        cfg = write_config(tmp_path, obj)
+        code, _, err = run(capsys, ["simulate", cfg,
+                                    "--out", str(tmp_path / "out.csv")])
+        assert code == 2, obj
+        assert "error:" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_simulate_inadmissible_exponent(capsys, tmp_path):
@@ -172,10 +183,12 @@ def test_fit_rejects_empty_model(capsys, tmp_path):
 
 def test_fit_rejects_malformed_csv(capsys, tmp_path):
     csv_path = tmp_path / "samples.csv"
-    csv_path.write_text("time;value\n0.001;1.0\n")
-    code, _, _ = run(capsys, ["fit", str(csv_path),
-                              "--alpha1", "0.3", "--alpha2", "0.4"])
-    assert code == 2
+    for text in ("time;value\n0.001;1.0\n",
+                 "t,beta,err\n0.001,1.0,0.0\nnan,1.0,0.0\n0.1,1.0,0.0\n"):
+        csv_path.write_text(text)
+        code, _, _ = run(capsys, ["fit", str(csv_path),
+                                  "--alpha1", "0.3", "--alpha2", "0.4"])
+        assert code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from singularheat.coeff import (BoundaryConditionKind, CoefficientTable,
                                 DEFAULT_DELTA, ExponentPair, base_epsilon,
                                 build_table, closed_form_crosscheck,
-                                exponent_grid, recursion_check)
+                                recursion_check)
+from singularheat.asymfit import model_exponents
 from singularheat.errors import AdmissibilityError
 from singularheat.specfun import beta_fn, gamma
 
@@ -172,5 +173,5 @@ def test_json_round_trip():
 
 def test_exponent_grid():
     pair = ExponentPair(0.3, 0.4)
-    grid = exponent_grid(pair, 1, 2)
+    grid = model_exponents(pair, 1, 2)
     assert grid == pytest.approx([0.0, 0.15, 0.65, 1.0, 1.15])

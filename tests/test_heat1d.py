@@ -333,5 +333,10 @@ def test_samples_validation():
         HeatContentSamples("p", [(0.01, 1.0, 0.0), (0.001, 1.0, 0.0)])
     with pytest.raises(RangeError):
         HeatContentSamples("p", [(-1.0, 1.0, 0.0)])
+    # NaN compares false against both the ordering and the err >= 0 checks
+    for row in ((math.nan, 1.0, 0.0), (0.1, math.nan, 0.0),
+                (0.1, 1.0, math.nan), (0.1, 1.0, math.inf)):
+        with pytest.raises(RangeError):
+            HeatContentSamples("p", [(0.001, 1.0, 0.0), row])
     with pytest.raises(RangeError):
         HeatContentSamples.from_csv_text("time,beta\n1,2\n")
