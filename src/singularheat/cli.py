@@ -13,7 +13,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .geom import (BoundaryPointData, WarpedProfile, boundary_beta,
 from .heat1d import (HeatContentSamples, SpectralKind, circle_heat_content,
                      halfline_heat_content, intertwine_residual,
                      interval_heat_content, interval_spectrum)
-from .profiles import FromCallable, SingularProfile, plateau_profile
+from .profiles import FromCallable, SingularProfile, constant, plateau_profile
 from .regint import (CollarRegularization, SingularIntegrand, i_reg,
                      interior_coefficients)
 
@@ -40,25 +40,47 @@ _EXIT_VERIFY = 4
 
 _INPUT_ERRORS = (AdmissibilityError, RangeError, DomainError,
                  DegenerateInputError, InsufficientDataError, PoleError,
-                 FileNotFoundError, json.JSONDecodeError, KeyError,
-                 ValueError)
+                 FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError)
 _NUMERIC_ERRORS = (QuadratureError, TruncationError, IllConditionedError)
 
 
 def _parse_complex(text: str) -> complex:
     """'re' or 're,im' -> complex."""
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise RangeError(f"cannot parse complex value from {text!r}")
+    try:
+        return complex(*map(float, text.split(",", 2)))
+    except (TypeError, ValueError):
+        raise RangeError(f"cannot parse complex value from {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # problem configuration
 
-_PROBLEMS = ("halfline", "interval", "circle-product")
+#: the fields each problem reads besides problem, tmin, tmax and num; any
+#: other field must keep its default
+_READS = {
+    "halfline": ("bc", "alpha1", "alpha2", "cutoff", "tolerances"),
+    "interval": ("bc", "alpha1", "alpha2", "c", "cutoff"),
+    "circle-product": ("phi_fourier", "rho_fourier"),
+}
+
+
+def _finite(v) -> bool:
+    """A finite int or float; JSON true/false are not numbers here."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+#: ProblemConfig annotation -> (check on a JSON value, what it asks for)
+_JSON_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "float": (_finite, "a finite number"),
+    "float | None": (lambda v: v is None or _finite(v), "a number or null"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "list": (lambda v: isinstance(v, list) and all(map(_finite, v)),
+             "a list of finite numbers"),
+    "dict": (lambda v: isinstance(v, dict) and set(v) <= {"halfline"}
+             and all(_finite(x) and x > 0 for x in v.values()),
+             'an object {"halfline": tolerance > 0}'),
+}
 
 
 @dataclass
@@ -80,8 +102,14 @@ class ProblemConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.problem not in _PROBLEMS:
-            raise RangeError(f"problem must be one of {_PROBLEMS}")
+        if self.problem not in _READS:
+            raise RangeError(f"problem must be one of {tuple(_READS)}")
+        reads = _READS[self.problem] + ("problem", "tmin", "tmax", "num")
+        for f in fields(self):
+            default = (f.default if f.default_factory is MISSING
+                       else f.default_factory())
+            if f.name not in reads and getattr(self, f.name) != default:
+                raise RangeError(f"{self.problem} does not read {f.name}")
         if self.bc not in ("dirichlet", "robin"):
             raise RangeError("bc must be 'dirichlet' or 'robin'")
         if self.tmin <= 0 or self.tmax < self.tmin:
@@ -90,41 +118,25 @@ class ProblemConfig:
             raise RangeError("a multi-point grid needs tmin < tmax")
         if self.num < 1:
             raise RangeError("need at least one sample")
-        if self.problem != "circle-product":
-            for a in (self.alpha1, self.alpha2):
-                if a >= 1.0:
-                    raise AdmissibilityError(
-                        f"need alpha < 1 for integrability, got {a}")
-        if self.problem == "halfline" and self.c != 0.0:
-            raise RangeError("the half-line simulator needs c = 0 "
-                             "(Dirichlet or Neumann)")
         if self.problem == "circle-product" and (
                 not self.phi_fourier or not self.rho_fourier):
             raise RangeError(
                 "circle-product needs phi_fourier and rho_fourier")
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "ProblemConfig":
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise RangeError(f"unknown config keys: {sorted(unknown)}")
-        unknown = set(obj.get("tolerances", {})) - {"halfline"}
-        if unknown:
-            raise RangeError(f"unknown tolerances: {sorted(unknown)}")
-        cutoff = obj.get("cutoff", 0.5)
-        return cls(
-            problem=obj["problem"], bc=obj.get("bc", "dirichlet"),
-            alpha1=float(obj.get("alpha1", 0.0)),
-            alpha2=float(obj.get("alpha2", 0.0)),
-            c=float(obj.get("c", 0.0)),
-            cutoff=None if cutoff is None else float(cutoff),
-            tmin=float(obj.get("tmin", 1e-6)),
-            tmax=float(obj.get("tmax", 1e-2)),
-            num=int(obj.get("num", 40)),
-            phi_fourier=list(obj.get("phi_fourier", [])),
-            rho_fourier=list(obj.get("rho_fourier", [])),
-            tolerances=dict(obj.get("tolerances", {})),
-        )
+    def from_json_dict(cls, obj) -> "ProblemConfig":
+        """Check each JSON value against the annotation of its field."""
+        if not isinstance(obj, dict) or "problem" not in obj:
+            raise RangeError("a config is a JSON object with a 'problem' key")
+        kinds = {f.name: f.type for f in fields(cls)}
+        for name, value in obj.items():
+            if name not in kinds:
+                raise RangeError(f"unknown config key {name!r}")
+            check, want = _JSON_TYPES[kinds[name]]
+            if not check(value):
+                raise RangeError(f"{name} must be {want}")
+        return cls(**{k: float(v) if type(v) is int and kinds[k] != "int"
+                      else v for k, v in obj.items()})
 
 
 def _time_grid(cfg: ProblemConfig) -> list:
@@ -139,13 +151,11 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
 
     def make_profile(alpha: float, L: float) -> SingularProfile:
         if cfg.cutoff is None:
-            from .profiles import constant
             return SingularProfile(alpha, constant(), L)
         return plateau_profile(alpha, L, cfg.cutoff)
 
     if cfg.problem == "halfline":
-        bc = (BoundaryConditionKind.DIRICHLET if cfg.bc == "dirichlet"
-              else BoundaryConditionKind.ROBIN)
+        bc = BoundaryConditionKind(cfg.bc)
         L = max(4.0, 2.0 * (cfg.cutoff or 2.0))
         phi = make_profile(cfg.alpha1, L)
         rho = make_profile(cfg.alpha2, L)
@@ -154,9 +164,7 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
         def one(t):
             return halfline_heat_content(phi, rho, bc, t, tol=tol)
     elif cfg.problem == "interval":
-        kind = (SpectralKind.DIRICHLET_INTERVAL if cfg.bc == "dirichlet"
-                else SpectralKind.ROBIN_INTERVAL)
-        spec = interval_spectrum(kind, cfg.c if cfg.bc == "robin" else 0.0)
+        spec = interval_spectrum(SpectralKind(f"{cfg.bc}-interval"), cfg.c)
         phi = make_profile(cfg.alpha1, math.pi)
         rho = make_profile(cfg.alpha2, math.pi)
 
@@ -177,9 +185,7 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
 def cmd_coeffs(args) -> int:
     pair = ExponentPair(_parse_complex(args.alpha1),
                         _parse_complex(args.alpha2))
-    bc = (BoundaryConditionKind.DIRICHLET if args.bc == "dirichlet"
-          else BoundaryConditionKind.ROBIN)
-    table = build_table(bc, pair)
+    table = build_table(BoundaryConditionKind(args.bc), pair)
     print(json.dumps(table.to_json_dict()))
     return 0
 
@@ -200,6 +206,10 @@ def cmd_fit(args) -> int:
     j_terms = args.boundary_terms
     if n_terms + j_terms < 1:
         raise RangeError("no model: need at least one term to fit")
+    if not all(map(_finite, (args.alpha1, args.alpha2, args.c, args.cutoff))):
+        raise RangeError("--alpha1, --alpha2, --c and --cutoff must be finite")
+    if not args.subtract_interior and (args.c, args.cutoff) != (0.0, 0.5):
+        raise RangeError("--c and --cutoff need --subtract-interior")
     known = None
     if args.subtract_interior:
         phi = plateau_profile(args.alpha1, math.pi, args.cutoff)

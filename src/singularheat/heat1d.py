@@ -130,7 +130,10 @@ class HeatContentSamples:
             raise RangeError("expected header 't,beta,err'")
         entries = []
         for ln in lines[1:]:
-            t, beta, err = (float(v) for v in ln.split(","))
+            try:
+                t, beta, err = (float(v) for v in ln.split(","))
+            except ValueError:
+                raise RangeError(f"malformed t,beta,err row {ln!r}") from None
             entries.append((t, beta, err))
         return cls(problem=problem, entries=entries)
 
@@ -153,6 +156,22 @@ def halfline_kernel(bc: BoundaryConditionKind, x1, x2, t: float):
     return norm * (direct + sign * image)
 
 
+def _segment_sum(fn, lo: float, hi: float, cuts: list, tol: float,
+                 err_box: list, total: float = 0.0) -> float:
+    """total + int_lo^hi fn split at cuts: tanh-sinh on a piece starting
+    at the singular 0 (skipped below _TINY), 40-point Gauss elsewhere."""
+    for a, b in segments(lo, hi, cuts):
+        if a == 0.0:
+            if b <= _TINY:
+                continue
+            val, err = tanh_sinh(fn, a, b, tol=tol, abs_tol=1e-3 * tol)
+            err_box[0] = max(err_box[0], err)
+        else:
+            val = gauss_legendre(fn, a, b, n=40)
+        total += val
+    return total
+
+
 def _cross_correlation(phi: SingularProfile, rho: SingularProfile,
                        d: float, tol: float, err_box: list) -> float:
     """F(d) = int rho(y) phi(y + d) dy for d >= 0.
@@ -162,22 +181,10 @@ def _cross_correlation(phi: SingularProfile, rho: SingularProfile,
     first segment where the tanh-sinh nodes cluster.
     """
     hi = min(rho.support_end(), phi.support_end() - d)
-    if hi <= 0.0:
-        return 0.0
     cuts = list(rho.smooth.breakpoints) \
         + [b - d for b in phi.smooth.breakpoints]
-    total = 0.0
-    for a, b in segments(0.0, hi, cuts):
-        f = lambda y: rho(y) * phi(y + d)
-        if a == 0.0:
-            if b <= _TINY:
-                continue
-            val, err = tanh_sinh(f, a, b, tol=tol, abs_tol=1e-3 * tol)
-            err_box[0] = max(err_box[0], err)
-        else:
-            val = gauss_legendre(f, a, b, n=40)
-        total += val
-    return total
+    return _segment_sum(lambda y: rho(y) * phi(y + d), 0.0, hi, cuts, tol,
+                        err_box)
 
 
 def _endpoint_convolution(phi: SingularProfile, rho: SingularProfile,
@@ -196,18 +203,8 @@ def _endpoint_convolution(phi: SingularProfile, rho: SingularProfile,
             + [s - b for b in g.smooth.breakpoints]
         hi = min(0.5 * s, f.support_end())
         lo = max(0.0, s - g.support_end())
-        if hi <= lo:
-            continue
-        for a, b in segments(lo, hi, cuts):
-            fn = lambda x: f(x) * g(s - x)
-            if a == 0.0:
-                if b <= _TINY:
-                    continue
-                val, err = tanh_sinh(fn, a, b, tol=tol, abs_tol=1e-3 * tol)
-                err_box[0] = max(err_box[0], err)
-            else:
-                val = gauss_legendre(fn, a, b, n=40)
-            total += val
+        total = _segment_sum(lambda x: f(x) * g(s - x), lo, hi, cuts, tol,
+                             err_box, total)
     return total
 
 

@@ -13,7 +13,7 @@ import cmath
 import math
 from collections.abc import Sequence
 
-from .errors import PoleError
+from .errors import PoleError, RangeError
 
 POLE_TOL = 1e-12
 
@@ -73,7 +73,7 @@ def log_gamma(z: complex) -> complex:
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite argument {z!r}")
+        raise RangeError(f"non-finite argument {z!r}")
     if _near_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at {z!r}")
     if z.real >= 0.5:
@@ -108,10 +108,13 @@ def gamma_ratio(numerator: Sequence[complex], denominator: Sequence[complex]) ->
         acc += log_gamma(z)
     for z in denominator:
         acc -= log_gamma(z)
-    out = cmath.exp(acc)
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise ValueError("gamma_ratio overflowed; arguments too extreme")
-    return out
+    try:
+        out = cmath.exp(acc)
+        if math.isfinite(out.real) and math.isfinite(out.imag):
+            return out
+    except OverflowError:
+        pass
+    raise RangeError("gamma_ratio overflowed; arguments too extreme")
 
 
 def beta_fn(a: complex, b: complex) -> complex:

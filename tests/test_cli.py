@@ -2,11 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from singularheat.cli import main
+from singularheat import cli
+from singularheat.cli import ProblemConfig, main
 from singularheat.heat1d import HeatContentSamples
 
 
@@ -48,10 +50,13 @@ def test_coeffs_dirichlet_complex_pair(capsys):
 
 
 def test_coeffs_integer_exponent_sum_rejected(capsys):
-    code, _, err = run(capsys, ["coeffs", "--alpha1", "0.5",
-                                "--alpha2", "0.5"])
-    assert code == 2
-    assert "error:" in err
+    # an integer exponent sum, a gamma ratio that overflows, and a value
+    # that is not a number
+    for alpha2 in ("0.5", "-400", "abc"):
+        code, _, err = run(capsys, ["coeffs", "--alpha1", "0.5",
+                                    "--alpha2", alpha2])
+        assert code == 2, alpha2
+        assert "error:" in err
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +116,12 @@ def test_simulate_missing_config_file(capsys, tmp_path):
 
 
 def test_simulate_invalid_config(capsys, tmp_path):
-    interval = {"problem": "interval", "tmin": 0.01, "tmax": 0.01, "num": 1}
+    grid = {"tmin": 1e-3, "tmax": 1e-3, "num": 1}
+    interval = {"problem": "interval", **grid}
+    halfline = {"problem": "halfline", **grid}
+    circle = {"problem": "circle-product", "phi_fourier": [1.0],
+              "rho_fourier": [1.0], **grid}
+    nan = float("nan")
     for obj in ({"problem": "moebius"},
                 # the warped kind was removed from simulate
                 {"problem": "warped",
@@ -120,13 +130,60 @@ def test_simulate_invalid_config(capsys, tmp_path):
                 {**interval, "cuttoff": 0.3},
                 {**interval, "tolerances": {"interval": 1e-6}},
                 # the half-line kernels are Dirichlet or Neumann only
-                {"problem": "halfline", "bc": "robin", "c": 0.5}):
+                {**halfline, "bc": "robin", "c": 0.5},
+                # a Dirichlet interval has no use for c
+                {**interval, "bc": "dirichlet", "c": 2},
+                # fields a problem does not read must keep their default
+                {**circle, "bc": "robin", "c": 3, "alpha1": 5},
+                {**interval, "phi_fourier": [1.0]},
+                {**interval, "tolerances": {"halfline": 1e-6}},
+                # values that do not fit the field's type
+                {**interval, "tmax": 1e-2, "num": 2.7},
+                {**interval, "num": True},
+                {**interval, "alpha1": "0.3"},
+                {**interval, "alpha1": None},
+                {**interval, "alpha1": False},
+                {**halfline, "alpha1": nan},
+                {**interval, "alpha1": nan},
+                {**interval, "bc": "robin", "c": nan},
+                {**interval, "tmax": float("inf")},
+                {**halfline, "tolerances": {"halfline": -1}},
+                {**circle, "phi_fourier": ["a"]},
+                [1, 2],
+                {"tmin": 1e-3}):
         cfg = write_config(tmp_path, obj)
         code, _, err = run(capsys, ["simulate", cfg,
                                     "--out", str(tmp_path / "out.csv")])
         assert code == 2, obj
-        assert "error:" in err
+        assert err.startswith("error:") and err.count("\n") == 1, err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_benchmark_configs_accepted(monkeypatch):
+    """Every config the benchmark harness writes passes the typed check."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import bench_workloads
+    shapes = set()
+    for name in bench_workloads.WORKLOADS:
+        for smoke in (False, True):
+            for obj in bench_workloads.build(name, 7, smoke).inputs.values():
+                cfg = ProblemConfig.from_json_dict(json.loads(json.dumps(obj)))
+                shapes.add((cfg.problem, cfg.bc, cfg.cutoff is None,
+                            bool(cfg.tolerances)))
+    # half-line Dirichlet and Neumann, with and without the smoke
+    # tolerance; Robin interval; the Dirichlet sweep; circle
+    assert len(shapes) == 7, shapes
+
+
+def test_internal_value_error_is_not_invalid_input(monkeypatch, tmp_path):
+    def broken(cfg):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "simulate", broken)
+    cfg = write_config(tmp_path, {"problem": "interval"})
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["simulate", cfg, "--out", str(tmp_path / "out.csv")])
 
 
 def test_simulate_inadmissible_exponent(capsys, tmp_path):
@@ -168,6 +225,13 @@ def test_fit_classical_pipeline(capsys, tmp_path):
     coeffs = model["coefficients"]
     assert abs(coeffs[0] - math.pi) < 1e-8
     assert abs(coeffs[1] - (-4.0 / math.sqrt(math.pi))) < 1e-6
+    # --c is read only with --subtract-interior
+    code, _, err = run(capsys, ["fit", str(csv_path),
+                                "--alpha1", "0", "--alpha2", "0",
+                                "--c", "0.5", "--interior-terms", "1",
+                                "--boundary-terms", "1"])
+    assert code == 2
+    assert "error:" in err
 
 
 def test_fit_rejects_empty_model(capsys, tmp_path):
@@ -184,7 +248,8 @@ def test_fit_rejects_empty_model(capsys, tmp_path):
 def test_fit_rejects_malformed_csv(capsys, tmp_path):
     csv_path = tmp_path / "samples.csv"
     for text in ("time;value\n0.001;1.0\n",
-                 "t,beta,err\n0.001,1.0,0.0\nnan,1.0,0.0\n0.1,1.0,0.0\n"):
+                 "t,beta,err\n0.001,1.0,0.0\nnan,1.0,0.0\n0.1,1.0,0.0\n",
+                 "t,beta,err\n1,2\n"):
         csv_path.write_text(text)
         code, _, _ = run(capsys, ["fit", str(csv_path),
                                   "--alpha1", "0.3", "--alpha2", "0.4"])
