@@ -28,7 +28,8 @@ from .geom import (BoundaryPointData, WarpedProfile, boundary_beta,
 from .heat1d import (HeatContentSamples, SpectralKind, circle_heat_content,
                      halfline_heat_content, intertwine_residual,
                      interval_heat_content, interval_spectrum)
-from .profiles import FromCallable, SingularProfile, constant, plateau_profile
+from .profiles import (FromCallable, SingularProfile, check_integrable,
+                       constant, plateau_profile)
 from .regint import (CollarRegularization, SingularIntegrand, i_reg,
                      interior_coefficients)
 
@@ -40,7 +41,8 @@ _EXIT_VERIFY = 4
 
 _INPUT_ERRORS = (AdmissibilityError, RangeError, DomainError,
                  DegenerateInputError, InsufficientDataError, PoleError,
-                 FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError)
+                 FileNotFoundError, IsADirectoryError, json.JSONDecodeError,
+                 UnicodeDecodeError)
 _NUMERIC_ERRORS = (QuadratureError, TruncationError, IllConditionedError)
 
 
@@ -210,6 +212,8 @@ def cmd_fit(args) -> int:
         raise RangeError("--alpha1, --alpha2, --c and --cutoff must be finite")
     if not args.subtract_interior and (args.c, args.cutoff) != (0.0, 0.5):
         raise RangeError("--c and --cutoff need --subtract-interior")
+    check_integrable(args.alpha1)
+    check_integrable(args.alpha2)
     known = None
     if args.subtract_interior:
         phi = plateau_profile(args.alpha1, math.pi, args.cutoff)

@@ -3,7 +3,11 @@
 Three independent routes are provided: the half-line with image-method
 Gaussian kernels, the interval [0, pi] with explicit Dirichlet/Robin
 spectral resolutions of D = -d^2/dx^2 + c^2, and the circle with Fourier
-modes.  apply_A / intertwine_residual realize the first-order operators
+modes.  The interval Fourier moments n = 1..N of a profile come from one
+node set per N (tanh-sinh head and tail grids, Gauss panels no wider
+than pi/N in between), evaluated once and summed against e^{inx} for all
+n by one blocked complex matrix product; each table is cached per
+(profile, N).  apply_A / intertwine_residual realize the first-order operators
 A = d/dx + c and A* = -d/dx + c that exchange the Dirichlet and Robin
 flows, giving a simulator-level consistency check on both realizations.
 """
@@ -18,8 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coeff import BoundaryConditionKind
-from .errors import (DomainError, QuadratureError, RangeError,
-                     TruncationError)
+from .errors import DomainError, RangeError, TruncationError
 from .profiles import IntertwinedFactor, SingularProfile
 from .quadrature import (gauss_legendre, gauss_rule, segments, tanh_sinh,
                          tanh_sinh_nodes)
@@ -98,7 +101,11 @@ def _robin_zero_norm(c: float) -> float:
     if abs(c) < 1e-8:
         # expand (e^{2 pi c} - 1)/(2c) = pi (1 + pi c + ...) to avoid 0/0
         return 1.0 / math.sqrt(math.pi * (1.0 + math.pi * c))
-    return math.sqrt(2.0 * c / math.expm1(2.0 * math.pi * c))
+    try:
+        return math.sqrt(2.0 * c / math.expm1(2.0 * math.pi * c))
+    except OverflowError:
+        raise RangeError(f"Robin parameter c = {c:g} overflows the "
+                         "stationary mode e^(cx)") from None
 
 
 @dataclass
@@ -279,106 +286,102 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
 # ---------------------------------------------------------------------------
 # interval [0, pi]: spectral sums with cached Fourier moments
 
-_HEAD_LEVEL = 6        # tanh-sinh level for the singular head of each moment
-_PANEL_NODES = 8       # Gauss nodes per oscillation panel
-_HEAD_PERIODS = 10.0   # head covers [0, _HEAD_PERIODS / n]
+_HEAD_LEVEL = 6        # tanh-sinh level of the head and tail grids
+_PANEL_NODES = 8       # Gauss nodes per panel of width <= pi / N
+_HEAD_PERIODS = 10.0   # head and tail cover 10 / N
+_MODE_BLOCK = 64       # n = n0 + d with n0 a multiple of 64, d in 1..64
+_NODE_BLOCK = 32       # nodes per block of the matrix product
+_EPS = np.finfo(float).eps
 
 
-class _FourierMoments:
-    """Cached S_n = int phi sin(nx) and C_n = int phi cos(nx), n = 1..N.
+def _table_nodes(profile: SingularProfile, N: int):
+    """(x, w, w_coarse): one quadrature grid for every mode n <= N.
 
-    The singular head [0, min(b, 10/n)] of the first piece uses a fixed
-    tanh-sinh grid (nodes cluster at the singularity); the oscillatory
-    remainder uses per-period Gauss panels that never straddle a
-    breakpoint of the smooth factor.
+    Fixed tanh-sinh grids, with their level-coarser weights, cover the
+    singular head [0, 10/N] and the support edge (where the smooth factor
+    may lose regularity); Gauss panels no wider than pi/N that never
+    straddle a breakpoint cover the rest, with w_coarse = w.
     """
-
-    def __init__(self, profile: SingularProfile):
-        self.profile = profile
-        self.S = np.zeros(0)
-        self.C = np.zeros(0)
-        self.err = np.zeros(0)
-        self._exp_cache = {}
-
-    def ensure(self, n_max: int):
-        have = self.S.size
-        if n_max <= have:
-            return
-        S = np.concatenate([self.S, np.zeros(n_max - have)])
-        C = np.concatenate([self.C, np.zeros(n_max - have)])
-        err = np.concatenate([self.err, np.zeros(n_max - have)])
-        pieces = self.profile.pieces()
-        support_end = pieces[-1][1]
-        gx, gw = gauss_rule(_PANEL_NODES)
-        for n in range(have + 1, n_max + 1):
-            s_tot = c_tot = e_tot = 0.0
-            for (a, b) in pieces:
-                if a == 0.0:
-                    head = min(b, _HEAD_PERIODS / n)
-                    x, wf, wc = tanh_sinh_nodes(0.0, head, _HEAD_LEVEL)
-                    f = self.profile(x)
-                    sn, cn = np.sin(n * x), np.cos(n * x)
-                    s_tot += np.dot(wf, f * sn)
-                    c_tot += np.dot(wf, f * cn)
-                    e_tot += abs(np.dot(wf - wc, f * sn)) \
-                        + abs(np.dot(wf - wc, f * cn))
-                    a = head
-                if b == support_end and b > a:
-                    # The smooth factor may lose regularity at the support
-                    # edge (fractional powers of end - x), so give the tail
-                    # the same clustered treatment as the singular head.
-                    tail = max(a, b - _HEAD_PERIODS / n)
-                    x, wf, wc = tanh_sinh_nodes(tail, b, _HEAD_LEVEL)
-                    f = self.profile(x)
-                    sn, cn = np.sin(n * x), np.cos(n * x)
-                    s_tot += np.dot(wf, f * sn)
-                    c_tot += np.dot(wf, f * cn)
-                    e_tot += abs(np.dot(wf - wc, f * sn)) \
-                        + abs(np.dot(wf - wc, f * cn))
-                    b = tail
-                if b <= a:
-                    continue
-                m = max(1, int(math.ceil((b - a) * n / math.pi)))
-                edges = np.linspace(a, b, m + 1)
-                half = 0.5 * (edges[1] - edges[0])
-                x = (edges[:-1, None] + half * (1.0 + gx[None, :])).ravel()
-                wgt = np.broadcast_to(half * gw, (m, _PANEL_NODES)).ravel()
-                f = self.profile(x)
-                s_tot += np.dot(wgt, f * np.sin(n * x))
-                c_tot += np.dot(wgt, f * np.cos(n * x))
-                e_tot += 1e-15 * np.dot(wgt, np.abs(f))
-            S[n - 1], C[n - 1], err[n - 1] = s_tot, c_tot, e_tot
-        self.S, self.C, self.err = S, C, err
-
-    def exp_moment(self, c: float) -> float:
-        """int phi(x) e^{cx} dx over the support (Robin zero mode)."""
-        if c not in self._exp_cache:
-            total = 0.0
-            for (a, b) in self.profile.pieces():
-                val, _ = tanh_sinh(
-                    lambda x: self.profile(x) * np.exp(c * x), a, b,
-                    abs_tol=1e-13)
-                total += val
-            self._exp_cache[c] = total
-        return self._exp_cache[c]
+    pieces = profile.pieces()
+    support_end = pieces[-1][1]
+    reach = _HEAD_PERIODS / N
+    gx, gw = gauss_rule(_PANEL_NODES)
+    parts = []
+    for a, b in pieces:
+        if a == 0.0:
+            head = min(b, reach)
+            parts.append(tanh_sinh_nodes(0.0, head, _HEAD_LEVEL))
+            a = head
+        if b == support_end and b > a:
+            tail = max(a, b - reach)
+            parts.append(tanh_sinh_nodes(tail, b, _HEAD_LEVEL))
+            b = tail
+        if b <= a:
+            continue
+        m = max(1, int(math.ceil((b - a) * N / math.pi)))
+        edges = np.linspace(a, b, m + 1)
+        half = 0.5 * (edges[1] - edges[0])
+        x = (edges[:-1, None] + half * (1.0 + gx[None, :])).ravel()
+        w = np.broadcast_to(half * gw, (m, _PANEL_NODES)).ravel()
+        parts.append((x, w, w))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
-@lru_cache(maxsize=8)
-def _moments(profile: SingularProfile) -> _FourierMoments:
-    return _FourierMoments(profile)
+def _exp_sums(x, v, N: int):
+    """sum_j v_j e^{i n x_j} for n = 1..N as one blocked matrix product."""
+    d = np.arange(1, _MODE_BLOCK + 1, dtype=float)
+    n0 = np.arange(0, N, _MODE_BLOCK, dtype=float)
+    out = np.zeros((n0.size, d.size), complex)
+    for lo in range(0, x.size, _NODE_BLOCK):
+        xb, vb = x[lo:lo + _NODE_BLOCK], v[lo:lo + _NODE_BLOCK]
+        out += np.exp(1j * np.outer(n0, xb)) \
+            @ (np.exp(1j * np.outer(xb, d)) * vb[:, None])
+    return out.ravel()[:N]
 
 
-def _gammas(mom: _FourierMoments, spec: SpectralResolution, n_max: int):
+@lru_cache(maxsize=32)
+def _fourier_moments(profile: SingularProfile, N: int):
+    """(S, C, err): S_n = int phi sin(nx), C_n = int phi cos(nx), n <= N.
+
+    err_n bounds |S_n - exact| and |C_n - exact|: the head and tail
+    coarse-rule differences plus eps (M + n x_max) sum |w phi| for the
+    rounding of M products and of the phase n x.
+    """
+    x, w, w_coarse = _table_nodes(profile, N)
+    f = profile(x)
+    mom = _exp_sums(x, w * f, N)
+    ends = w != w_coarse
+    quad = _exp_sums(x[ends], (w - w_coarse)[ends] * f[ends], N)
+    n = np.arange(1, N + 1, dtype=float)
+    rounding = _EPS * (x.size + n * x.max()) * float(np.sum(np.abs(w * f)))
+    table = (mom.imag, mom.real, np.abs(quad) + rounding)
+    for a in table:
+        a.setflags(write=False)  # shared by every caller of the cache
+    return table
+
+
+@lru_cache(maxsize=32)
+def _exp_moment(profile: SingularProfile, c: float) -> float:
+    """int phi(x) e^{cx} dx over the support (Robin zero mode)."""
+    total = 0.0
+    for (a, b) in profile.pieces():
+        val, _ = tanh_sinh(lambda x: profile(x) * np.exp(c * x), a, b,
+                           abs_tol=1e-13)
+        total += val
+    return total
+
+
+def _gammas(profile: SingularProfile, spec: SpectralResolution, n_max: int):
     """(gamma_n, err_n) for n = 1..n_max against the given resolution."""
-    mom.ensure(n_max)
+    S, C, err = _fourier_moments(profile, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     root = math.sqrt(2.0 / math.pi)
     if spec.kind is SpectralKind.DIRICHLET_INTERVAL:
-        return root * mom.S[:n_max], root * mom.err[:n_max]
+        return root * S, root * err
     if spec.kind is SpectralKind.ROBIN_INTERVAL:
         lam_half = np.sqrt(n ** 2 + spec.c ** 2)
-        g = root * (n * mom.C[:n_max] + spec.c * mom.S[:n_max]) / lam_half
-        e = root * (n + abs(spec.c)) * mom.err[:n_max] / lam_half
+        g = root * (n * C + spec.c * S) / lam_half
+        e = root * (n + abs(spec.c)) * err / lam_half
         return g, e
     raise RangeError("interval heat content needs an interval resolution")
 
@@ -400,8 +403,8 @@ def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
     base = 0.0
     if spec.has_zero_mode:
         z = _robin_zero_norm(spec.c)
-        base = (z * _moments(phi).exp_moment(spec.c)) \
-            * (z * _moments(rho).exp_moment(spec.c))
+        base = (z * _exp_moment(phi, spec.c)) \
+            * (z * _exp_moment(rho, spec.c))
     return _spectral_sum(phi, rho, spec, spec.c, t, base)
 
 
@@ -412,14 +415,14 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
 
     The modes come from spec and c enters only the weights, so the
     Dirichlet modes with c != 0 give the flow of D = -d^2/dx^2 + c^2.
-    N doubles from 64 under the truncation rule of interval_heat_content;
-    err is the tail bound plus the propagated moment quadrature error.
+    N doubles from 64 under the truncation rule of interval_heat_content,
+    each N with its own moment table; err is the tail bound plus the
+    propagated moment error plus the rounding of the n_max + 1 terms.
     """
-    mphi, mrho = _moments(phi), _moments(rho)
     n_max = 64
     while True:
-        gp, ep = _gammas(mphi, spec, n_max)
-        gr, er = _gammas(mrho, spec, n_max)
+        gp, ep = _gammas(phi, spec, n_max)
+        gr, er = _gammas(rho, spec, n_max)
         n = np.arange(1, n_max + 1, dtype=float)
         weights = np.exp(-t * (n ** 2 + c ** 2))
         partial = base + float(np.dot(weights, gp * gr))
@@ -429,7 +432,9 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
         if tail < _TAIL_REL * max(abs(partial), 1e-300):
             quad_err = float(np.dot(weights, np.abs(gp) * er
                                     + np.abs(gr) * ep))
-            return partial, tail + quad_err
+            rounding = (n_max + 1) * _EPS \
+                * (float(np.dot(weights, np.abs(gp * gr))) + abs(base))
+            return partial, tail + quad_err + rounding
         if n_max >= _SUM_CAP:
             raise TruncationError(
                 f"needed more than {_SUM_CAP} modes at t = {t:g}")

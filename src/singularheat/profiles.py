@@ -160,6 +160,12 @@ class FromCallable(SmoothFunction):
         raise RangeError(f"derivative order {k} not provided for this handle")
 
 
+def check_integrable(alpha: complex) -> None:
+    """Raise DomainError unless r^(-alpha) is integrable at 0."""
+    if complex(alpha).real >= 1.0:
+        raise DomainError(f"need Re(alpha) < 1 for integrability, got {alpha}")
+
+
 @dataclass(frozen=True)
 class SingularProfile:
     """phi(r) = r^(-alpha) * smooth(r) on [0, L].
@@ -174,8 +180,7 @@ class SingularProfile:
     cutoff_radius: float | None = None
 
     def __post_init__(self):
-        if complex(self.alpha).real >= 1.0:
-            raise DomainError(f"need Re(alpha) < 1 for integrability, got {self.alpha}")
+        check_integrable(self.alpha)
         if self.L <= 0:
             raise DomainError("domain length must be positive")
         if self.cutoff_radius is not None and not 0 < self.cutoff_radius <= self.L:

@@ -40,13 +40,16 @@ def test_coeffs_robin_table(capsys):
 
 
 def test_coeffs_dirichlet_complex_pair(capsys):
-    code, out, _ = run(capsys, ["coeffs", "--alpha1", "0.3,0.2",
-                                "--alpha2", "0.1,-0.4"])
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["alpha1"] == [0.3, 0.2]
-    assert obj["alpha2"] == [0.1, -0.4]
-    assert all(f"eps{k}" in obj for k in range(15))
+    # a large imaginary part takes the overflow-free reflection branch
+    for a1, a2 in (("0.3,0.2", "0.1,-0.4"), ("0.3,800", "0.4")):
+        code, out, _ = run(capsys, ["coeffs", "--alpha1", a1,
+                                    "--alpha2", a2])
+        assert code == 0, a1
+        obj = json.loads(out)
+        assert obj["alpha1"] == [float(v) for v in a1.split(",")]
+        assert all(f"eps{k}" in obj for k in range(15))
+        assert all(math.isfinite(v) for k in range(15)
+                   for v in obj[f"eps{k}"])
 
 
 def test_coeffs_integer_exponent_sum_rejected(capsys):
@@ -109,10 +112,12 @@ def test_simulate_circle_product(capsys, tmp_path):
 
 
 def test_simulate_missing_config_file(capsys, tmp_path):
-    code, _, err = run(capsys, ["simulate", str(tmp_path / "nope.json"),
-                                "--out", str(tmp_path / "out.csv")])
-    assert code == 2
-    assert "error:" in err
+    # a path that does not exist, and one that is a directory
+    for path in (tmp_path / "nope.json", tmp_path):
+        code, _, err = run(capsys, ["simulate", str(path),
+                                    "--out", str(tmp_path / "out.csv")])
+        assert code == 2, path
+        assert "error:" in err
 
 
 def test_simulate_invalid_config(capsys, tmp_path):
@@ -146,6 +151,8 @@ def test_simulate_invalid_config(capsys, tmp_path):
                 {**halfline, "alpha1": nan},
                 {**interval, "alpha1": nan},
                 {**interval, "bc": "robin", "c": nan},
+                # e^{cx} of the Robin stationary mode overflows
+                {**interval, "bc": "robin", "c": 1e6},
                 {**interval, "tmax": float("inf")},
                 {**halfline, "tolerances": {"halfline": -1}},
                 {**circle, "phi_fourier": ["a"]},
@@ -225,6 +232,13 @@ def test_fit_classical_pipeline(capsys, tmp_path):
     coeffs = model["coefficients"]
     assert abs(coeffs[0] - math.pi) < 1e-8
     assert abs(coeffs[1] - (-4.0 / math.sqrt(math.pi))) < 1e-6
+    # a non-integrable exponent, whatever the other one
+    code, _, err = run(capsys, ["fit", str(csv_path),
+                                "--alpha1", "1.5", "--alpha2", "0",
+                                "--interior-terms", "1",
+                                "--boundary-terms", "1"])
+    assert code == 2
+    assert "Re(alpha) < 1" in err
     # --c is read only with --subtract-interior
     code, _, err = run(capsys, ["fit", str(csv_path),
                                 "--alpha1", "0", "--alpha2", "0",

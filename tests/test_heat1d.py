@@ -2,17 +2,20 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from singularheat.coeff import BoundaryConditionKind
 from singularheat.errors import (DomainError, RangeError, TruncationError)
 from singularheat.heat1d import (HeatContentSamples, SpectralKind,
-                                 apply_A, circle_heat_content,
+                                 _fourier_moments, apply_A,
+                                 circle_heat_content,
                                  halfline_heat_content, halfline_kernel,
                                  interval_heat_content, interval_spectrum,
                                  intertwine_residual)
-from singularheat.profiles import (FromCallable, SingularProfile,
+from singularheat.profiles import (FromCallable, PlateauCutoff, Product,
+                                   SingularProfile, constant,
                                    plateau_profile)
 from singularheat.quadrature import gauss_legendre, tanh_sinh
 from singularheat.specfun import beta_fn, gamma
@@ -141,6 +144,54 @@ def test_interval_matches_halfline_when_localized():
         bi_n, _ = interval_heat_content(phi, rho, rspec, t)
         bh_n, _ = halfline_heat_content(phi, rho, N, t)
         assert bi_n == pytest.approx(bh_n, rel=1e-7)
+
+
+def test_interval_err_bounds_exact_dirichlet_series():
+    # constant unit data: beta(t) = sum over odd n of 8/(pi n^2) e^{-n^2 t}
+    spec = interval_spectrum(SpectralKind.DIRICHLET_INTERVAL)
+    one = SingularProfile(0.0, constant(), math.pi)
+    with mpmath.workdps(30):
+        for t in np.geomspace(1e-4, 1e-1, 200):
+            beta, err = interval_heat_content(one, one, spec, float(t))
+            n_top = int(math.sqrt(80.0 / t)) + 2
+            exact = mpmath.fsum(
+                8 / (mpmath.pi * n * n) * mpmath.exp(-n * n * mpmath.mpf(t))
+                for n in range(1, n_top, 2))
+            assert abs(beta - float(exact)) <= err, t
+            assert err <= 1e-10 * abs(beta), t
+
+
+@pytest.mark.parametrize("alpha", (0.25, 0.4, 0.9))
+def test_fourier_moments_within_err_of_closed_form(alpha):
+    # int_0^pi x^{-alpha} e^{inx} dx = (-in)^(alpha-1) gamma(1-alpha, -in pi)
+    # with gamma the lower incomplete gamma function
+    profile = SingularProfile(alpha, constant(), math.pi)
+    modes = (1, 2, 63, 64, 65, 1000, 8191, 8192)
+    with mpmath.workdps(30):
+        exact = {n: complex(mpmath.power(mpmath.mpc(0, -n), alpha - 1)
+                            * mpmath.gammainc(1 - alpha, 0,
+                                              mpmath.mpc(0, -n) * mpmath.pi))
+                 for n in modes}
+    for size in (64, 1024, 8192):
+        S, C, err = _fourier_moments(profile, size)
+        for n in (n for n in modes if n <= size):
+            assert abs(S[n - 1] - exact[n].imag) <= err[n - 1], (size, n)
+            assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
+
+
+def test_fourier_moment_table_work_is_linear():
+    # one shared node set: the profile is evaluated once per node, not
+    # once per node and mode
+    points = [0]
+
+    def counted(x):
+        points[0] += np.size(x)
+        return np.ones_like(x)
+
+    smooth = Product(PlateauCutoff(0.5), FromCallable(counted))
+    profile = SingularProfile(0.25, smooth, math.pi, 0.5)
+    _fourier_moments(profile, 8192)
+    assert 0 < points[0] <= 50000
 
 
 def test_interval_truncation_error_at_tiny_t():

@@ -65,6 +65,14 @@ def test_log_gamma_matches_oracle_on_grid():
         assert _rel(got, want) < 1e-13, f"z={z}"
 
 
+def test_log_gamma_large_imaginary_part():
+    # the reflection branch must not overflow where sin(pi z) does
+    for z in (0.3 + 800j, 0.3 - 800j, -40.2 - 230j, 0.4 + 150j, -0.7 + 6.5j,
+              -3.5 + 5e4j):
+        want = complex(oracle_log_gamma(z))
+        assert _rel(log_gamma(z), want) < 1e-13, f"z={z}"
+
+
 def test_log_gamma_example_point():
     z = 3.7 + 1.2j
     assert _rel(cmath.exp(log_gamma(z)), oracle_gamma(z)) < 1e-14
