@@ -3,11 +3,10 @@
 Three independent routes are provided: the half-line with image-method
 Gaussian kernels, the interval [0, pi] with explicit Dirichlet/Robin
 spectral resolutions of D = -d^2/dx^2 + c^2, and the circle with Fourier
-modes.  The interval Fourier moments n = 1..N of a profile come from one
-node set per N (tanh-sinh head and tail grids, Gauss panels no wider
-than pi/N in between), evaluated once and summed against e^{inx} for all
-n by one blocked complex matrix product; each table is cached per
-(profile, N).  apply_A / intertwine_residual realize the first-order operators
+modes.  The interval moments int phi e^{inx}, n = 1..N, use one node set
+per N (tanh-sinh head and tail grids, Gauss panels no wider than pi/N
+between) and one blocked complex matrix product, cached per (profile, N).
+apply_A / intertwine_residual realize the first-order operators
 A = d/dx + c and A* = -d/dx + c that exchange the Dirichlet and Robin
 flows, giving a simulator-level consistency check on both realizations.
 """
@@ -343,9 +342,9 @@ def _exp_sums(x, v, N: int):
 def _fourier_moments(profile: SingularProfile, N: int):
     """(S, C, err): S_n = int phi sin(nx), C_n = int phi cos(nx), n <= N.
 
-    err_n bounds |S_n - exact| and |C_n - exact|: the head and tail
-    coarse-rule differences plus eps (M + n x_max) sum |w phi| for the
-    rounding of M products and of the phase n x.
+    err_n, a conservative estimate of |S_n - exact| and |C_n - exact| that
+    the tests check as a bound, is the head and tail coarse-rule difference
+    plus eps (M + n x_max) sum |w phi| (rounding of M products and n x).
     """
     x, w, w_coarse = _table_nodes(profile, N)
     f = profile(x)

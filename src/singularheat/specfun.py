@@ -41,9 +41,6 @@ _LANCZOS_C = (
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
-#: |Im(pi z)| above which the reflection uses the overflow-free form of
-#: log sin(pi z)
-_REFLECT_SPLIT = 20.0
 
 
 def _near_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
@@ -70,7 +67,8 @@ def _log_gamma_right(z: complex) -> complex:
 def log_gamma(z: complex) -> complex:
     """Logarithm of the gamma function, principal determination.
 
-    Raises PoleError when z is within POLE_TOL of a non-positive integer.
+    Raises PoleError when z is within POLE_TOL of a non-positive integer,
+    and RangeError when Re z < 1/2 and sin(pi z) overflows (|Im z| > 226).
     exp(log_gamma(z)) equals Gamma(z); for real positive z the result is
     real.
     """
@@ -82,18 +80,10 @@ def log_gamma(z: complex) -> complex:
     if z.real >= 0.5:
         return _log_gamma_right(z)
     # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-    if abs(math.pi * z.imag) <= _REFLECT_SPLIT:
+    try:
         log_sin = cmath.log(cmath.sin(cmath.pi * z))
-    else:
-        # sin(pi z) = (s i/2) e^{-s i pi z} (1 - e^{2 s i pi z}), s = sign Im z,
-        # stays finite where sin overflows; log1p(-w) = -w to double
-        # precision for |w| <= e^{-2 _REFLECT_SPLIT}
-        s = math.copysign(1.0, z.imag)
-        log_sin = cmath.log(0.5j * s) - 1j * s * cmath.pi * z \
-            - cmath.exp(2j * s * cmath.pi * z)
-        # principal branch, as cmath.log gives below the split
-        log_sin = complex(log_sin.real,
-                          math.remainder(log_sin.imag, 2.0 * math.pi))
+    except OverflowError:
+        raise RangeError(f"log_gamma reflection overflowed at {z!r}") from None
     return _LOG_PI - log_sin - _log_gamma_right(1.0 - z)
 
 

@@ -179,6 +179,35 @@ def test_fourier_moments_within_err_of_closed_form(alpha):
             assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
 
 
+@pytest.mark.parametrize("alpha", (0.25, 0.9))
+def test_fourier_moments_within_err_on_plateau_data(alpha):
+    # the benchmark's datum: x^{-alpha} on [0, r/2] in closed form, the
+    # quintic ramp on [r/2, r] by mpmath quadrature a few periods a piece;
+    # this covers the Gauss panels, which constant data barely uses
+    r = 0.5
+    profile = plateau_profile(alpha, math.pi, r)
+    modes = (1, 2, 63, 64, 65, 1000)
+
+    def ramp(x, n):
+        u = (x - r / 2) / (r / 2)
+        return x ** -alpha * (1 - u ** 3 * (10 - 15 * u + 6 * u * u)) \
+            * mpmath.expj(n * x)
+
+    exact = {}
+    with mpmath.workdps(30):
+        for n in modes:
+            head = mpmath.power(mpmath.mpc(0, -n), alpha - 1) \
+                * mpmath.gammainc(1 - alpha, 0, mpmath.mpc(0, -n) * r / 2)
+            edges = mpmath.linspace(r / 2, r, 2 + n // 16)
+            exact[n] = complex(head + mpmath.quad(lambda x: ramp(x, n),
+                                                  edges))
+    for size in (64, 1024):
+        S, C, err = _fourier_moments(profile, size)
+        for n in (n for n in modes if n <= size):
+            assert abs(S[n - 1] - exact[n].imag) <= err[n - 1], (size, n)
+            assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
+
+
 def test_fourier_moment_table_work_is_linear():
     # one shared node set: the profile is evaluated once per node, not
     # once per node and mode

