@@ -206,7 +206,9 @@ def cmd_fit(args) -> int:
         samples = HeatContentSamples.from_csv_text(fh.read())
     n_terms = args.interior_terms
     j_terms = args.boundary_terms
-    if n_terms + j_terms < 1:
+    if min(n_terms, j_terms) < 0:
+        raise RangeError("--interior-terms and --boundary-terms must be >= 0")
+    if j_terms + (0 if args.subtract_interior else n_terms) < 1:
         raise RangeError("no model: need at least one term to fit")
     if not all(map(_finite, (args.alpha1, args.alpha2, args.c, args.cutoff))):
         raise RangeError("--alpha1, --alpha2, --c and --cutoff must be finite")
@@ -218,9 +220,8 @@ def cmd_fit(args) -> int:
     if args.subtract_interior:
         phi = plateau_profile(args.alpha1, math.pi, args.cutoff)
         rho = plateau_profile(args.alpha2, math.pi, args.cutoff)
-        n_known = max(0, n_terms - 1)
-        known = [complex(v).real
-                 for v in interior_coefficients(phi, rho, args.c, n_known)]
+        known = [complex(v).real for v in interior_coefficients(
+            phi, rho, args.c, n_terms - 1)] if n_terms else []
     model = fit(samples, (args.alpha1, args.alpha2),
                 n_int=n_terms - 1, j_max=j_terms - 1,
                 known_interior=known)

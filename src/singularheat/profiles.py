@@ -6,12 +6,20 @@ by applying first- and second-order operators.  Each class carries exact
 derivatives, its analytic breakpoints (so quadrature can split there),
 and, when available, exact Taylor data at 0 valid on an initial plateau
 (which lets the regularized-integral collar be evaluated in closed form).
+
+derivatives(x, order) returns [f(x), f'(x), ..., f^(order)(x)] in one
+pass.  The leaves (Polynomial, PlateauCutoff, FromCallable) define
+__call__ and deriv and inherit a derivatives that loops over deriv.  The
+composites (Product, OperatorApplied, IntertwinedFactor) define only
+derivatives: each asks its factors for one list and builds every order
+from it, so an n-fold nested factor costs O(n) list passes rather than
+a Leibniz tree of size ~7^n.  Their __call__ and deriv read that list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +33,15 @@ class SmoothFunction:
     breakpoints: tuple = ()
 
     def __call__(self, x):
-        raise NotImplementedError
+        return self.derivatives(x, 0)[0]
 
     def deriv(self, x, k: int = 1):
-        raise NotImplementedError
+        return self.derivatives(x, k)[k]
+
+    def derivatives(self, x, order: int) -> list:
+        """[f(x), f'(x), ..., f^(order)(x)]; a subclass overrides either
+        this or both __call__ and deriv."""
+        return [self(x)] + [self.deriv(x, k) for k in range(1, order + 1)]
 
     def taylor0(self):
         """Exact Taylor coefficients at 0, or None if not available."""
@@ -63,6 +76,11 @@ def constant(value: float = 1.0) -> Polynomial:
     return Polynomial((value,))
 
 
+#: k-th u-derivative of the smoothstep ramp 1 - 10u^3 + 15u^4 - 6u^5, k <= 5
+_RAMP_DERIVS = tuple(np.polynomial.polynomial.polyder(
+    (1.0, 0.0, 0.0, -10.0, 15.0, -6.0), k) for k in range(6))
+
+
 @dataclass(frozen=True)
 class PlateauCutoff(SmoothFunction):
     """C^2 cutoff: 1 on [0, r0/2], quintic smoothstep down to 0 at r0."""
@@ -82,8 +100,7 @@ class PlateauCutoff(SmoothFunction):
         return (np.asarray(x, float) - 0.5 * self.r0) / (0.5 * self.r0)
 
     def __call__(self, x):
-        x = np.asarray(x, float)
-        u = np.clip(self._u(x), 0.0, 1.0)
+        u = np.minimum(np.maximum(self._u(x), 0.0), 1.0)
         return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
 
     def deriv(self, x, k: int = 1):
@@ -94,10 +111,8 @@ class PlateauCutoff(SmoothFunction):
         inside = (u > 0.0) & (u < 1.0)
         out = np.zeros_like(x)
         if k <= 5:
-            ramp = (1.0, 0.0, 0.0, -10.0, 15.0, -6.0)  # smoothstep in u
-            dk = np.polynomial.polynomial.polyder(ramp, k)
             out[inside] = (2.0 / self.r0) ** k \
-                * np.polynomial.polynomial.polyval(u[inside], dk)
+                * np.polynomial.polynomial.polyval(u[inside], _RAMP_DERIVS[k])
         return out
 
     def taylor0(self):
@@ -116,17 +131,16 @@ class Product(SmoothFunction):
     def breakpoints(self):
         return tuple(sorted(set(self.left.breakpoints) | set(self.right.breakpoints)))
 
-    def __call__(self, x):
-        return self.left(x) * self.right(x)
-
-    def deriv(self, x, k: int = 1):
-        if k == 0:
-            return self(x)
-        total = 0.0
-        for i in range(k + 1):
-            total = total + math.comb(k, i) * self.left.deriv(x, i) \
-                * self.right.deriv(x, k - i)
-        return total
+    def derivatives(self, x, order: int) -> list:
+        f = self.left.derivatives(x, order)
+        g = self.right.derivatives(x, order)
+        out = [f[0] * g[0]]
+        for k in range(1, order + 1):
+            total = 0.0
+            for i in range(k + 1):
+                total = total + math.comb(k, i) * f[i] * g[k - i]
+            out.append(total)
+        return out
 
     def taylor0(self):
         a, b = self.left.taylor0(), self.right.taylor0()
@@ -178,6 +192,8 @@ class SingularProfile:
     smooth: SmoothFunction
     L: float
     cutoff_radius: float | None = None
+    #: Re(alpha), or None when alpha is not real (resolved once)
+    _real: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_integrable(self.alpha)
@@ -185,13 +201,14 @@ class SingularProfile:
             raise DomainError("domain length must be positive")
         if self.cutoff_radius is not None and not 0 < self.cutoff_radius <= self.L:
             raise DomainError("cutoff radius must lie in (0, L]")
+        a = complex(self.alpha)
+        object.__setattr__(self, "_real", None if abs(a.imag) > 1e-14 else a.real)
 
     @property
     def real_alpha(self) -> float:
-        a = complex(self.alpha)
-        if abs(a.imag) > 1e-14:
+        if self._real is None:
             raise DomainError("simulators require a real exponent")
-        return a.real
+        return self._real
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -211,8 +228,8 @@ class SingularProfile:
         """Modified Taylor jets (flat connection): smooth^(l)(0) / l!."""
         if order < 0 or order > 4:
             raise RangeError("jet order must be in 0..4")
-        zero = np.array([0.0])
-        return [complex(np.asarray(self.smooth.deriv(zero, k))[0]) / math.factorial(k)
+        d = self.smooth.derivatives(np.array([0.0]), order)
+        return [complex(np.asarray(d[k])[0]) / math.factorial(k)
                 for k in range(order + 1)]
 
 
@@ -238,25 +255,19 @@ class IntertwinedFactor(SmoothFunction):
     def breakpoints(self):
         return self.s.breakpoints
 
-    def _parts(self, x, k):
-        # k-th derivative of g via (x u)^(k) = x u^(k) + k u^(k-1)
-        s_k = self.s.deriv(x, k) if k else self.s(x)
-        s_k1 = self.s.deriv(x, k + 1)
-        s_km1 = (self.s.deriv(x, k - 1) if k >= 2 else self.s(x)) if k >= 1 else None
-        term = self.sign * (self.a * s_k - (x * s_k1 + k * s_k))
-        if k >= 1:
-            term = term + self.c * (x * s_k + k * s_km1)
-        else:
-            term = term + self.c * x * s_k
-        return term
-
-    def __call__(self, x):
+    def derivatives(self, x, order: int) -> list:
         x = np.asarray(x, float)
-        return self._parts(x, 0)
-
-    def deriv(self, x, k: int = 1):
-        x = np.asarray(x, float)
-        return self._parts(x, k)
+        s = self.s.derivatives(x, order + 1)
+        out = []
+        for k in range(order + 1):
+            # k-th derivative of g via (x u)^(k) = x u^(k) + k u^(k-1)
+            term = self.sign * (self.a * s[k] - (x * s[k + 1] + k * s[k]))
+            if k >= 1:
+                term = term + self.c * (x * s[k] + k * s[k - 1])
+            else:
+                term = term + self.c * x * s[k]
+            out.append(term)
+        return out
 
     def taylor0(self):
         st = self.s.taylor0()
@@ -289,31 +300,26 @@ class OperatorApplied(SmoothFunction):
     def breakpoints(self):
         return self.s.breakpoints
 
-    def _g_deriv(self, x, k):
-        # Leibniz on each monomial-weighted term
+    def derivatives(self, x, order: int) -> list:
+        x = np.asarray(x, float)
+        s = self.s.derivatives(x, order + 2)
         a, c2 = self.a, self.c2
-        out = -a * (a + 1) * (self.s.deriv(x, k) if k else self.s(x))
-        # 2 a x s': (x u)^(k) = x u^(k) + k u^(k-1), u = s'
-        out = out + 2 * a * (x * self.s.deriv(x, k + 1)
-                             + k * (self.s.deriv(x, k) if k else self.s(x)))
-        # -x^2 s'': (x^2 u)^(k) = x^2 u^(k) + 2k x u^(k-1) + k(k-1) u^(k-2)
-        for coef, u_order in ((-1.0, 2), (c2, 0)):
-            term = x * x * self.s.deriv(x, k + u_order)
-            if k >= 1:
-                term = term + 2 * k * x * self.s.deriv(x, k - 1 + u_order)
-            if k >= 2:
-                d = k - 2 + u_order
-                term = term + k * (k - 1) * (self.s.deriv(x, d) if d else self.s(x))
-            out = out + coef * term
+        out = []
+        for k in range(order + 1):
+            # Leibniz on each monomial-weighted term
+            g = -a * (a + 1) * s[k]
+            # 2 a x s': (x u)^(k) = x u^(k) + k u^(k-1), u = s'
+            g = g + 2 * a * (x * s[k + 1] + k * s[k])
+            # -x^2 s'': (x^2 u)^(k) = x^2 u^(k) + 2k x u^(k-1) + k(k-1) u^(k-2)
+            for coef, u_order in ((-1.0, 2), (c2, 0)):
+                term = x * x * s[k + u_order]
+                if k >= 1:
+                    term = term + 2 * k * x * s[k - 1 + u_order]
+                if k >= 2:
+                    term = term + k * (k - 1) * s[k - 2 + u_order]
+                g = g + coef * term
+            out.append(g)
         return out
-
-    def __call__(self, x):
-        x = np.asarray(x, float)
-        return self._g_deriv(x, 0)
-
-    def deriv(self, x, k: int = 1):
-        x = np.asarray(x, float)
-        return self._g_deriv(x, k)
 
     def taylor0(self):
         st = self.s.taylor0()

@@ -11,6 +11,7 @@ to the plain integral whenever that converges.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -66,9 +67,9 @@ class SingularIntegrand:
 
     def jets(self, order: int) -> list:
         """h_j = smooth^(j)(0) / j! for j = 0..order."""
-        zero = np.array([0.0])
-        return [complex(np.asarray(self.smooth.deriv(zero, k))[0])
-                / math.factorial(k) for k in range(order + 1)]
+        d = self.smooth.derivatives(np.array([0.0]), order)
+        return [complex(np.asarray(d[k])[0]) / math.factorial(k)
+                for k in range(order + 1)]
 
 
 def default_regularization(integrand: SingularIntegrand) -> CollarRegularization:
@@ -167,7 +168,14 @@ def interior_coefficients(phi: SingularProfile, rho: SingularProfile,
     for n in range(n_max + 1):
         integrand = SingularIntegrand(
             complex(a) + a_rho, Product(smooth, rho.smooth), phi.L)
-        val = i_reg(integrand, reg)
+        # an overflow (inf, nan or OverflowError) is rejected, not returned
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                val = i_reg(integrand, reg)
+            except OverflowError:
+                val = math.inf
+        if not cmath.isfinite(val):
+            raise RangeError(f"beta_{n} overflows for this c and these profiles")
         out.append((-1) ** n / math.factorial(n) * val)
         smooth = OperatorApplied(smooth, a, c * c)
         a = a + 2.0

@@ -2,14 +2,18 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from singularheat import cli
+from singularheat.asymfit import fit
 from singularheat.cli import ProblemConfig, main
 from singularheat.heat1d import HeatContentSamples
+from singularheat.profiles import plateau_profile
+from singularheat.regint import interior_coefficients
 
 
 def run(capsys, argv):
@@ -258,7 +262,66 @@ def test_fit_rejects_empty_model(capsys, tmp_path):
                                 "--interior-terms", "0",
                                 "--boundary-terms", "0"])
     assert code == 2
-    assert "error:" in err
+    assert "no model" in err
+
+
+def _plateau_samples(tmp_path):
+    """Forty finite samples spanning two decades of t."""
+    t = np.geomspace(1e-6, 1e-4, 40)
+    beta = 2.4 - 1.2 * t ** 0.15 - 1.6 * t ** 0.65
+    text = "t,beta,err\n" + "".join(f"{a!r},{b!r},0.0\n"
+                                     for a, b in zip(t.tolist(), beta.tolist()))
+    path = tmp_path / "samples.csv"
+    path.write_text(text)
+    return path
+
+
+def test_fit_term_counts(capsys, tmp_path):
+    csv_path = _plateau_samples(tmp_path)
+    base = ["fit", str(csv_path), "--alpha1", "0.3", "--alpha2", "0.4"]
+    # a negative count is rejected, not read as 0
+    for counts in (("-3", "2"), ("-1", "2"), ("2", "-1"), ("2", "-3")):
+        code, _, err = run(capsys, base + ["--interior-terms", counts[0],
+                                           "--boundary-terms", counts[1]])
+        assert code == 2, counts
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    # --subtract-interior with no boundary term leaves nothing to fit
+    code, _, err = run(capsys, base + ["--subtract-interior",
+                                       "--interior-terms", "2",
+                                       "--boundary-terms", "0"])
+    assert code == 2
+    assert err == "error: no model: need at least one term to fit\n", err
+    # --interior-terms N subtracts exactly beta_0..beta_{N-1}
+    samples = HeatContentSamples.from_csv_text(csv_path.read_text())
+    phi = plateau_profile(0.3, math.pi, 0.5)
+    rho = plateau_profile(0.4, math.pi, 0.5)
+    betas = [complex(v).real
+             for v in interior_coefficients(phi, rho, 0.5, 2)]
+    outs = []
+    for n in (0, 1, 3):
+        code, out, _ = run(capsys, base + ["--c", "0.5", "--subtract-interior",
+                                           "--interior-terms", str(n),
+                                           "--boundary-terms", "2"])
+        assert code == 0, n
+        want = fit(samples, (0.3, 0.4), j_max=1, known_interior=betas[:n])
+        assert out == want.to_json() + "\n", n
+        outs.append(out)
+    assert len(set(outs)) == 3
+
+
+def test_fit_interior_overflow_exits_2(capsys, tmp_path):
+    csv_path = _plateau_samples(tmp_path)
+    base = ["fit", str(csv_path), "--alpha1", "0.3", "--alpha2", "0.4",
+            "--interior-terms", "4", "--boundary-terms", "4",
+            "--subtract-interior"]
+    # c^2 overflows; a tiny cutoff overflows the ramp derivatives
+    for extra in (["--c", "1e200"], ["--cutoff", "1e-300"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, base + extra)
+        assert code == 2, extra
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_fit_rejects_malformed_csv(capsys, tmp_path):

@@ -94,6 +94,8 @@ def test_singular_profile_validation_and_pieces():
         plateau_profile(0.3, L=1.0, cutoff_radius=2.0)
     with pytest.raises(DomainError):
         _ = SingularProfile(0.3 + 0.2j, constant(), L=1.0).real_alpha
+    with pytest.raises(DomainError):
+        SingularProfile(0.3 + 0.2j, constant(), L=1.0)(x)
     with pytest.raises(RangeError):
         prof.jets(5)
 
@@ -141,3 +143,89 @@ def test_operator_applied_matches_operator():
     got = fac.deriv(np.array([0.9]), 2)[0]
     want = central_diff(lambda x: fac(np.array([x]))[0], 0.9, 2, h=1e-3)
     assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
+
+
+def _recursive_deriv(f, x, k):
+    """Per-order recursion with the composites' float expressions: an
+    independent reference for the one-pass derivatives lists."""
+    d = lambda g, j: _recursive_deriv(g, x, j)
+    if isinstance(f, Product):
+        if k == 0:
+            return d(f.left, 0) * d(f.right, 0)
+        total = 0.0
+        for i in range(k + 1):
+            total = total + math.comb(k, i) * d(f.left, i) * d(f.right, k - i)
+        return total
+    if isinstance(f, OperatorApplied):
+        x = np.asarray(x, float)
+        a, c2 = f.a, f.c2
+        out = -a * (a + 1) * d(f.s, k)
+        out = out + 2 * a * (x * d(f.s, k + 1) + k * d(f.s, k))
+        for coef, u in ((-1.0, 2), (c2, 0)):
+            term = x * x * d(f.s, k + u)
+            if k >= 1:
+                term = term + 2 * k * x * d(f.s, k - 1 + u)
+            if k >= 2:
+                term = term + k * (k - 1) * d(f.s, k - 2 + u)
+            out = out + coef * term
+        return out
+    if isinstance(f, IntertwinedFactor):
+        x = np.asarray(x, float)
+        term = f.sign * (f.a * d(f.s, k) - (x * d(f.s, k + 1) + k * d(f.s, k)))
+        if k >= 1:
+            return term + f.c * (x * d(f.s, k) + k * d(f.s, k - 1))
+        return term + f.c * x * d(f.s, k)
+    return f.deriv(x, k) if k else f(x)
+
+
+def _sine():
+    # sin and its first 12 derivatives, sin(x + k pi / 2)
+    return FromCallable(np.sin, tuple(
+        (lambda x, k=k: np.sin(x + 0.5 * k * np.pi)) for k in range(1, 13)))
+
+
+def test_derivatives_match_deriv_bitwise():
+    cut, poly = PlateauCutoff(0.8), Polynomial((1.0, -0.5, 0.25, 0.1))
+    nested = [
+        cut, poly, _sine(),
+        Product(cut, poly),
+        OperatorApplied(IntertwinedFactor(Product(cut, poly), -0.3, 0.6, +1),
+                        0.35, 0.49),
+        Product(IntertwinedFactor(OperatorApplied(_sine(), 0.2, 0.25),
+                                  0.1, -0.4, -1), Product(poly, cut)),
+        IntertwinedFactor(Product(OperatorApplied(cut, 0.3, 0.0), _sine()),
+                          0.15, 0.7, +1),
+    ]
+    x = np.array([0.0, 0.1, 0.37, 0.45, 0.6, 0.79, 1.2])
+    order = 5
+    for f in nested:
+        got = f.derivatives(x, order)
+        assert len(got) == order + 1
+        assert np.asarray(f(x)).tobytes() == np.asarray(got[0]).tobytes()
+        for k in range(order + 1):
+            want = np.asarray(got[k], float).tobytes()
+            assert np.asarray(f.deriv(x, k), float).tobytes() == want, (f, k)
+            assert np.asarray(_recursive_deriv(f, x, k), float).tobytes() \
+                == want, (f, k)
+
+
+def test_nested_factor_calls_each_leaf_handle_once_per_order():
+    # D^6 of a product, times a third factor, at order 8: a per-order
+    # recursion over deriv would call these handles thousands of times
+    calls = {}
+
+    def leaf(name, rate, n):
+        def handle(k):
+            def h(x):
+                calls[name, k] = calls.get((name, k), 0) + 1
+                return rate ** k * np.exp(rate * np.asarray(x))
+            return h
+        return FromCallable(handle(0), tuple(handle(k) for k in range(1, n + 1)))
+
+    f = Product(leaf("u", 0.5, 20), leaf("v", -0.3, 20))
+    for _ in range(6):
+        f = OperatorApplied(f, 0.35, 0.25)
+    f = Product(f, leaf("w", 0.7, 8))
+    f.derivatives(np.linspace(0.1, 1.0, 5), 8)
+    assert len(calls) == 21 + 21 + 9
+    assert max(calls.values()) == 1

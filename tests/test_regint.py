@@ -5,7 +5,8 @@ import math
 import pytest
 
 from singularheat.errors import DomainError, PoleError, RangeError
-from singularheat.profiles import (PlateauCutoff, SingularProfile, constant,
+from singularheat.profiles import (OperatorApplied, PlateauCutoff, Polynomial,
+                                   Product, SingularProfile, constant,
                                    plateau_profile)
 from singularheat.quadrature import tanh_sinh
 from singularheat.regint import (CollarRegularization, SingularIntegrand,
@@ -135,3 +136,24 @@ def test_interior_coefficients_collar_independent():
     b = interior_coefficients(p1, p2, 0.5, 2, CollarRegularization(0.4, 6))
     for x, y in zip(a, b):
         assert complex(x) == pytest.approx(complex(y), rel=1e-10)
+
+
+@pytest.mark.parametrize("a1, a2, c", [(0.3, 0.4, 0.5), (0.25, 0.45, 0.0),
+                                       (-0.2, 0.1, 1.3)])
+def test_jets_match_exact_taylor_data(a1, a2, c):
+    # the jets of D^n phi * rho at 0 come from the derivative lists; on
+    # the plateau they must reproduce the exact symbolic Taylor data
+    phi = plateau_profile(a1, math.pi, 0.5)
+    rho = plateau_profile(a2, math.pi, 0.5)
+    poly = Polynomial((1.0, -0.5, 0.3, 0.2))
+    for smooth in (phi.smooth, Product(poly, phi.smooth)):
+        a = a1
+        for n in range(7):
+            ig = SingularIntegrand(a + a2, Product(smooth, rho.smooth), math.pi)
+            exact = ig.smooth.taylor0()
+            jets = ig.jets(len(exact) + 1)
+            for j, h in enumerate(jets):
+                want = exact[j] if j < len(exact) else 0.0
+                assert h == pytest.approx(want, rel=1e-12, abs=0.0), (n, j)
+            smooth = OperatorApplied(smooth, a, c * c)
+            a += 2.0
