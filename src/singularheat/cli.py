@@ -173,9 +173,11 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
         def one(t):
             return interval_heat_content(phi, rho, spec, t)
     else:
+        phi_f = np.asarray(cfg.phi_fourier, float)
+        rho_f = np.asarray(cfg.rho_fourier, float)
+
         def one(t):
-            return circle_heat_content(cfg.phi_fourier, cfg.rho_fourier,
-                                       t), 0.0
+            return circle_heat_content(phi_f, rho_f, t), 0.0
 
     entries = [(t, *one(t)) for t in ts]
     return HeatContentSamples(problem=cfg.problem, entries=entries)

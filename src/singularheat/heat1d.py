@@ -3,7 +3,10 @@
 Three independent routes are provided: the half-line with image-method
 Gaussian kernels, the interval [0, pi] with explicit Dirichlet/Robin
 spectral resolutions of D = -d^2/dx^2 + c^2, and the circle with Fourier
-modes.  The interval moments int phi e^{inx}, n = 1..N, use one node set
+modes.  The half-line inner integrals F(d), H(s) take all nodes of one
+outer tanh-sinh level at once, as lanes: each node's range is split into
+the same number of padded slots, one batch of tanh-sinh or Gauss lanes
+each.  The interval moments int phi e^{inx}, n = 1..N, use one node set
 per N (tanh-sinh head and tail grids, Gauss panels no wider than pi/N
 between) and one blocked complex matrix product, cached per (profile, N).
 apply_A / intertwine_residual realize the first-order operators
@@ -23,8 +26,8 @@ import numpy as np
 from .coeff import BoundaryConditionKind
 from .errors import DomainError, RangeError, TruncationError
 from .profiles import IntertwinedFactor, SingularProfile
-from .quadrature import (gauss_legendre, gauss_rule, segments, tanh_sinh,
-                         tanh_sinh_nodes)
+from .quadrature import (gauss_legendre, gauss_rule, tanh_sinh,
+                         tanh_sinh_lanes, tanh_sinh_nodes)
 
 #: kernel window: exp(-45^2/4) ~ 1e-220, far below any tolerance in use
 _WINDOW_SIGMAS = 45.0
@@ -162,55 +165,70 @@ def halfline_kernel(bc: BoundaryConditionKind, x1, x2, t: float):
     return norm * (direct + sign * image)
 
 
-def _segment_sum(fn, lo: float, hi: float, cuts: list, tol: float,
-                 err_box: list, total: float = 0.0) -> float:
-    """total + int_lo^hi fn split at cuts: tanh-sinh on a piece starting
-    at the singular 0 (skipped below _TINY), 40-point Gauss elsewhere."""
-    for a, b in segments(lo, hi, cuts):
-        if a == 0.0:
-            if b <= _TINY:
-                continue
-            val, err = tanh_sinh(fn, a, b, tol=tol, abs_tol=1e-3 * tol)
-            err_box[0] = max(err_box[0], err)
-        else:
-            val = gauss_legendre(fn, a, b, n=40)
-        total += val
+def _split_sum(fn, lo, hi, cuts, tol: float, err_box: list, total=0.0):
+    """total + int_lo^hi fn on every lane, each range split at its cuts.
+
+    lo, hi and the cuts are per-lane arrays or scalars; hi < lo is an
+    empty range.  Each lane's edges are lo, its cuts inside (lo, hi) in
+    ascending order, then copies of hi, so all lanes have the same number
+    of slots and a slot of zero width adds exactly 0.0.  A piece starting
+    at the singular 0 uses tanh-sinh lanes (skipped below _TINY), every
+    other piece 40-point Gauss lanes.  fn(x, k) evaluates the lanes k at
+    nodes x of shape (len(k), m).
+    """
+    hi = np.maximum(hi, lo)
+    inner = [np.where((lo < c) & (c < hi), c, hi) for c in cuts]
+    edges = np.sort(np.column_stack(np.broadcast_arrays(lo, *inner, hi)),
+                    axis=1)
+    for a, b in zip(edges.T[:-1], edges.T[1:]):
+        val = np.zeros(a.shape)
+        ts = np.flatnonzero((a == 0.0) & (b > _TINY))
+        if ts.size:
+            val[ts], err = tanh_sinh_lanes(
+                lambda x, rows: fn(x, ts[rows]), a[ts], b[ts], tol=tol,
+                abs_tol=1e-3 * tol)
+            err_box[0] = max(err_box[0], err.max())
+        gl = np.flatnonzero((a != 0.0) & (b > a))
+        if gl.size:
+            val[gl] = gauss_legendre(lambda x: fn(x, gl), a[gl], b[gl], n=40)
+        total = total + val
     return total
 
 
 def _cross_correlation(phi: SingularProfile, rho: SingularProfile,
-                       d: float, tol: float, err_box: list) -> float:
-    """F(d) = int rho(y) phi(y + d) dy for d >= 0.
+                       d, tol: float, err_box: list):
+    """F(d) = int rho(y) phi(y + d) dy for an array of d >= 0.
 
     Only rho is singular on the integration range (the phi argument
     stays >= d), so the singularity sits at the left endpoint of the
     first segment where the tanh-sinh nodes cluster.
     """
-    hi = min(rho.support_end(), phi.support_end() - d)
+    hi = np.minimum(rho.support_end(), phi.support_end() - d)
     cuts = list(rho.smooth.breakpoints) \
         + [b - d for b in phi.smooth.breakpoints]
-    return _segment_sum(lambda y: rho(y) * phi(y + d), 0.0, hi, cuts, tol,
-                        err_box)
+    return _split_sum(lambda y, k: rho(y) * phi(y + d[k, None]), 0.0, hi,
+                      cuts, tol, err_box)
 
 
 def _endpoint_convolution(phi: SingularProfile, rho: SingularProfile,
-                          s: float, tol: float, err_box: list) -> float:
-    """H(s) = int_0^s phi(x) rho(s - x) dx, singular at both ends.
+                          s, tol: float, err_box: list):
+    """H(s) = int_0^s phi(x) rho(s - x) dx for an array of s, singular at
+    both ends.
 
     Split at s/2 and reflect so each half carries its singularity at the
-    left endpoint only (full precision there).
+    left endpoint only (full precision there).  H is 0 for s <= _TINY
+    (values scale like s^(1 - sigma): negligible below any tolerance) and
+    past both supports.
     """
-    if s <= _TINY or s >= phi.support_end() + rho.support_end():
-        # values scale like s^(1 - sigma): negligible below any tolerance
-        return 0.0
+    dead = (s <= _TINY) | (s >= phi.support_end() + rho.support_end())
     total = 0.0
     for f, g in ((phi, rho), (rho, phi)):
         cuts = list(f.smooth.breakpoints) \
             + [s - b for b in g.smooth.breakpoints]
-        hi = min(0.5 * s, f.support_end())
-        lo = max(0.0, s - g.support_end())
-        total = _segment_sum(lambda x: f(x) * g(s - x), lo, hi, cuts, tol,
-                             err_box, total)
+        lo = np.maximum(0.0, s - g.support_end())
+        hi = np.where(dead, lo, np.minimum(0.5 * s, f.support_end()))
+        total = _split_sum(lambda x, k: f(x) * g(s[k, None] - x), lo, hi,
+                           cuts, tol, err_box, total)
     return total
 
 
@@ -227,7 +245,9 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
 
     with G the 1-D Gaussian, F the cross-correlation and H the endpoint
     convolution above; beta = direct + sign * image.  Both outer
-    integrands are singular exactly at 0, matching the quadrature.
+    integrands are singular exactly at 0, matching the quadrature.  err
+    adds the outer level differences and the largest inner tanh-sinh
+    error times the lengths of the two outer windows in d and s.
     """
     if t <= 0:
         raise RangeError("need t > 0")
@@ -238,15 +258,13 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
     inner_tol = 0.01 * tol
 
     def direct_integrand(ds):
-        return np.array([
-            _cross_correlation(phi, rho, float(d), inner_tol, inner_err)
-            + _cross_correlation(rho, phi, float(d), inner_tol, inner_err)
-            for d in ds]) * np.exp(-np.asarray(ds) ** 2 / (4.0 * t))
+        return (_cross_correlation(phi, rho, ds, inner_tol, inner_err)
+                + _cross_correlation(rho, phi, ds, inner_tol, inner_err)) \
+            * np.exp(-ds ** 2 / (4.0 * t))
 
     def image_integrand(ss):
-        return np.array([
-            _endpoint_convolution(phi, rho, float(s), inner_tol, inner_err)
-            for s in ss]) * np.exp(-np.asarray(ss) ** 2 / (4.0 * t))
+        return _endpoint_convolution(phi, rho, ss, inner_tol, inner_err) \
+            * np.exp(-ss ** 2 / (4.0 * t))
 
     def gaussian_edges(hi: float) -> list:
         # geometric splits keep the Gaussian roll-off resolved per panel
@@ -501,15 +519,13 @@ def intertwine_residual(phi: SingularProfile, rho: SingularProfile,
 def circle_heat_content(phi_fourier, rho_fourier, t: float) -> float:
     """Heat content on the unit circle from Fourier data.
 
-    Coefficient lists are in the basis [1, cos x, sin x, cos 2x, ...];
-    the mode k carries measure 2 pi (k = 0) or pi (k >= 1).
+    Coefficient lists or arrays are in the basis [1, cos x, sin x,
+    cos 2x, ...]; the mode k carries measure 2 pi (k = 0) or pi (k >= 1).
     """
     if t <= 0:
         raise RangeError("need t > 0")
-    total = 0.0
-    for i in range(min(len(phi_fourier), len(rho_fourier))):
-        k = (i + 1) // 2
-        measure = 2.0 * math.pi if i == 0 else math.pi
-        total += math.exp(-t * k * k) * phi_fourier[i] * rho_fourier[i] \
-            * measure
-    return total
+    m = min(len(phi_fourier), len(rho_fourier))
+    k = (np.arange(m) + 1) // 2
+    measure = np.where(k == 0, 2.0 * math.pi, math.pi)
+    return float(np.sum(np.exp(-t * k * k) * np.asarray(phi_fourier[:m])
+                        * np.asarray(rho_fourier[:m]) * measure))

@@ -6,6 +6,10 @@ like x**(-0.9) * smooth(x) converge at machine precision with a few
 hundred nodes.  Node positions are stored as offsets from the nearest
 endpoint so that points exponentially close to an endpoint keep full
 relative precision (essential when the singular endpoint is 0).
+
+tanh_sinh_lanes runs K integrals ("lanes") through one adaptive loop,
+one integrand call per level for all running lanes; tanh_sinh is its
+one-lane case.
 """
 
 from __future__ import annotations
@@ -53,45 +57,80 @@ def _level_points(level: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(deltas), np.asarray(wfracs)
 
 
-def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12,
-              fail_factor: float = 1e4, abs_tol: float = 0.0):
-    """Adaptive tanh-sinh integration of f over [a, b].
+def _row_dots(vals, w):
+    """np.dot(w, row) for each row: a stacked matmul runs the same dot
+    kernel per row, so a lane's bits do not depend on the other lanes."""
+    return (np.asarray(vals)[..., None, :] @ w[:, None])[..., 0, 0]
 
-    f must accept a numpy array and return an array (real or complex).
-    Returns (value, error_estimate).  Raises QuadratureError when the
-    level cap is reached with an error estimate above fail_factor * tol
-    relative to the result.  abs_tol sets an absolute convergence floor
-    for integrals that are negligibly small in the caller's context.
+
+def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, max_level: int = 12,
+                    fail_factor: float = 1e4, abs_tol: float = 0.0):
+    """Adaptive tanh-sinh integration over K intervals [a_k, b_k] at once.
+
+    f(x, rows) gets the nodes x, shape (len(rows), m), of the running
+    lanes rows and returns real or complex values of that shape.  A lane
+    stops at the first level >= 2 whose estimate moved by at most
+    max(tol * |value|, abs_tol).  Returns (values, errors), arrays of
+    length K.  Raises QuadratureError on an empty interval, or when a
+    lane ends at the level cap with an error above fail_factor * tol
+    relative to its value (and above abs_tol).
     """
-    if not (b > a):
-        raise QuadratureError(f"empty interval [{a}, {b}]")
-    width = b - a
-    mid = 0.5 * (a + b)
-    d0, w0 = _point(0.0)
-    total = w0 * np.asarray(f(np.array([mid])))[0]  # u = 0 node
-    prev = None
-    err = math.inf
+    a = np.atleast_1d(np.asarray(a, float))
+    b = np.atleast_1d(np.asarray(b, float))
+    empty = np.flatnonzero(~(b > a))
+    if empty.size:
+        k = empty[0]
+        raise QuadratureError(f"empty interval [{a[k]}, {b[k]}]")
+    rows = np.arange(a.size)
+    lo, hi, width = a[:, None], b[:, None], (b - a)[:, None]
+    total = _point(0.0)[1] * np.asarray(f(0.5 * (lo + hi), rows))[:, 0]
+    value = np.empty_like(total)
+    error = np.empty(a.size)
+    prev, err = None, np.full(a.size, math.inf)
     for level in range(0, max_level + 1):
         deltas, wfracs = _level_points(level)
         if deltas.size:
-            xl = a + width * deltas
-            xr = b - width * deltas
-            vals = np.asarray(f(np.concatenate([xl, xr])))
-            total += np.dot(np.concatenate([wfracs, wfracs]), vals)
-        h = _H0 / 2 ** level
-        cur = h * width * total
-        if prev is not None and level >= 2:
-            err = abs(cur - prev)
-            scale = max(abs(cur), 1e-300)
-            if err <= max(tol * scale, abs_tol):
-                return cur, err
+            wd = width * deltas
+            total = total + _row_dots(
+                f(np.concatenate([lo + wd, hi - wd], 1), rows),
+                np.concatenate([wfracs, wfracs]))
+        cur = _H0 / 2 ** level * width[:, 0] * total
+        if level >= 2:
+            err = np.abs(cur - prev)
+            done = err <= np.maximum(tol * np.maximum(np.abs(cur), 1e-300),
+                                     abs_tol)
+            if done.any():
+                value[rows[done]] = cur[done]
+                error[rows[done]] = err[done]
+                if done.all():
+                    return value, error
+                running = (rows, lo, hi, width, total, cur, err)
+                rows, lo, hi, width, total, cur, err = [v[~done]
+                                                        for v in running]
         prev = cur
-    scale = max(abs(prev), 1e-300)
-    if err > max(fail_factor * tol * scale, abs_tol):
+    scale = np.maximum(np.abs(prev), 1e-300)
+    bad = np.flatnonzero(err > np.maximum(fail_factor * tol * scale, abs_tol))
+    if bad.size:
+        k = bad[0]
         raise QuadratureError(
-            f"tanh_sinh did not converge on [{a}, {b}]: "
-            f"estimate {err:.3e} vs tolerance {tol:.3e} * {scale:.3e}")
-    return prev, err
+            f"tanh_sinh did not converge on [{lo[k, 0]}, {hi[k, 0]}]: "
+            f"estimate {err[k]:.3e} vs tolerance {tol:.3e} * {scale[k]:.3e}")
+    value[rows] = prev
+    error[rows] = err
+    return value, error
+
+
+def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12,
+              fail_factor: float = 1e4, abs_tol: float = 0.0):
+    """(value, error_estimate) of f over [a, b]: one tanh_sinh_lanes lane.
+
+    f must accept a numpy array and return an array (real or complex).
+    abs_tol sets an absolute convergence floor for integrals that are
+    negligibly small in the caller's context.
+    """
+    value, error = tanh_sinh_lanes(lambda x, rows: np.asarray(f(x[0]))[None],
+                                   a, b, tol, max_level, fail_factor, abs_tol)
+    return value[0], error[0]
 
 
 @lru_cache(maxsize=32)
@@ -139,11 +178,13 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_legendre(f, a: float, b: float, n: int = 80):
-    """Fixed-order Gauss-Legendre panel for smooth integrands."""
+def gauss_legendre(f, a, b, n: int = 80):
+    """Fixed-order Gauss-Legendre panel for smooth integrands; for
+    arrays a, b of K lanes, f gets nodes of shape (K, n)."""
     nodes, weights = gauss_rule(n)
-    x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    return 0.5 * (b - a) * np.dot(weights, np.asarray(f(x)))
+    half = 0.5 * (np.asarray(b, float) - a)
+    x = half[..., None] * nodes + 0.5 * (np.asarray(a, float) + b)[..., None]
+    return half * _row_dots(f(x), weights)
 
 
 def segments(lo: float, hi: float, cuts) -> list:

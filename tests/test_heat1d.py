@@ -8,7 +8,8 @@ import pytest
 
 from singularheat.coeff import BoundaryConditionKind
 from singularheat.errors import (DomainError, RangeError, TruncationError)
-from singularheat.heat1d import (HeatContentSamples, SpectralKind,
+from singularheat.heat1d import (HeatContentSamples, SpectralKind, _TINY,
+                                 _cross_correlation, _endpoint_convolution,
                                  _fourier_moments, apply_A,
                                  circle_heat_content,
                                  halfline_heat_content, halfline_kernel,
@@ -61,18 +62,86 @@ def test_kernel_guards():
 def test_halfline_difference_closed_form():
     # For data x^{-a1}, x^{-a2} (plateau cutoffs), the Neumann-Dirichlet
     # difference keeps only the image term, whose small-t limit is
-    # 2^(a1+a2) pi^(-1/2) Gamma((3-a1-a2)/2 - 1/2... ) -- concretely for
-    # a1 = 0.3, a2 = 0.4 the limit of (bN - bD) t^{-0.15} equals
-    # 2^{0.3} pi^{-1/2} Gamma(0.65) B(0.7, 0.6).
+    # 2^(1-s) pi^(-1/2) Gamma(1 - s/2) B(1-a1, 1-a2) t^((1-s)/2) with
+    # s = a1 + a2 -- for a1 = 0.3, a2 = 0.4 the limit of (bN - bD) t^{-0.15}
+    # equals 2^{0.3} pi^{-1/2} Gamma(0.65) B(0.7, 0.6).  The cutoff
+    # corrections are O(e^{-1/(64 t)}), so the closed form also checks err.
+    for a1, a2 in ((0.3, 0.4), (0.1, 0.25), (0.45, 0.5), (0.2, 0.7)):
+        phi = plateau_profile(a1, 4.0, 0.5)
+        rho = plateau_profile(a2, 4.0, 0.5)
+        sigma = a1 + a2
+        for t in (1e-6, 1e-5, 1e-4):
+            bn, en = halfline_heat_content(phi, rho, N, t)
+            bd, ed = halfline_heat_content(phi, rho, D, t)
+            want = (2.0 ** (1.0 - sigma) / math.sqrt(math.pi)
+                    * gamma(1.0 - sigma / 2.0).real
+                    * beta_fn(1.0 - a1, 1.0 - a2).real) \
+                * t ** ((1.0 - sigma) / 2.0)
+            assert bn - bd == pytest.approx(want, rel=1e-8), (a1, a2, t)
+            assert abs((bn - bd) - want) <= en + ed, (a1, a2, t)
+            assert en + ed < 1e-6
+
+
+def _plateau_mp(alpha, r):
+    """mpmath twin of plateau_profile(alpha, L, r) on (0, inf)."""
+    def f(x):
+        if x <= 0 or x >= r:
+            return mpmath.mpf(0)
+        u = (x - r / 2) / (r / 2)
+        cut = 1 if u <= 0 else 1 - u ** 3 * (10 - 15 * u + 6 * u * u)
+        return x ** -alpha * cut
+    return f
+
+
+def _quad_mp(fn, lo, hi, cuts):
+    edges = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
+    return mpmath.quad(fn, edges) if hi > lo else mpmath.mpf(0)
+
+
+def test_halfline_inner_integrals_at_edge_cases():
+    # F(d) and H(s) on whole arrays of outer nodes: d at a breakpoint and
+    # past the support; s <= _TINY, past one support (the first piece
+    # starts at lo > 0 and goes to Gauss) and past both supports
     phi = plateau_profile(0.3, 4.0, 0.5)
     rho = plateau_profile(0.4, 4.0, 0.5)
-    t = 1e-4
-    bn, en = halfline_heat_content(phi, rho, N, t)
-    bd, ed = halfline_heat_content(phi, rho, D, t)
-    want = (2.0 ** 0.3 / math.sqrt(math.pi) * gamma(0.65).real
-            * beta_fn(0.7, 0.6).real) * t ** 0.15
-    assert bn - bd == pytest.approx(want, rel=1e-8)
-    assert en + ed < 1e-6
+    pm, rm = _plateau_mp(0.3, 0.5), _plateau_mp(0.4, 0.5)
+    cuts = (0.25, 0.5)
+    d = np.array([0.1, 0.25, 0.4, 0.5, 0.7])
+    s = np.array([0.5 * _TINY, 0.3, 0.5, 0.6, 0.9, 1.0, 1.2])
+    tol = 1e-11
+    with mpmath.workdps(30):
+        for f, g, fm, gm in ((phi, rho, pm, rm), (rho, phi, rm, pm)):
+            box = [0.0]
+            F = _cross_correlation(f, g, d, tol, box)
+            assert np.all(F[d >= 0.5] == 0.0)
+            for dk, Fk in zip(d, F):
+                ref = _quad_mp(lambda y: gm(y) * fm(y + dk), 0.0, 0.5,
+                               cuts + tuple(c - dk for c in cuts))
+                assert abs(Fk - ref) <= box[0], (dk, Fk, ref)
+        box = [0.0]
+        H = _endpoint_convolution(phi, rho, s, tol, box)
+        assert np.all(H[(s <= _TINY) | (s >= 1.0)] == 0.0)
+        for sk, Hk in zip(s, H):
+            ref = _quad_mp(lambda x: pm(x) * rm(sk - x), 0.0, sk,
+                           (sk / 2,) + cuts + tuple(sk - c for c in cuts))
+            assert abs(Hk - ref) <= box[0], (sk, Hk, ref)
+
+
+def test_halfline_profile_calls_are_batched(monkeypatch):
+    # the inner integrals of one outer level share one profile call per
+    # segment slot instead of one per outer node and segment
+    calls = [0]
+    call = SingularProfile.__call__
+
+    def counted(self, x):
+        calls[0] += 1
+        return call(self, x)
+
+    monkeypatch.setattr(SingularProfile, "__call__", counted)
+    phi = plateau_profile(0.3, 4.0, 0.5)
+    rho = plateau_profile(0.4, 4.0, 0.5)
+    halfline_heat_content(phi, rho, D, 1e-6)
+    assert 0 < calls[0] <= 2000
 
 
 def test_halfline_neumann_total_mass_limit():
@@ -394,6 +463,17 @@ def test_circle_constant_and_orthogonality():
     assert v == pytest.approx(math.exp(-0.3) * math.pi, rel=1e-14)
     with pytest.raises(RangeError):
         circle_heat_content([1.0], [1.0], 0.0)
+    # long data of unequal lengths against the term-by-term loop
+    rng = np.random.default_rng(5)
+    decay = 1.0 + np.arange(1, 4001) // 2
+    phi = [1.5] + list(rng.uniform(-1.0, 1.0, 4000) / decay)
+    rho = [1.2] + list(rng.uniform(-1.0, 1.0, 3000) / decay[:3000])
+    for t in (1e-6, 1e-3, 1.0):
+        loop = sum(math.exp(-t * ((i + 1) // 2) ** 2) * phi[i] * rho[i]
+                   * (2.0 * math.pi if i == 0 else math.pi)
+                   for i in range(len(rho)))
+        assert circle_heat_content(phi, rho, t) == pytest.approx(loop,
+                                                                 rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from singularheat.errors import QuadratureError
-from singularheat.quadrature import gauss_legendre, tanh_sinh, tanh_sinh_nodes
+from singularheat.quadrature import (gauss_legendre, tanh_sinh,
+                                    tanh_sinh_lanes, tanh_sinh_nodes)
 
 
 def test_power_singularity_left_endpoint():
@@ -71,3 +72,62 @@ def test_gauss_legendre_polynomial_exact():
     assert val == pytest.approx(9.0, rel=1e-14)
     val = gauss_legendre(np.sin, 0.0, math.pi)
     assert val == pytest.approx(2.0, rel=1e-13)
+
+
+def test_lanes_match_one_lane_calls():
+    # 50 lanes with their own exponent, pole distance and interval, so
+    # they stop at different levels; each lane's sums use the same dot
+    # kernel as its one-lane call, so value and err agree bitwise (the
+    # contract is 1e-15 relative for the value and 1e-6 for err)
+    K = 50
+    alpha = np.linspace(0.05, 0.9, K)
+    eps = np.geomspace(0.05, 1.0, K)
+    a = np.where(np.arange(K) % 3 == 0, 0.0, np.linspace(0.0, 0.4, K))
+    b = a + np.linspace(0.5, 3.0, K)
+    running = []
+
+    def f(x, rows):
+        running.append(len(rows))
+        return x ** -alpha[rows, None] \
+            / (eps[rows, None] ** 2 + (x - 0.3) ** 2)
+
+    val, err = tanh_sinh_lanes(f, a, b)
+    assert val.shape == err.shape == (K,)
+    assert running[0] == K and len(set(running)) > 2  # lanes retire early
+    for k in range(K):
+        want, want_err = tanh_sinh(
+            lambda x: x ** -alpha[k] / (eps[k] ** 2 + (x - 0.3) ** 2),
+            a[k], b[k])
+        assert val[k] == want and err[k] == want_err, k
+
+
+def test_lanes_complex_integrand():
+    alpha = np.array([0.3 - 0.2j, 0.5 + 0.1j, 0.0])
+    val, err = tanh_sinh_lanes(lambda x, rows: x ** -alpha[rows, None],
+                               np.zeros(3), np.ones(3))
+    assert val.dtype == complex
+    assert np.allclose(val, 1.0 / (1.0 - alpha), rtol=1e-12, atol=0.0)
+    assert np.all(err < 1e-8)
+
+
+def test_lanes_reject_divergent_lane():
+    p = np.array([-0.5, -1.0, 0.3])  # the 1/x lane diverges
+    with pytest.raises(QuadratureError):
+        tanh_sinh_lanes(lambda x, rows: x ** p[rows, None], np.zeros(3),
+                        np.ones(3), tol=1e-12, max_level=8)
+
+
+def test_lanes_reject_empty_interval():
+    a = np.array([0.0, 1.0, 0.0])
+    for b in ([0.0, 2.0, 3.0], [1.0, 1.0, 3.0], [1.0, 2.0, -1.0]):
+        with pytest.raises(QuadratureError):
+            tanh_sinh_lanes(lambda x, rows: x, a, np.array(b))
+
+
+def test_gauss_legendre_lanes_match_single_panels():
+    a = np.array([0.0, 0.5, 2.0])
+    b = np.array([1.0, 3.0, 2.5])
+    val = gauss_legendre(lambda x: np.exp(-x) * np.cos(3 * x), a, b, n=40)
+    for k in range(3):
+        assert val[k] == gauss_legendre(lambda x: np.exp(-x) * np.cos(3 * x),
+                                        a[k], b[k], n=40)
