@@ -108,14 +108,11 @@ def fit(samples: HeatContentSamples, a,
         raise InsufficientDataError(
             "need samples spanning at least two decades of t")
 
-    s = _exponent_sum(a)
-    boundary = [(1.0 + j - s) / 2.0 for j in range(j_max + 1)]
     if known_interior is not None:
         for n, bn in enumerate(known_interior):
             beta = beta - complex(bn).real * t ** n
-        exps = sorted(boundary)
-    else:
-        exps = model_exponents(a, n_int, j_max)
+        n_int = -1  # the interior sum is subtracted, not fitted
+    exps = model_exponents(a, n_int, j_max)
 
     if len(exps) > TERM_CAP:
         raise RangeError(

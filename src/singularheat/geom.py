@@ -2,10 +2,12 @@
 
 BoundaryPointData collects every scalar entering the boundary terms at a
 single boundary point; boundary_beta contracts it against a coefficient
-table.  warped_invariants generates such data for the warped-product
-family of model metrics, where the boundary terms are known to be
-independent of the warping profile, and scaling_check verifies the
-weighted homogeneity of the terms under the parabolic rescaling.
+table.  modified_taylor_jets builds the phi/rho jets from the smooth
+factor's exact derivatives at 0 and the connection algebra.
+warped_invariants generates such data for the warped-product family of
+model metrics, where the boundary terms are known to be independent of
+the warping profile, and scaling_check verifies the weighted homogeneity
+of the terms under the parabolic rescaling.
 """
 
 from __future__ import annotations
@@ -13,13 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
 
 from .coeff import BoundaryConditionKind, CoefficientTable, ExponentPair
 from .errors import DegenerateInputError, RangeError
+from .profiles import Polynomial, SmoothFunction, constant, taylor_jets
 
 _TWO_PI = 2.0 * math.pi
 
@@ -97,72 +96,26 @@ class WarpedProfile:
             raise RangeError("need m - 1 warping entries")
 
 
-@lru_cache(maxsize=16)
-def _fd_weights(deriv: int, npts: int) -> tuple:
-    """Exact one-sided finite-difference weights at nodes 0, 1, .., npts-1."""
-    n = npts
-    rows = [[Fraction(k) ** j for k in range(n)] for j in range(n)]
-    rhs = [Fraction(math.factorial(deriv)) if j == deriv else Fraction(0)
-           for j in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * u for v, u in zip(rows[r], rows[col])]
-                rhs[r] -= f * rhs[col]
-    return tuple(float(v) for v in rhs)
-
-
-def _one_sided_derivative(fn, deriv: int, h: float, L: float) -> float:
-    """Order-4 one-sided stencil with two Richardson levels (h, 2h, 4h)."""
-    npts = deriv + 5  # order-4 accuracy
-    w = _fd_weights(deriv, npts)
-    span = (npts - 1) * 4 * h
-    if span > L:
-        raise DegenerateInputError(
-            f"finite-difference stencil [0, {span:g}] exits [0, {L:g}]")
-
-    def apply(step):
-        return sum(c * float(fn(k * step)) for k, c in enumerate(w)) / step ** deriv
-
-    d1, d2, d4 = apply(h), apply(2 * h), apply(4 * h)
-    r1 = (16.0 * d1 - d2) / 15.0      # kills the h^4 term
-    r2 = (16.0 * d2 - d4) / 15.0
-    return (32.0 * r1 - r2) / 31.0    # kills the h^5 term
-
-
-def modified_taylor_jets(smooth_factor, alpha: complex, omega_m: float,
+def modified_taylor_jets(smooth: SmoothFunction, omega_m: float,
                          order: int = 2, side: JetSide = JetSide.TEMPERATURE,
-                         omega_m_derivative: float = 0.0, L: float = 1.0,
-                         h: float | None = None) -> list:
-    """Jets (1/l!) (covariant d/dr)^l (r^alpha * profile) at r = 0.
+                         omega_m_derivative: float = 0.0) -> list:
+    """Modified Taylor jets (1/l!) (covariant d/dr)^l smooth at r = 0.
 
     The covariant derivative acts as d/dr + omega_m on the temperature
     side and d/dr - omega_m on the dual side, with omega_m(r) modelled
-    linearly through omega_m_derivative.  The smooth factor is
-    differentiated by one-sided finite differences (the factor need only
-    be evaluable on [0, L]); everything else is exact algebra.
+    linearly through omega_m_derivative.  The smooth factor's Taylor
+    coefficients at 0 come from its exact derivatives pass.
     """
     if order not in (0, 1, 2):
         raise RangeError("order must be 0, 1, or 2")
-    if h is None:
-        h = 1e-3 * L
     sgn = 1.0 if side is JetSide.TEMPERATURE else -1.0
     w, wp = sgn * omega_m, sgn * omega_m_derivative
-    s0 = float(smooth_factor(0.0))
-    jets = [complex(s0)]
+    t = taylor_jets(smooth, order)
+    jets = [t[0]]
     if order >= 1:
-        s1 = _one_sided_derivative(smooth_factor, 1, h, L)
-        jets.append(complex(s1 + w * s0))
+        jets.append(t[1] + w * t[0])
     if order >= 2:
-        s2 = _one_sided_derivative(smooth_factor, 2, h, L)
-        jets.append(complex(0.5 * (s2 + 2.0 * w * s1 + (wp + w * w) * s0)))
+        jets.append(t[2] + w * t[1] + 0.5 * (wp + w * w) * t[0])
     return jets
 
 
@@ -171,19 +124,16 @@ def warped_invariants(w: WarpedProfile, a: ExponentPair) -> BoundaryPointData:
 
     Only the 2-jets of the warping functions enter, so the smooth factor
     of rho (the product of e^{-f_a}) is represented by its exact
-    quadratic Taylor polynomial; on polynomials the jet stencils are
-    exact up to roundoff.
+    quadratic Taylor polynomial.
     """
     F = float(sum(w.fprime))
     G = float(sum(w.fsecond))
     sum_sq = float(sum(v * v for v in w.fprime))
-    scale = 200.0  # large evaluation window: polynomial data, no truncation
-    one = lambda r: 1.0
-    rho_smooth = lambda r: 1.0 - F * r + 0.5 * (F * F - G) * r * r
-    phi_jets = modified_taylor_jets(one, a.alpha1, -0.5 * F, 2,
-                                    JetSide.TEMPERATURE, -0.5 * G, L=scale)
-    rho_jets = modified_taylor_jets(rho_smooth, a.alpha2, -0.5 * F, 2,
-                                    JetSide.DUAL, -0.5 * G, L=scale)
+    rho_smooth = Polynomial((1.0, -F, 0.5 * (F * F - G)))
+    phi_jets = modified_taylor_jets(constant(), -0.5 * F, 2,
+                                    JetSide.TEMPERATURE, -0.5 * G)
+    rho_jets = modified_taylor_jets(rho_smooth, -0.5 * F, 2,
+                                    JetSide.DUAL, -0.5 * G)
     return BoundaryPointData(
         phi=tuple(phi_jets), rho=tuple(rho_jets),
         Laa=-F, LabLab=sum_sq, LaaLbb=F * F,

@@ -41,12 +41,11 @@ _TINY = 1e-60
 class SpectralKind(Enum):
     DIRICHLET_INTERVAL = "dirichlet-interval"
     ROBIN_INTERVAL = "robin-interval"
-    CIRCLE = "circle"
 
 
 @dataclass(frozen=True)
 class SpectralResolution:
-    """Explicit eigendata of D = -d^2/dx^2 + c^2 on [0, pi] or the circle.
+    """Explicit eigendata of D = -d^2/dx^2 + c^2 on [0, pi].
 
     Dirichlet: phi_n = sqrt(2/pi) sin(nx), n >= 1.  Robin (boundary
     operator (phi' - c phi)(0), (-phi' + c phi)(pi)): phi_n is the
@@ -68,8 +67,6 @@ class SpectralResolution:
 
     def eigenvalue(self, n):
         n = np.asarray(n, float)
-        if self.kind is SpectralKind.CIRCLE:
-            return np.ceil(n / 2.0) ** 2
         if self.has_zero_mode:
             return np.where(n == 0, 0.0, n ** 2 + self.c ** 2)
         return n ** 2 + self.c ** 2
@@ -80,18 +77,11 @@ class SpectralResolution:
             if n < 1:
                 raise RangeError("Dirichlet modes start at n = 1")
             return math.sqrt(2.0 / math.pi) * np.sin(n * x)
-        if self.kind is SpectralKind.ROBIN_INTERVAL:
-            if n == 0:
-                return _robin_zero_norm(self.c) * np.exp(self.c * x)
-            lam = n ** 2 + self.c ** 2
-            return math.sqrt(2.0 / math.pi) / math.sqrt(lam) \
-                * (n * np.cos(n * x) + self.c * np.sin(n * x))
-        # circle: [1, cos x, sin x, cos 2x, sin 2x, ...] orthonormalized
         if n == 0:
-            return np.full_like(x, 1.0 / math.sqrt(2.0 * math.pi))
-        k = (n + 1) // 2
-        trig = np.cos(k * x) if n % 2 == 1 else np.sin(k * x)
-        return trig / math.sqrt(math.pi)
+            return _robin_zero_norm(self.c) * np.exp(self.c * x)
+        lam = n ** 2 + self.c ** 2
+        return math.sqrt(2.0 / math.pi) / math.sqrt(lam) \
+            * (n * np.cos(n * x) + self.c * np.sin(n * x))
 
 
 def interval_spectrum(kind: SpectralKind, c: float = 0.0) -> SpectralResolution:
@@ -171,24 +161,26 @@ def _split_sum(fn, lo, hi, cuts, tol: float, err_box: list, total=0.0):
     lo, hi and the cuts are per-lane arrays or scalars; hi < lo is an
     empty range.  Each lane's edges are lo, its cuts inside (lo, hi) in
     ascending order, then copies of hi, so all lanes have the same number
-    of slots and a slot of zero width adds exactly 0.0.  A piece starting
-    at the singular 0 uses tanh-sinh lanes (skipped below _TINY), every
-    other piece 40-point Gauss lanes.  fn(x, k) evaluates the lanes k at
-    nodes x of shape (len(k), m).
+    of slots and a slot of zero width adds exactly 0.0.  The first slot
+    holds the singular or nearly singular end (fn ~ x^(-alpha) near a
+    small lo > 0) and uses tanh-sinh lanes, skipped from 0 below _TINY;
+    every later slot uses 40-point Gauss lanes.  fn(x, k) evaluates the
+    lanes k at nodes x of shape (len(k), m).
     """
     hi = np.maximum(hi, lo)
     inner = [np.where((lo < c) & (c < hi), c, hi) for c in cuts]
     edges = np.sort(np.column_stack(np.broadcast_arrays(lo, *inner, hi)),
                     axis=1)
-    for a, b in zip(edges.T[:-1], edges.T[1:]):
+    for slot, (a, b) in enumerate(zip(edges.T[:-1], edges.T[1:])):
         val = np.zeros(a.shape)
-        ts = np.flatnonzero((a == 0.0) & (b > _TINY))
+        live = b > np.where(a == 0.0, _TINY, a)
+        ts = np.flatnonzero(live & (slot == 0))
         if ts.size:
             val[ts], err = tanh_sinh_lanes(
                 lambda x, rows: fn(x, ts[rows]), a[ts], b[ts], tol=tol,
                 abs_tol=1e-3 * tol)
             err_box[0] = max(err_box[0], err.max())
-        gl = np.flatnonzero((a != 0.0) & (b > a))
+        gl = np.flatnonzero(live & (slot > 0))
         if gl.size:
             val[gl] = gauss_legendre(lambda x: fn(x, gl), a[gl], b[gl], n=40)
         total = total + val

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeError
+from .quadrature import segments
 
 
 class SmoothFunction:
@@ -174,6 +175,13 @@ class FromCallable(SmoothFunction):
         raise RangeError(f"derivative order {k} not provided for this handle")
 
 
+def taylor_jets(smooth: SmoothFunction, order: int) -> list:
+    """smooth^(l)(0) / l! for l = 0..order, from one derivatives pass."""
+    d = smooth.derivatives(np.array([0.0]), order)
+    return [complex(np.asarray(d[k])[0]) / math.factorial(k)
+            for k in range(order + 1)]
+
+
 def check_integrable(alpha: complex) -> None:
     """Raise DomainError unless r^(-alpha) is integrable at 0."""
     if complex(alpha).real >= 1.0:
@@ -219,18 +227,13 @@ class SingularProfile:
 
     def pieces(self) -> list:
         """Analytic subintervals of [0, support end] for quadrature."""
-        end = self.support_end()
-        cuts = sorted({b for b in self.smooth.breakpoints if 0.0 < b < end})
-        edges = [0.0] + cuts + [end]
-        return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+        return segments(0.0, self.support_end(), self.smooth.breakpoints)
 
     def jets(self, order: int = 2) -> list:
         """Modified Taylor jets (flat connection): smooth^(l)(0) / l!."""
         if order < 0 or order > 4:
             raise RangeError("jet order must be in 0..4")
-        d = self.smooth.derivatives(np.array([0.0]), order)
-        return [complex(np.asarray(d[k])[0]) / math.factorial(k)
-                for k in range(order + 1)]
+        return taylor_jets(self.smooth, order)
 
 
 def plateau_profile(alpha: complex, L: float, cutoff_radius: float) -> SingularProfile:

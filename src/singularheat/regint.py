@@ -20,7 +20,7 @@ import numpy as np
 from .coeff import DEFAULT_DELTA
 from .errors import DomainError, PoleError, RangeError
 from .profiles import (OperatorApplied, Product, SingularProfile,
-                       SmoothFunction)
+                       SmoothFunction, taylor_jets)
 from .quadrature import segments, tanh_sinh
 
 #: default subtraction margin: remainder exponent real part > -1 + margin
@@ -52,6 +52,7 @@ class SingularIntegrand:
     def __post_init__(self):
         if self.L <= 0:
             raise DomainError("domain length must be positive")
+        object.__setattr__(self, "sigma", complex(self.sigma))
 
     @classmethod
     def from_profiles(cls, phi: SingularProfile,
@@ -67,9 +68,7 @@ class SingularIntegrand:
 
     def jets(self, order: int) -> list:
         """h_j = smooth^(j)(0) / j! for j = 0..order."""
-        d = self.smooth.derivatives(np.array([0.0]), order)
-        return [complex(np.asarray(d[k])[0]) / math.factorial(k)
-                for k in range(order + 1)]
+        return taylor_jets(self.smooth, order)
 
 
 def default_regularization(integrand: SingularIntegrand) -> CollarRegularization:
@@ -92,7 +91,7 @@ def i_reg(integrand: SingularIntegrand,
     """
     if reg is None:
         reg = default_regularization(integrand)
-    sigma = complex(integrand.sigma)
+    sigma = integrand.sigma
     k_sub = reg.subtraction_order
     if k_sub - sigma.real <= -1.0:
         # remainder exponent K - sigma must stay absolutely integrable
@@ -139,12 +138,8 @@ def i_reg(integrand: SingularIntegrand,
         total += val
 
     # region away from the collar: plain quadrature
-    def plain(x):
-        x = np.asarray(x, float)
-        return x ** (-sigma) * integrand.smooth(x)
-
     for a, b in segments(eps, integrand.L, cuts):
-        val, _ = tanh_sinh(plain, a, b, tol=_TOL, abs_tol=1e-16)
+        val, _ = tanh_sinh(integrand, a, b, tol=_TOL, abs_tol=1e-16)
         total += val
     return total
 

@@ -4,31 +4,34 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
+from singularheat.cli import _suite_warped
 from singularheat.coeff import BoundaryConditionKind, ExponentPair, build_table
-from singularheat.errors import DegenerateInputError, RangeError
+from singularheat.errors import RangeError
 from singularheat.geom import (BoundaryPointData, JetSide, WarpedProfile,
                                boundary_beta, flat_data, modified_taylor_jets,
                                rescale_data, scaling_check, warped_invariants)
+from singularheat.profiles import FromCallable, constant
 
 D = BoundaryConditionKind.DIRICHLET
 R = BoundaryConditionKind.ROBIN
 
 
 def test_jets_constant_profile():
-    jets = modified_taylor_jets(lambda r: 1.0, 0.3, 0.0, order=2, L=100.0)
-    assert jets == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+    jets = modified_taylor_jets(constant(), 0.0, order=2)
+    assert jets == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
 
 
 def test_jets_connection_only():
     # smooth factor 1, omega(r) = -F/2 - (F'/2) r on the temperature side:
     # expanding (1/2)(d/dr + omega)^2 gives (1, -F/2, F^2/8 - F'/4)
     F, Fp = 0.8, -0.3
-    jets = modified_taylor_jets(lambda r: 1.0, 0.3, -0.5 * F, order=2,
-                                omega_m_derivative=-0.5 * Fp, L=100.0)
+    jets = modified_taylor_jets(constant(), -0.5 * F, order=2,
+                                omega_m_derivative=-0.5 * Fp)
     want = [1.0, -0.5 * F, 0.125 * F * F - 0.25 * Fp]
-    assert jets == pytest.approx(want, abs=1e-11)
+    assert jets == pytest.approx(want, abs=1e-15)
 
 
 def test_jets_exponential_dual_side():
@@ -36,20 +39,19 @@ def test_jets_exponential_dual_side():
     # dual connection d/dr - omega; exact jets (1, -u'(0), (u'^2 - u'')/2
     # combined with the connection algebra)
     F, G = 0.7, -0.4
-    u = lambda r: F * r + 0.5 * G * r * r
-    s = lambda r: math.exp(-u(r))
-    jets = modified_taylor_jets(s, 0.4, -0.5 * F, order=2, side=JetSide.DUAL,
-                                omega_m_derivative=-0.5 * G, L=1.0)
-    assert jets[0] == pytest.approx(1.0, abs=1e-14)
-    assert jets[1] == pytest.approx(-0.5 * F, abs=1e-10)
-    assert jets[2] == pytest.approx(0.125 * F * F - 0.25 * G, abs=1e-8)
+    s = lambda r: np.exp(-(F * r + 0.5 * G * r * r))
+    s1 = lambda r: -(F + G * r) * s(r)
+    s2 = lambda r: ((F + G * r) ** 2 - G) * s(r)
+    jets = modified_taylor_jets(FromCallable(s, (s1, s2)), -0.5 * F, order=2,
+                                side=JetSide.DUAL, omega_m_derivative=-0.5 * G)
+    assert jets[0] == pytest.approx(1.0, abs=1e-15)
+    assert jets[1] == pytest.approx(-0.5 * F, abs=1e-15)
+    assert jets[2] == pytest.approx(0.125 * F * F - 0.25 * G, abs=1e-15)
 
 
 def test_jets_stencil_domain_guard():
-    with pytest.raises(DegenerateInputError):
-        modified_taylor_jets(lambda r: 1.0, 0.3, 0.0, order=2, L=1.0, h=0.2)
     with pytest.raises(RangeError):
-        modified_taylor_jets(lambda r: 1.0, 0.3, 0.0, order=3)
+        modified_taylor_jets(constant(), 0.0, order=3)
 
 
 def test_warped_invariants_fields():
@@ -66,6 +68,21 @@ def test_warped_invariants_fields():
     assert d3.Laa == pytest.approx(0.0, abs=1e-15)
     assert d3.LabLab == pytest.approx(0.08)
     assert d3.LaaLbb == pytest.approx(0.0, abs=1e-15)
+    # both jet triples are exact: (1, -F/2, F^2/8 - G/4) on either side
+    rng = random.Random(2718)
+    for _ in range(50):
+        m = rng.randint(2, 5)
+        w = WarpedProfile(
+            fprime=tuple(rng.uniform(-1, 1) for _ in range(m - 1)),
+            fsecond=tuple(rng.uniform(-1, 1) for _ in range(m - 1)),
+            SR0=rng.uniform(-1, 1), m=m)
+        F, G = sum(w.fprime), sum(w.fsecond)
+        want = [1.0, -0.5 * F, 0.125 * F * F - 0.25 * G]
+        d = warped_invariants(w, a)
+        assert list(d.phi) == pytest.approx(want, abs=1e-15), w
+        assert list(d.rho) == pytest.approx(want, abs=1e-15), w
+    for seed in (3141592653, 12345):
+        assert _suite_warped(seed)["warped"][0] <= 1e-13
 
 
 def test_flat_trivial_cases():

@@ -101,13 +101,17 @@ def _quad_mp(fn, lo, hi, cuts):
 def test_halfline_inner_integrals_at_edge_cases():
     # F(d) and H(s) on whole arrays of outer nodes: d at a breakpoint and
     # past the support; s <= _TINY, past one support (the first piece
-    # starts at lo > 0 and goes to Gauss) and past both supports
+    # starts at lo > 0) and past both supports.  Unit data without cutoff
+    # at s = L + 1e-6 puts lo = 1e-6 next to the x^(-alpha) singularity.
     phi = plateau_profile(0.3, 4.0, 0.5)
     rho = plateau_profile(0.4, 4.0, 0.5)
     pm, rm = _plateau_mp(0.3, 0.5), _plateau_mp(0.4, 0.5)
     cuts = (0.25, 0.5)
     d = np.array([0.1, 0.25, 0.4, 0.5, 0.7])
     s = np.array([0.5 * _TINY, 0.3, 0.5, 0.6, 0.9, 1.0, 1.2])
+    unit = [SingularProfile(a, constant(), 4.0) for a in (0.3, 0.4)]
+    unit_mp = [lambda x, a=a: x ** -a if 0 < x < 4 else mpmath.mpf(0)
+               for a in (0.3, 0.4)]
     tol = 1e-11
     with mpmath.workdps(30):
         for f, g, fm, gm in ((phi, rho, pm, rm), (rho, phi, rm, pm)):
@@ -118,13 +122,17 @@ def test_halfline_inner_integrals_at_edge_cases():
                 ref = _quad_mp(lambda y: gm(y) * fm(y + dk), 0.0, 0.5,
                                cuts + tuple(c - dk for c in cuts))
                 assert abs(Fk - ref) <= box[0], (dk, Fk, ref)
-        box = [0.0]
-        H = _endpoint_convolution(phi, rho, s, tol, box)
-        assert np.all(H[(s <= _TINY) | (s >= 1.0)] == 0.0)
-        for sk, Hk in zip(s, H):
-            ref = _quad_mp(lambda x: pm(x) * rm(sk - x), 0.0, sk,
-                           (sk / 2,) + cuts + tuple(sk - c for c in cuts))
-            assert abs(Hk - ref) <= box[0], (sk, Hk, ref)
+        for (f, g), (fm, gm), ss, cc in (((phi, rho), (pm, rm), s, cuts),
+                                         (unit, unit_mp,
+                                          np.array([4.0 + 1e-6]), (4.0,))):
+            box = [0.0]
+            H = _endpoint_convolution(f, g, ss, tol, box)
+            dead = (ss <= _TINY) | (ss >= f.support_end() + g.support_end())
+            assert np.all(H[dead] == 0.0)
+            for sk, Hk in zip(ss, H):
+                ref = _quad_mp(lambda x: fm(x) * gm(sk - x), 0.0, sk,
+                               (sk / 2,) + cc + tuple(sk - c for c in cc))
+                assert abs(Hk - ref) <= box[0], (sk, Hk, ref)
 
 
 def test_halfline_profile_calls_are_batched(monkeypatch):
