@@ -7,8 +7,10 @@ modes.  The half-line inner integrals F(d), H(s) take all nodes of one
 outer tanh-sinh level at once, as lanes: each node's range is split into
 the same number of padded slots, one batch of tanh-sinh or Gauss lanes
 each.  The interval moments int phi e^{inx}, n = 1..N, use one node set
-per N (tanh-sinh head and tail grids, Gauss panels no wider than pi/N
-between) and one blocked complex matrix product, cached per (profile, N).
+per N, cached per (profile, N): 8-node Gauss cells on the lattice
+x = k pi/N, summed by one length-2N real FFT per Gauss offset, and the
+tanh-sinh head and tail grids plus the cells cut by a breakpoint, summed
+with their coarse-rule difference in one blocked complex matrix product.
 apply_A / intertwine_residual realize the first-order operators
 A = d/dx + c and A* = -d/dx + c that exchange the Dirichlet and Robin
 flows, giving a simulator-level consistency check on both realizations.
@@ -296,7 +298,7 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
 # interval [0, pi]: spectral sums with cached Fourier moments
 
 _HEAD_LEVEL = 6        # tanh-sinh level of the head and tail grids
-_PANEL_NODES = 8       # Gauss nodes per panel of width <= pi / N
+_PANEL_NODES = 8       # Gauss nodes per lattice cell of width pi / N
 _HEAD_PERIODS = 10.0   # head and tail cover 10 / N
 _MODE_BLOCK = 64       # n = n0 + d with n0 a multiple of 64, d in 1..64
 _NODE_BLOCK = 32       # nodes per block of the matrix product
@@ -304,18 +306,26 @@ _EPS = np.finfo(float).eps
 
 
 def _table_nodes(profile: SingularProfile, N: int):
-    """(x, w, w_coarse): one quadrature grid for every mode n <= N.
+    """((x, w, w_coarse), (cells, xl, wl)): one grid for every mode n <= N.
 
     Fixed tanh-sinh grids, with their level-coarser weights, cover the
     singular head [0, 10/N] and the support edge (where the smooth factor
-    may lose regularity); Gauss panels no wider than pi/N that never
-    straddle a breakpoint cover the rest, with w_coarse = w.
+    may lose regularity).  The rest lies on the lattice of cells
+    [k h, (k+1) h], h = pi/N, each with an 8-node Gauss rule: the whole
+    cells k are listed in cells, with nodes xl[j, i] = h (cells[i] +
+    (1 + g_j)/2) and weights wl[j] = h gw_j / 2 for the Gauss nodes g_j
+    and weights gw_j on [-1, 1].  A cell cut by a breakpoint or by the end
+    of the head or tail grid adds its parts to the direct nodes x as Gauss
+    panels with w_coarse = w; parts of zero width are skipped.
     """
     pieces = profile.pieces()
     support_end = pieces[-1][1]
+    if support_end > math.pi:
+        raise DomainError("interval data must vanish beyond pi")
     reach = _HEAD_PERIODS / N
+    h = math.pi / N
     gx, gw = gauss_rule(_PANEL_NODES)
-    parts = []
+    parts, cut, whole = [], [], np.zeros(N, bool)
     for a, b in pieces:
         if a == 0.0:
             head = min(b, reach)
@@ -325,44 +335,79 @@ def _table_nodes(profile: SingularProfile, N: int):
             tail = max(a, b - reach)
             parts.append(tanh_sinh_nodes(tail, b, _HEAD_LEVEL))
             b = tail
-        if b <= a:
-            continue
-        m = max(1, int(math.ceil((b - a) * N / math.pi)))
-        edges = np.linspace(a, b, m + 1)
-        half = 0.5 * (edges[1] - edges[0])
-        x = (edges[:-1, None] + half * (1.0 + gx[None, :])).ravel()
-        w = np.broadcast_to(half * gw, (m, _PANEL_NODES)).ravel()
-        parts.append((x, w, w))
-    return tuple(map(np.concatenate, zip(*parts)))
+        lo, hi = math.ceil(a / h), math.floor(b / h)
+        if lo > hi:  # [a, b] inside one cell
+            cut.append((a, b))
+        else:
+            whole[lo:hi] = True
+            cut += [(a, lo * h), (hi * h, b)]
+    a, b = np.array([ab for ab in cut if ab[1] > ab[0]]).reshape(-1, 2).T
+    half = 0.5 * (b - a)[:, None]
+    w = (half * gw).ravel()
+    parts.append(((a[:, None] + half * (1.0 + gx)).ravel(), w, w))
+    cells = np.flatnonzero(whole)
+    lattice = (cells, h * (cells + 0.5 * (1.0 + gx[:, None])),
+               0.5 * h * gw[:, None])
+    return tuple(map(np.concatenate, zip(*parts))), lattice
 
 
 def _exp_sums(x, v, N: int):
-    """sum_j v_j e^{i n x_j} for n = 1..N as one blocked matrix product."""
+    """sum_j v_rj e^{i n x_j} for n = 1..N, one row per row r of v, as one
+    blocked matrix product with the rows side by side on the right."""
     d = np.arange(1, _MODE_BLOCK + 1, dtype=float)
     n0 = np.arange(0, N, _MODE_BLOCK, dtype=float)
-    out = np.zeros((n0.size, d.size), complex)
+    v = np.asarray(v)
+    out = np.zeros((n0.size, d.size * v.shape[0]), complex)
     for lo in range(0, x.size, _NODE_BLOCK):
-        xb, vb = x[lo:lo + _NODE_BLOCK], v[lo:lo + _NODE_BLOCK]
-        out += np.exp(1j * np.outer(n0, xb)) \
-            @ (np.exp(1j * np.outer(xb, d)) * vb[:, None])
-    return out.ravel()[:N]
+        xb, vb = x[lo:lo + _NODE_BLOCK], v[:, lo:lo + _NODE_BLOCK]
+        rhs = np.exp(1j * np.outer(xb, d))[:, :, None] * vb.T[:, None, :]
+        out += np.exp(1j * np.outer(n0, xb)) @ rhs.reshape(xb.size, -1)
+    return out.reshape(-1, v.shape[0])[:N].T
+
+
+def _lattice_sums(u, cells, N: int):
+    """sum_ji u_ji e^{i n xl_ji} for n = 1..N on the lattice of _table_nodes.
+
+    For each Gauss offset g_j the sum over cells k is
+    e^{i n h (1 + g_j)/2} sum_k u_jk e^{i pi n k / N}, the conjugate of one
+    length-2N real FFT of row j times the offset phase (Press et al.,
+    Numerical Recipes, 3rd ed., sec. 13.9).  The FFT reduces n k mod 2N
+    exactly, so only the offset phase rounds with n.
+    """
+    h = math.pi / N
+    n = np.arange(1, N + 1)
+    row = np.zeros(2 * N)
+    total = np.zeros(N, complex)
+    for g, uj in zip(gauss_rule(_PANEL_NODES)[0], u):
+        row[cells] = uj
+        total += np.exp(0.5j * h * (1.0 + g) * n) \
+            * np.fft.rfft(row)[1:].conj()
+    return total
 
 
 @lru_cache(maxsize=32)
 def _fourier_moments(profile: SingularProfile, N: int):
     """(S, C, err): S_n = int phi sin(nx), C_n = int phi cos(nx), n <= N.
 
-    err_n, a conservative estimate of |S_n - exact| and |C_n - exact| that
-    the tests check as a bound, is the head and tail coarse-rule difference
-    plus eps (M + n x_max) sum |w phi| (rounding of M products and n x).
+    The whole lattice cells are summed by _lattice_sums, eight real FFTs
+    of length 2N.  The direct nodes (head and tail grids and cut cells) go
+    through one _exp_sums pass with two right-hand sides, w phi and
+    (w - w_coarse) phi.  err_n, a conservative estimate of |S_n - exact|
+    and |C_n - exact| that the tests check as a bound, is the head and
+    tail coarse-rule difference, plus eps (M + n x_max) sum |w phi| over
+    the M direct nodes (rounding of M products and of n x), plus
+    eps (log2(2N) + n h) sum |u| over the lattice nodes, u = wl phi
+    (rounding of the FFT and of the offset phase).
     """
-    x, w, w_coarse = _table_nodes(profile, N)
+    (x, w, w_coarse), (cells, xl, wl) = _table_nodes(profile, N)
     f = profile(x)
-    mom = _exp_sums(x, w * f, N)
-    ends = w != w_coarse
-    quad = _exp_sums(x[ends], (w - w_coarse)[ends] * f[ends], N)
+    u = profile(xl) * wl
+    mom, quad = _exp_sums(x, (w * f, (w - w_coarse) * f), N)
+    mom = mom + _lattice_sums(u, cells, N)
     n = np.arange(1, N + 1, dtype=float)
-    rounding = _EPS * (x.size + n * x.max()) * float(np.sum(np.abs(w * f)))
+    rounding = _EPS * ((x.size + n * x.max()) * float(np.sum(np.abs(w * f)))
+                       + (math.log2(2 * N) + n * math.pi / N)
+                       * float(np.sum(np.abs(u))))
     table = (mom.imag, mom.real, np.abs(quad) + rounding)
     for a in table:
         a.setflags(write=False)  # shared by every caller of the cache
@@ -370,14 +415,20 @@ def _fourier_moments(profile: SingularProfile, N: int):
 
 
 @lru_cache(maxsize=32)
-def _exp_moment(profile: SingularProfile, c: float) -> float:
-    """int phi(x) e^{cx} dx over the support (Robin zero mode)."""
-    total = 0.0
+def _exp_moment(profile: SingularProfile, c: float) -> tuple:
+    """(int phi(x) e^{cx} dx over the support, err) for the Robin zero mode.
+
+    err adds, per piece [a, b], the tanh-sinh level difference and the
+    rounding eps (1 + |c| b) |value| of the sum and of the exponent c x
+    (the level difference alone reads 0 once two levels agree bitwise).
+    """
+    total = err = 0.0
     for (a, b) in profile.pieces():
-        val, _ = tanh_sinh(lambda x: profile(x) * np.exp(c * x), a, b,
+        val, e = tanh_sinh(lambda x: profile(x) * np.exp(c * x), a, b,
                            abs_tol=1e-13)
         total += val
-    return total
+        err += e + _EPS * (1.0 + abs(c) * b) * abs(val)
+    return total, err
 
 
 def _gammas(profile: SingularProfile, spec: SpectralResolution, n_max: int):
@@ -401,7 +452,9 @@ def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
 
     The truncation N grows until the Gaussian tail bound
     e^{-t N^2} * (uniform |gamma gamma| bound) * (1 + 1/(2tN)) drops
-    below 1e-13 of the partial sum, hard-capped at 20000 modes.
+    below 1e-13 of the partial sum, hard-capped at 20000 modes.  For
+    Robin data err adds the propagated quadrature error of the zero-mode
+    moments int phi e^{cx}.
     """
     if t <= 0:
         raise RangeError("need t > 0")
@@ -409,12 +462,13 @@ def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
         # e^{-t N^2} cannot reach the 1e-13 tail target within the cap
         raise TruncationError(
             f"needed more than {_SUM_CAP} modes at t = {t:g}")
-    base = 0.0
-    if spec.has_zero_mode:
-        z = _robin_zero_norm(spec.c)
-        base = (z * _exp_moment(phi, spec.c)) \
-            * (z * _exp_moment(rho, spec.c))
-    return _spectral_sum(phi, rho, spec, spec.c, t, base)
+    if not spec.has_zero_mode:
+        return _spectral_sum(phi, rho, spec, spec.c, t)
+    z = _robin_zero_norm(spec.c)
+    mp, ep = _exp_moment(phi, spec.c)
+    mr, er = _exp_moment(rho, spec.c)
+    beta, err = _spectral_sum(phi, rho, spec, spec.c, t, (z * mp) * (z * mr))
+    return beta, err + z * z * (abs(mr) * ep + abs(mp) * er + ep * er)
 
 
 def _spectral_sum(phi: SingularProfile, rho: SingularProfile,

@@ -1,6 +1,7 @@
 """Tests for the 1-D heat content simulators."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from singularheat.coeff import BoundaryConditionKind
 from singularheat.errors import (DomainError, RangeError, TruncationError)
-from singularheat.heat1d import (HeatContentSamples, SpectralKind, _TINY,
-                                 _cross_correlation, _endpoint_convolution,
-                                 _fourier_moments, apply_A,
+from singularheat.heat1d import (_EPS, HeatContentSamples, SpectralKind,
+                                 _TINY, _cross_correlation,
+                                 _endpoint_convolution, _exp_moment,
+                                 _exp_sums, _fourier_moments, _lattice_sums,
+                                 _table_nodes, apply_A,
                                  circle_heat_content,
                                  halfline_heat_content, halfline_kernel,
                                  interval_heat_content, interval_spectrum,
@@ -256,33 +259,94 @@ def test_fourier_moments_within_err_of_closed_form(alpha):
             assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
 
 
-@pytest.mark.parametrize("alpha", (0.25, 0.9))
-def test_fourier_moments_within_err_on_plateau_data(alpha):
-    # the benchmark's datum: x^{-alpha} on [0, r/2] in closed form, the
-    # quintic ramp on [r/2, r] by mpmath quadrature a few periods a piece;
-    # this covers the Gauss panels, which constant data barely uses
-    r = 0.5
+def _check_plateau_moments(alpha, r, sizes, modes):
+    # x^{-alpha} on [0, r/2] in closed form, the quintic ramp on [r/2, r]
+    # by mpmath quadrature a few periods a piece
     profile = plateau_profile(alpha, math.pi, r)
-    modes = (1, 2, 63, 64, 65, 1000)
 
     def ramp(x, n):
         u = (x - r / 2) / (r / 2)
         return x ** -alpha * (1 - u ** 3 * (10 - 15 * u + 6 * u * u)) \
             * mpmath.expj(n * x)
 
+    modes = [n for n in modes if n <= max(sizes)]
     exact = {}
     with mpmath.workdps(30):
         for n in modes:
             head = mpmath.power(mpmath.mpc(0, -n), alpha - 1) \
                 * mpmath.gammainc(1 - alpha, 0, mpmath.mpc(0, -n) * r / 2)
-            edges = mpmath.linspace(r / 2, r, 2 + n // 16)
+            edges = mpmath.linspace(r / 2, r, 2 + int(n * r / 8))
             exact[n] = complex(head + mpmath.quad(lambda x: ramp(x, n),
                                                   edges))
-    for size in (64, 1024):
+    for size in sizes:
         S, C, err = _fourier_moments(profile, size)
         for n in (n for n in modes if n <= size):
             assert abs(S[n - 1] - exact[n].imag) <= err[n - 1], (size, n)
             assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
+
+
+@pytest.mark.parametrize("alpha", (0.25, 0.9))
+def test_fourier_moments_within_err_on_plateau_data(alpha):
+    # the benchmark's datum; this covers the lattice cells and the cells
+    # cut at the breakpoints 0.25 and 0.5, which constant data barely uses
+    _check_plateau_moments(alpha, 0.5, (64, 1024), (1, 2, 63, 64, 65, 1000))
+
+
+def test_fourier_moments_at_edge_geometry():
+    # breakpoints pi/4 and pi/2 on lattice points (zero-width cut cells),
+    # and a support shorter than 10/N that the head and tail grids cover
+    # whole (no lattice cells)
+    for r, sizes in ((math.pi / 2, (64, 1024)), (1e-3, (8192,))):
+        for size in sizes:
+            (_, w, _), (cells, _, wl) = _table_nodes(
+                plateau_profile(0.25, math.pi, r), size)
+            assert np.all(w >= 0.0) and np.all(wl > 0.0), (r, size)
+            assert (cells.size > 0) == (r > 10.0 / size), (r, size)
+        _check_plateau_moments(0.25, r, sizes,
+                               (1, 2, 63, 64, 65, 1000, 8191, 8192))
+    with pytest.raises(DomainError):
+        _fourier_moments(SingularProfile(0.25, constant(), 4.0), 64)
+
+
+@pytest.mark.parametrize("size", (64, 1024, 8192))
+def test_lattice_fft_matches_direct_product(size):
+    # the real FFTs against the blocked product over the same lattice
+    # nodes and weights; plateau breakpoints 0.25 and 0.5 fall off the
+    # lattice.  The bound is the FFT's rounding term plus the product's
+    # own (it rounds n x, and its nodes carry pi rounded to double, which
+    # alone moves it by up to 2.5 times the FFT term at N = 8192).
+    profile = plateau_profile(0.25, math.pi, 0.5)
+    _, (cells, xl, wl) = _table_nodes(profile, size)
+    u = profile(xl) * wl
+    direct = _exp_sums(xl.ravel(), [u.ravel()], size)[0]
+    n = np.arange(1, size + 1)
+    bound = _EPS * (math.log2(2 * size) + n * math.pi / size
+                    + u.size + n * xl.max()) * np.sum(np.abs(u))
+    assert np.all(np.abs(_lattice_sums(u, cells, size) - direct) <= bound)
+
+
+def test_fourier_moment_table_memory():
+    # one cold 8192-mode table stays near 1 MB of numpy temporaries (a
+    # batched (2N, 8) complex transform would take about 6.7 MB)
+    profile = plateau_profile(0.25, math.pi, 0.5)
+    _fourier_moments.__wrapped__(profile, 64)
+    tracemalloc.start()
+    try:
+        _fourier_moments.__wrapped__(profile, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+
+
+@pytest.mark.parametrize("c", (0.5, 2.0))
+def test_robin_zero_mode_moment_within_err(c):
+    # int_0^pi e^{cx} dx = (e^{c pi} - 1)/c; two tanh-sinh levels agree
+    # bitwise here, so err is the rounding term alone
+    value, err = _exp_moment(SingularProfile(0.0, constant(), math.pi), c)
+    with mpmath.workdps(30):
+        exact = (mpmath.exp(c * mpmath.pi) - 1) / c
+        assert abs(value - exact) <= err
 
 
 def test_fourier_moment_table_work_is_linear():
