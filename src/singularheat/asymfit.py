@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeff import ExponentPair
 from .errors import (IllConditionedError, InsufficientDataError, RangeError)
 from .heat1d import HeatContentSamples
 
@@ -44,13 +43,6 @@ class AsymptoticModel:
             raise RangeError(
                 f"exponents must increase with gaps >= {GAP_MIN}")
 
-    def __call__(self, t):
-        t = np.asarray(t, float)
-        total = np.zeros_like(t)
-        for g, c in zip(self.exponents, self.coefficients):
-            total = total + c * t ** g
-        return total
-
     def to_json(self) -> str:
         return json.dumps({
             "exponents": list(map(float, self.exponents)),
@@ -59,32 +51,10 @@ class AsymptoticModel:
             "condition": float(self.condition_estimate),
         })
 
-    @classmethod
-    def from_json(cls, text: str) -> "AsymptoticModel":
-        obj = json.loads(text)
-        return cls(obj["exponents"], obj["coefficients"],
-                   obj["residual"], obj["condition"])
-
-
-def default_time_grid(lo: float = 1e-6, hi: float = 1e-2,
-                      count: int = 40) -> np.ndarray:
-    """Geometric sampling grid resolving gap-0.05 exponent pairs."""
-    if not (0.0 < lo < hi) or count < 2:
-        raise RangeError("need 0 < lo < hi and at least two points")
-    return np.geomspace(lo, hi, count)
-
-
-def _exponent_sum(a) -> float:
-    """Real part of alpha1 + alpha2 from an ExponentPair or plain pair."""
-    if isinstance(a, ExponentPair):
-        return complex(a.alpha1).real + complex(a.alpha2).real
-    a1, a2 = a
-    return complex(a1).real + complex(a2).real
-
-
 def model_exponents(a, n_int: int, j_max: int) -> list:
     """Exponent grid {n} union {(1 + j - a1 - a2) / 2}, sorted."""
-    s = _exponent_sum(a)
+    a1, a2 = a
+    s = complex(a1).real + complex(a2).real
     exps = [float(n) for n in range(n_int + 1)]
     exps += [(1.0 + j - s) / 2.0 for j in range(j_max + 1)]
     return sorted(exps)
@@ -95,12 +65,11 @@ def fit(samples: HeatContentSamples, a,
         known_interior: list | None = None) -> AsymptoticModel:
     """Fit the asymptotic series to beta(t) samples.
 
-    a is an ExponentPair or a plain (alpha1, alpha2) pair (the latter
-    admits the classical case alpha1 + alpha2 = 0, where the boundary
-    family is the half-integers).  With known_interior supplied, the
-    interior sum  sum_n beta_n t^n is subtracted exactly and only the
-    boundary family is fitted (much better conditioned, since the
-    remaining exponents are well spaced).
+    a is the (alpha1, alpha2) pair; it may be the classical case
+    alpha1 + alpha2 = 0, where the boundary family is the half-integers.
+    With known_interior supplied, the interior sum  sum_n beta_n t^n is
+    subtracted exactly and only the boundary family is fitted (much
+    better conditioned, since the remaining exponents are well spaced).
     """
     t = np.array([e[0] for e in samples.entries], float)
     beta = np.array([e[1] for e in samples.entries], float)
@@ -142,22 +111,3 @@ def fit(samples: HeatContentSamples, a,
     return AsymptoticModel(list(map(float, exps)), list(map(float, coef)),
                            resid, cond)
 
-
-def exponent_probe(samples: HeatContentSamples,
-                   window: tuple | None = None) -> float:
-    """Log-log regression slope of beta(t) over a t-window.
-
-    Estimates the leading exponent when a single power dominates.
-    """
-    entries = samples.entries
-    if window is not None:
-        lo, hi = window
-        entries = [e for e in entries if lo <= e[0] <= hi]
-    pts = [(e[0], e[1]) for e in entries if e[1] > 0.0]
-    if len(pts) < 2:
-        raise InsufficientDataError(
-            "need at least two positive samples in the window")
-    x = np.log([p[0] for p in pts])
-    y = np.log([p[1] for p in pts])
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)

@@ -25,9 +25,9 @@ from .errors import (AdmissibilityError, DegenerateInputError, DomainError,
                      QuadratureError, RangeError, TruncationError)
 from .geom import (BoundaryPointData, WarpedProfile, boundary_beta,
                    flat_data, scaling_check, warped_invariants)
-from .heat1d import (HeatContentSamples, SpectralKind, circle_heat_content,
+from .heat1d import (HeatContentSamples, circle_heat_content,
                      halfline_heat_content, intertwine_residual,
-                     interval_heat_content, interval_spectrum)
+                     interval_heat_content)
 from .profiles import (FromCallable, SingularProfile, check_integrable,
                        constant, plateau_profile)
 from .regint import (CollarRegularization, SingularIntegrand, i_reg,
@@ -118,8 +118,13 @@ class ProblemConfig:
             raise RangeError("need 0 < tmin <= tmax")
         if self.num > 1 and self.tmax == self.tmin:
             raise RangeError("a multi-point grid needs tmin < tmax")
+        if self.num == 1 and self.tmax != self.tmin:
+            raise RangeError("a single sample needs tmin == tmax")
         if self.num < 1:
             raise RangeError("need at least one sample")
+        if self.problem == "interval" and self.bc == "dirichlet" \
+                and self.c != 0.0:
+            raise RangeError("nonzero c requires the Robin interval kind")
         if self.problem == "circle-product" and (
                 not self.phi_fourier or not self.rho_fourier):
             raise RangeError(
@@ -150,6 +155,7 @@ def _time_grid(cfg: ProblemConfig) -> list:
 def simulate(cfg: ProblemConfig) -> HeatContentSamples:
     """Run the configured model problem over its geometric t-grid."""
     ts = _time_grid(cfg)
+    bc = BoundaryConditionKind(cfg.bc)
 
     def make_profile(alpha: float, L: float) -> SingularProfile:
         if cfg.cutoff is None:
@@ -157,7 +163,6 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
         return plateau_profile(alpha, L, cfg.cutoff)
 
     if cfg.problem == "halfline":
-        bc = BoundaryConditionKind(cfg.bc)
         L = max(4.0, 2.0 * (cfg.cutoff or 2.0))
         phi = make_profile(cfg.alpha1, L)
         rho = make_profile(cfg.alpha2, L)
@@ -166,12 +171,11 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
         def one(t):
             return halfline_heat_content(phi, rho, bc, t, tol=tol)
     elif cfg.problem == "interval":
-        spec = interval_spectrum(SpectralKind(f"{cfg.bc}-interval"), cfg.c)
         phi = make_profile(cfg.alpha1, math.pi)
         rho = make_profile(cfg.alpha2, math.pi)
 
         def one(t):
-            return interval_heat_content(phi, rho, spec, t)
+            return interval_heat_content(phi, rho, bc, cfg.c, t)
     else:
         phi_f = np.asarray(cfg.phi_fourier, float)
         rho_f = np.asarray(cfg.rho_fourier, float)

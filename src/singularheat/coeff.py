@@ -62,15 +62,6 @@ class ExponentPair:
             raise AdmissibilityError(
                 f"alpha1 + alpha2 = {a1 + a2} is within {self.delta} of an integer")
 
-    @property
-    def sigma(self) -> complex:
-        return complex(self.alpha1) + complex(self.alpha2)
-
-    def shifted(self, k1: int, k2: int) -> "ExponentPair":
-        return ExponentPair(complex(self.alpha1) - k1,
-                            complex(self.alpha2) - k2, self.delta)
-
-
 def _base_eps(sign: int, a1: complex, a2: complex, delta: float) -> complex:
     """Closed form for the order-0 coefficient at an arbitrary pair.
 
@@ -88,12 +79,6 @@ def _base_eps(sign: int, a1: complex, a2: complex, delta: float) -> complex:
     term2 = (gamma_ratio([half, sigma - 1.0, 1.0 - a1], [a2])
              + gamma_ratio([half, sigma - 1.0, 1.0 - a2], [a1]))
     return pref * (term1 + term2)
-
-
-def base_epsilon(bc: BoundaryConditionKind, pair: ExponentPair) -> complex:
-    """Leading boundary coefficient eps(bc, alpha1, alpha2)."""
-    return _base_eps(bc.sign, complex(pair.alpha1), complex(pair.alpha2),
-                     pair.delta)
 
 
 _DIRICHLET_KEYS = tuple(f"eps{k}" for k in range(15))
@@ -131,25 +116,9 @@ class CoefficientTable:
             out[key] = _c2j(self.values[key])
         return out
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CoefficientTable":
-        bc = BoundaryConditionKind(obj["bc"])
-        pair = ExponentPair(_j2c(obj["alpha1"]), _j2c(obj["alpha2"]),
-                            obj.get("delta", DEFAULT_DELTA))
-        keys = _ROBIN_KEYS if bc is BoundaryConditionKind.ROBIN else _DIRICHLET_KEYS
-        values = {key: _j2c(obj[key]) for key in keys}
-        return cls(bc, pair, values)
-
-
 def _c2j(z: complex) -> list:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def _j2c(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
 
 
 def _eps15_raw(a1: complex, a2: complex, delta: float) -> complex:

@@ -55,31 +55,6 @@ class BoundaryPointData:
         if not self.weight > 0:
             raise DegenerateInputError("weight must be positive")
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "phi": [[complex(v).real, complex(v).imag] for v in self.phi],
-            "rho": [[complex(v).real, complex(v).imag] for v in self.rho],
-            "grad_pair": [complex(self.grad_pair).real, complex(self.grad_pair).imag],
-        }
-        for name in ("Laa", "LabLab", "LaaLbb", "Ricmm", "tau", "E", "SR", "weight"):
-            out[name] = getattr(self, name)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BoundaryPointData":
-        def as_c(v):
-            return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-        return cls(
-            phi=tuple(as_c(v) for v in obj["phi"]),
-            rho=tuple(as_c(v) for v in obj["rho"]),
-            Laa=obj.get("Laa", 0.0), LabLab=obj.get("LabLab", 0.0),
-            LaaLbb=obj.get("LaaLbb", 0.0), Ricmm=obj.get("Ricmm", 0.0),
-            tau=obj.get("tau", 0.0), E=obj.get("E", 0.0), SR=obj.get("SR", 0.0),
-            grad_pair=as_c(obj.get("grad_pair", 0.0)),
-            weight=obj.get("weight", 1.0),
-        )
-
-
 @dataclass(frozen=True)
 class WarpedProfile:
     """Warping data of a product-torus model metric near the boundary."""

@@ -1,26 +1,27 @@
 """Heat content beta(t) for the 1-D model problems.
 
 Three independent routes are provided: the half-line with image-method
-Gaussian kernels, the interval [0, pi] with explicit Dirichlet/Robin
-spectral resolutions of D = -d^2/dx^2 + c^2, and the circle with Fourier
-modes.  The half-line inner integrals F(d), H(s) take all nodes of one
-outer tanh-sinh level at once, as lanes: each node's range is split into
-the same number of padded slots, one batch of tanh-sinh or Gauss lanes
-each.  The interval moments int phi e^{inx}, n = 1..N, use one node set
-per N, cached per (profile, N): 8-node Gauss cells on the lattice
-x = k pi/N, summed by one length-2N real FFT per Gauss offset, and the
-tanh-sinh head and tail grids plus the cells cut by a breakpoint, summed
-with their coarse-rule difference in one blocked complex matrix product.
-apply_A / intertwine_residual realize the first-order operators
-A = d/dx + c and A* = -d/dx + c that exchange the Dirichlet and Robin
-flows, giving a simulator-level consistency check on both realizations.
+Gaussian kernels, the interval [0, pi] with sums over the Dirichlet or
+Robin eigenmodes of D = -d^2/dx^2 + c^2, and the circle with Fourier
+modes.  The boundary condition of the first two is one
+BoundaryConditionKind.  The half-line inner integrals F(d), H(s) take
+all nodes of one outer tanh-sinh level at once, as lanes: each node's
+range is split into the same number of padded slots, one batch of
+tanh-sinh or Gauss lanes each.  The interval moments int phi e^{inx},
+n = 1..N, use one node set per N, cached per (profile, N): 8-node Gauss
+cells on the lattice x = k pi/N, summed by one length-2N real FFT per
+Gauss offset, and the tanh-sinh head and tail grids plus the cells cut
+by a breakpoint, summed with their coarse-rule difference in one blocked
+complex matrix product.  apply_A / intertwine_residual realize the
+first-order operators A = d/dx + c and A* = -d/dx + c that exchange the
+Dirichlet and Robin flows, giving a simulator-level consistency check on
+both realizations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -38,56 +39,6 @@ _TAIL_REL = 1e-13
 #: below this scale, x**(-alpha) node offsets can underflow to exact 0;
 #: the skipped mass is O(_TINY^(1 - sigma)) times an underflowing weight
 _TINY = 1e-60
-
-
-class SpectralKind(Enum):
-    DIRICHLET_INTERVAL = "dirichlet-interval"
-    ROBIN_INTERVAL = "robin-interval"
-
-
-@dataclass(frozen=True)
-class SpectralResolution:
-    """Explicit eigendata of D = -d^2/dx^2 + c^2 on [0, pi].
-
-    Dirichlet: phi_n = sqrt(2/pi) sin(nx), n >= 1.  Robin (boundary
-    operator (phi' - c phi)(0), (-phi' + c phi)(pi)): phi_n is the
-    normalized image A phi_n^D for n >= 1, plus the stationary mode
-    e^{cx} (annihilated by A*, hence orthogonal to every A phi_n^D and
-    satisfying both Robin conditions) at eigenvalue 0.
-    """
-
-    kind: SpectralKind
-    c: float = 0.0
-
-    def __post_init__(self):
-        if self.kind is not SpectralKind.ROBIN_INTERVAL and self.c != 0.0:
-            raise RangeError("nonzero c requires the Robin interval kind")
-
-    @property
-    def has_zero_mode(self) -> bool:
-        return self.kind is SpectralKind.ROBIN_INTERVAL
-
-    def eigenvalue(self, n):
-        n = np.asarray(n, float)
-        if self.has_zero_mode:
-            return np.where(n == 0, 0.0, n ** 2 + self.c ** 2)
-        return n ** 2 + self.c ** 2
-
-    def eigenfunction(self, n: int, x):
-        x = np.asarray(x, float)
-        if self.kind is SpectralKind.DIRICHLET_INTERVAL:
-            if n < 1:
-                raise RangeError("Dirichlet modes start at n = 1")
-            return math.sqrt(2.0 / math.pi) * np.sin(n * x)
-        if n == 0:
-            return _robin_zero_norm(self.c) * np.exp(self.c * x)
-        lam = n ** 2 + self.c ** 2
-        return math.sqrt(2.0 / math.pi) / math.sqrt(lam) \
-            * (n * np.cos(n * x) + self.c * np.sin(n * x))
-
-
-def interval_spectrum(kind: SpectralKind, c: float = 0.0) -> SpectralResolution:
-    return SpectralResolution(kind, float(c))
 
 
 def _robin_zero_norm(c: float) -> float:
@@ -141,21 +92,6 @@ class HeatContentSamples:
 
 # ---------------------------------------------------------------------------
 # half-line with image kernels
-
-def halfline_kernel(bc: BoundaryConditionKind, x1, x2, t: float):
-    """Dirichlet/Neumann heat kernel on [0, inf) by the method of images."""
-    if t <= 0:
-        raise RangeError("need t > 0")
-    x1 = np.asarray(x1, float)
-    x2 = np.asarray(x2, float)
-    if np.any(x1 < 0) or np.any(x2 < 0):
-        raise RangeError("half-line kernel needs x >= 0")
-    norm = 1.0 / math.sqrt(4.0 * math.pi * t)
-    direct = np.exp(-((x1 - x2) ** 2) / (4.0 * t))
-    image = np.exp(-((x1 + x2) ** 2) / (4.0 * t))
-    sign = bc.sign  # -1 Dirichlet, +1 Neumann
-    return norm * (direct + sign * image)
-
 
 def _split_sum(fn, lo, hi, cuts, tol: float, err_box: list, total=0.0):
     """total + int_lo^hi fn on every lane, each range split at its cuts.
@@ -418,37 +354,43 @@ def _fourier_moments(profile: SingularProfile, N: int):
 def _exp_moment(profile: SingularProfile, c: float) -> tuple:
     """(int phi(x) e^{cx} dx over the support, err) for the Robin zero mode.
 
-    err adds, per piece [a, b], the tanh-sinh level difference and the
-    rounding eps (1 + |c| b) |value| of the sum and of the exponent c x
-    (the level difference alone reads 0 once two levels agree bitwise).
+    err adds, per piece [a, b], the tanh-sinh error (which carries the
+    rounding of the sum) and the rounding eps |c| b |value| of the
+    exponent c x.
     """
     total = err = 0.0
     for (a, b) in profile.pieces():
         val, e = tanh_sinh(lambda x: profile(x) * np.exp(c * x), a, b,
                            abs_tol=1e-13)
         total += val
-        err += e + _EPS * (1.0 + abs(c) * b) * abs(val)
+        err += e + _EPS * abs(c) * b * abs(val)
     return total, err
 
 
-def _gammas(profile: SingularProfile, spec: SpectralResolution, n_max: int):
-    """(gamma_n, err_n) for n = 1..n_max against the given resolution."""
+def _gammas(profile: SingularProfile, bc: BoundaryConditionKind, c: float,
+            n_max: int):
+    """(gamma_n, err_n) for the modes n = 1..n_max of interval_heat_content."""
     S, C, err = _fourier_moments(profile, n_max)
-    n = np.arange(1, n_max + 1, dtype=float)
     root = math.sqrt(2.0 / math.pi)
-    if spec.kind is SpectralKind.DIRICHLET_INTERVAL:
+    if bc is BoundaryConditionKind.DIRICHLET:
         return root * S, root * err
-    if spec.kind is SpectralKind.ROBIN_INTERVAL:
-        lam_half = np.sqrt(n ** 2 + spec.c ** 2)
-        g = root * (n * C + spec.c * S) / lam_half
-        e = root * (n + abs(spec.c)) * err / lam_half
-        return g, e
-    raise RangeError("interval heat content needs an interval resolution")
+    n = np.arange(1, n_max + 1, dtype=float)
+    lam_half = np.sqrt(n ** 2 + c ** 2)
+    return (root * (n * C + c * S) / lam_half,
+            root * (n + abs(c)) * err / lam_half)
 
 
 def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
-                          spec: SpectralResolution, t: float):
+                          bc: BoundaryConditionKind, c: float, t: float):
     """Sum_n e^{-t lambda_n} gamma_n(phi) gamma_n(rho) on [0, pi].
+
+    The modes are the eigenfunctions of D = -d^2/dx^2 + c^2 at
+    lambda_n = n^2 + c^2.  Dirichlet: sqrt(2/pi) sin(nx), n >= 1.  Robin
+    (boundary operator (phi' - c phi)(0), (-phi' + c phi)(pi)): the
+    normalized images A sqrt(2/pi) sin(nx), A = d/dx + c, for n >= 1, plus
+    the stationary mode e^{cx} at eigenvalue 0, which A* = -d/dx + c
+    annihilates, so it is orthogonal to every A sin(nx) and satisfies
+    both Robin conditions.
 
     The truncation N grows until the Gaussian tail bound
     e^{-t N^2} * (uniform |gamma gamma| bound) * (1 + 1/(2tN)) drops
@@ -462,30 +404,28 @@ def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
         # e^{-t N^2} cannot reach the 1e-13 tail target within the cap
         raise TruncationError(
             f"needed more than {_SUM_CAP} modes at t = {t:g}")
-    if not spec.has_zero_mode:
-        return _spectral_sum(phi, rho, spec, spec.c, t)
-    z = _robin_zero_norm(spec.c)
-    mp, ep = _exp_moment(phi, spec.c)
-    mr, er = _exp_moment(rho, spec.c)
-    beta, err = _spectral_sum(phi, rho, spec, spec.c, t, (z * mp) * (z * mr))
+    if bc is BoundaryConditionKind.DIRICHLET:
+        return _spectral_sum(phi, rho, bc, c, t)
+    z = _robin_zero_norm(c)
+    mp, ep = _exp_moment(phi, c)
+    mr, er = _exp_moment(rho, c)
+    beta, err = _spectral_sum(phi, rho, bc, c, t, (z * mp) * (z * mr))
     return beta, err + z * z * (abs(mr) * ep + abs(mp) * er + ep * er)
 
 
 def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
-                  spec: SpectralResolution, c: float, t: float,
+                  bc: BoundaryConditionKind, c: float, t: float,
                   base: float = 0.0):
     """(base + sum_n e^{-t (n^2 + c^2)} gamma_n(phi) gamma_n(rho), err).
 
-    The modes come from spec and c enters only the weights, so the
-    Dirichlet modes with c != 0 give the flow of D = -d^2/dx^2 + c^2.
     N doubles from 64 under the truncation rule of interval_heat_content,
     each N with its own moment table; err is the tail bound plus the
     propagated moment error plus the rounding of the n_max + 1 terms.
     """
     n_max = 64
     while True:
-        gp, ep = _gammas(phi, spec, n_max)
-        gr, er = _gammas(rho, spec, n_max)
+        gp, ep = _gammas(phi, bc, c, n_max)
+        gr, er = _gammas(rho, bc, c, n_max)
         n = np.arange(1, n_max + 1, dtype=float)
         weights = np.exp(-t * (n ** 2 + c ** 2))
         partial = base + float(np.dot(weights, gp * gr))
@@ -538,23 +478,13 @@ def intertwine_residual(phi: SingularProfile, rho: SingularProfile,
         dt = min(1e-4, t / 100.0)
     if not 0.0 < dt < t:
         raise DomainError("need 0 < dt < t")
-    robin = interval_spectrum(SpectralKind.ROBIN_INTERVAL, c)
-    diri = interval_spectrum(SpectralKind.DIRICHLET_INTERVAL)
-
-    def beta_d_shifted(p, r, s):
-        # D = -d^2/dx^2 + c^2: Dirichlet sum with sin modes reweighted
-        return _spectral_sum(p, r, diri, c, s)[0]
-
-    if not dual:
-        hi, _ = interval_heat_content(phi, rho, robin, t + dt)
-        lo, _ = interval_heat_content(phi, rho, robin, t - dt)
-        rhs = beta_d_shifted(apply_A(phi, c, True), apply_A(rho, c, True), t)
-    else:
-        hi = beta_d_shifted(phi, rho, t + dt)
-        lo = beta_d_shifted(phi, rho, t - dt)
-        rhs_val, _ = interval_heat_content(
-            apply_A(phi, c, False), apply_A(rho, c, False), robin, t)
-        rhs = rhs_val
+    robin, dirichlet = (BoundaryConditionKind.ROBIN,
+                        BoundaryConditionKind.DIRICHLET)
+    flow, image = (dirichlet, robin) if dual else (robin, dirichlet)
+    hi, _ = interval_heat_content(phi, rho, flow, c, t + dt)
+    lo, _ = interval_heat_content(phi, rho, flow, c, t - dt)
+    rhs, _ = interval_heat_content(apply_A(phi, c, not dual),
+                                   apply_A(rho, c, not dual), image, c, t)
     deriv = (hi - lo) / (2.0 * dt)
     return abs(deriv + rhs) / max(abs(rhs), 1e-300)
 

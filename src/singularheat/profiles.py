@@ -229,12 +229,6 @@ class SingularProfile:
         """Analytic subintervals of [0, support end] for quadrature."""
         return segments(0.0, self.support_end(), self.smooth.breakpoints)
 
-    def jets(self, order: int = 2) -> list:
-        """Modified Taylor jets (flat connection): smooth^(l)(0) / l!."""
-        if order < 0 or order > 4:
-            raise RangeError("jet order must be in 0..4")
-        return taylor_jets(self.smooth, order)
-
 
 def plateau_profile(alpha: complex, L: float, cutoff_radius: float) -> SingularProfile:
     """r^(-alpha) times a plateau cutoff: the canonical model datum."""

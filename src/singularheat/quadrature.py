@@ -24,6 +24,7 @@ from .errors import QuadratureError
 _H0 = 0.5
 _UMAX = 6.1          # (pi/2)*sinh(6.1) ~ 350: past this, weights underflow
 _WFRAC_MIN = 1e-250  # drop nodes whose weight fraction underflows
+_EPS = np.finfo(float).eps
 
 
 def _point(u: float) -> tuple[float, float]:
@@ -71,9 +72,11 @@ def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, max_level: int = 12,
     lanes rows and returns real or complex values of that shape.  A lane
     stops at the first level >= 2 whose estimate moved by at most
     max(tol * |value|, abs_tol).  Returns (values, errors), arrays of
-    length K.  Raises QuadratureError on an empty interval, or when a
-    lane ends at the level cap with an error above fail_factor * tol
-    relative to its value (and above abs_tol).
+    length K; a lane's error is that last move plus the rounding floor
+    eps * nodes * sum |w f| of its sum, so it stays above 0 once two
+    levels agree bitwise.  Raises QuadratureError on an empty interval,
+    or when a lane ends at the level cap with a move above
+    fail_factor * tol relative to its value (and above abs_tol).
     """
     a = np.atleast_1d(np.asarray(a, float))
     b = np.atleast_1d(np.asarray(b, float))
@@ -83,7 +86,10 @@ def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, max_level: int = 12,
         raise QuadratureError(f"empty interval [{a[k]}, {b[k]}]")
     rows = np.arange(a.size)
     lo, hi, width = a[:, None], b[:, None], (b - a)[:, None]
-    total = _point(0.0)[1] * np.asarray(f(0.5 * (lo + hi), rows))[:, 0]
+    mid = np.asarray(f(0.5 * (lo + hi), rows))[:, 0]
+    total = _point(0.0)[1] * mid
+    mass = _point(0.0)[1] * np.abs(mid)  # sum of |w f|, unscaled
+    nodes = 1
     value = np.empty_like(total)
     error = np.empty(a.size)
     prev, err = None, np.full(a.size, math.inf)
@@ -91,22 +97,26 @@ def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, max_level: int = 12,
         deltas, wfracs = _level_points(level)
         if deltas.size:
             wd = width * deltas
-            total = total + _row_dots(
-                f(np.concatenate([lo + wd, hi - wd], 1), rows),
-                np.concatenate([wfracs, wfracs]))
-        cur = _H0 / 2 ** level * width[:, 0] * total
+            fx = f(np.concatenate([lo + wd, hi - wd], 1), rows)
+            w = np.concatenate([wfracs, wfracs])
+            total = total + _row_dots(fx, w)
+            mass = mass + _row_dots(np.abs(fx), w)
+            nodes += w.size
+        h = _H0 / 2 ** level
+        cur = h * width[:, 0] * total
         if level >= 2:
             err = np.abs(cur - prev)
+            bound = err + _EPS * nodes * h * width[:, 0] * mass
             done = err <= np.maximum(tol * np.maximum(np.abs(cur), 1e-300),
                                      abs_tol)
             if done.any():
                 value[rows[done]] = cur[done]
-                error[rows[done]] = err[done]
+                error[rows[done]] = bound[done]
                 if done.all():
                     return value, error
-                running = (rows, lo, hi, width, total, cur, err)
-                rows, lo, hi, width, total, cur, err = [v[~done]
-                                                        for v in running]
+                running = (rows, lo, hi, width, total, mass, cur, err, bound)
+                rows, lo, hi, width, total, mass, cur, err, bound = [
+                    v[~done] for v in running]
         prev = cur
     scale = np.maximum(np.abs(prev), 1e-300)
     bad = np.flatnonzero(err > np.maximum(fail_factor * tol * scale, abs_tol))
@@ -116,7 +126,7 @@ def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, max_level: int = 12,
             f"tanh_sinh did not converge on [{lo[k, 0]}, {hi[k, 0]}]: "
             f"estimate {err[k]:.3e} vs tolerance {tol:.3e} * {scale[k]:.3e}")
     value[rows] = prev
-    error[rows] = err
+    error[rows] = bound
     return value, error
 
 

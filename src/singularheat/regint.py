@@ -54,14 +54,6 @@ class SingularIntegrand:
             raise DomainError("domain length must be positive")
         object.__setattr__(self, "sigma", complex(self.sigma))
 
-    @classmethod
-    def from_profiles(cls, phi: SingularProfile,
-                      rho: SingularProfile) -> "SingularIntegrand":
-        if phi.L != rho.L:
-            raise RangeError("profiles live on different domains")
-        return cls(complex(phi.alpha) + complex(rho.alpha),
-                   Product(phi.smooth, rho.smooth), phi.L)
-
     def __call__(self, x):
         x = np.asarray(x, float)
         return x ** (-self.sigma) * self.smooth(x)

@@ -1,4 +1,4 @@
-"""Complex log-gamma, stable gamma ratios, and the beta function.
+"""Complex log-gamma and stable gamma ratios.
 
 The evaluator is a Lanczos approximation (g = 7, 9 coefficients) on the
 right half-plane combined with the reflection formula for Re(z) < 1/2.
@@ -87,11 +87,6 @@ def log_gamma(z: complex) -> complex:
     return _LOG_PI - log_sin - _log_gamma_right(1.0 - z)
 
 
-def gamma(z: complex) -> complex:
-    """Gamma function via exp(log_gamma)."""
-    return cmath.exp(log_gamma(z))
-
-
 def gamma_ratio(numerator: Sequence[complex], denominator: Sequence[complex]) -> complex:
     """prod Gamma(numerator) / prod Gamma(denominator), pole-aware.
 
@@ -119,7 +114,3 @@ def gamma_ratio(numerator: Sequence[complex], denominator: Sequence[complex]) ->
         pass
     raise RangeError("gamma_ratio overflowed; arguments too extreme")
 
-
-def beta_fn(a: complex, b: complex) -> complex:
-    """Euler beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b)."""
-    return gamma_ratio([a, b], [complex(a) + complex(b)])

@@ -148,6 +148,8 @@ def test_simulate_invalid_config(capsys, tmp_path):
                 {**circle, "bc": "robin", "c": 3, "alpha1": 5},
                 {**interval, "phi_fourier": [1.0]},
                 {**interval, "tolerances": {"halfline": 1e-6}},
+                # one sample cannot honour a wider range
+                {**interval, "tmax": 0.5},
                 # values that do not fit the field's type
                 {**interval, "tmax": 1e-2, "num": 2.7},
                 {**interval, "num": True},

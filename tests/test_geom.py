@@ -1,6 +1,5 @@
 """Tests for boundary data, jets, warped invariants, and scaling."""
 
-import json
 import math
 import random
 
@@ -190,20 +189,6 @@ def test_swap_duality_of_boundary_beta():
             for j in (0, 1, 2):
                 v1, v2 = boundary_beta(ta, d1, j), boundary_beta(tb, d2, j)
                 assert abs(v1 - v2) <= 1e-12 * max(abs(v1), 1.0)
-
-
-def test_boundary_data_json_round_trip():
-    data = BoundaryPointData(phi=(1.0, 0.5 + 0.1j, 0.0), rho=(1.0, 0.0, -0.2),
-                             Laa=0.3, SR=-0.5, E=0.1, grad_pair=0.2 + 0.3j,
-                             weight=2.0)
-    blob = json.dumps(data.to_json_dict())
-    back = BoundaryPointData.from_json_dict(json.loads(blob))
-    assert back == BoundaryPointData(
-        phi=tuple(complex(v) for v in data.phi),
-        rho=tuple(complex(v) for v in data.rho),
-        Laa=0.3, SR=-0.5, E=0.1, grad_pair=complex(0.2, 0.3), weight=2.0)
-    obj = json.loads(blob)
-    assert obj["phi"][1] == [0.5, 0.1]
 
 
 def test_rescale_data_weights():

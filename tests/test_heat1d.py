@@ -9,54 +9,21 @@ import pytest
 
 from singularheat.coeff import BoundaryConditionKind
 from singularheat.errors import (DomainError, RangeError, TruncationError)
-from singularheat.heat1d import (_EPS, HeatContentSamples, SpectralKind,
-                                 _TINY, _cross_correlation,
-                                 _endpoint_convolution, _exp_moment,
-                                 _exp_sums, _fourier_moments, _lattice_sums,
-                                 _table_nodes, apply_A,
-                                 circle_heat_content,
-                                 halfline_heat_content, halfline_kernel,
-                                 interval_heat_content, interval_spectrum,
+from singularheat.heat1d import (_EPS, HeatContentSamples, _TINY,
+                                 _cross_correlation, _endpoint_convolution,
+                                 _exp_moment, _exp_sums, _fourier_moments,
+                                 _gammas, _lattice_sums, _robin_zero_norm,
+                                 _table_nodes, apply_A, circle_heat_content,
+                                 halfline_heat_content, interval_heat_content,
                                  intertwine_residual)
 from singularheat.profiles import (FromCallable, PlateauCutoff, Product,
                                    SingularProfile, constant,
-                                   plateau_profile)
+                                   plateau_profile, taylor_jets)
 from singularheat.quadrature import gauss_legendre, tanh_sinh
-from singularheat.specfun import beta_fn, gamma
 
 D = BoundaryConditionKind.DIRICHLET
-N = BoundaryConditionKind.ROBIN  # sign +1: Neumann image kernel on the half-line
-
-
-# ---------------------------------------------------------------------------
-# half-line kernels
-
-def test_kernel_dirichlet_vanishes_at_wall():
-    assert halfline_kernel(D, 0.0, 0.7, 0.1) == 0.0
-    assert halfline_kernel(D, np.zeros(3), np.array([0.1, 1.0, 2.0]),
-                           0.05) == pytest.approx(0.0, abs=0.0)
-
-
-def test_kernel_neumann_flat_at_wall():
-    # one-sided difference of K_N(x, 0.7; 0.1) in x near x = 0: the image
-    # term cancels the direct slope, so the derivative is O(h)
-    h = 1e-6
-    dd = (halfline_kernel(N, 2 * h, 0.7, 0.1)
-          - halfline_kernel(N, 0.0, 0.7, 0.1)) / (2 * h)
-    assert abs(dd) < 1e-4
-
-
-def test_kernel_neumann_conserves_mass():
-    val, err = tanh_sinh(lambda x: halfline_kernel(N, x, 1.0, 0.1),
-                         0.0, 10.0, tol=1e-12)
-    assert val == pytest.approx(1.0, rel=1e-10)
-
-
-def test_kernel_guards():
-    with pytest.raises(RangeError):
-        halfline_kernel(D, 0.5, 0.5, 0.0)
-    with pytest.raises(RangeError):
-        halfline_kernel(D, -0.1, 0.5, 0.1)
+R = BoundaryConditionKind.ROBIN
+N = R  # sign +1: Neumann image kernel on the half-line
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +44,9 @@ def test_halfline_difference_closed_form():
             bn, en = halfline_heat_content(phi, rho, N, t)
             bd, ed = halfline_heat_content(phi, rho, D, t)
             want = (2.0 ** (1.0 - sigma) / math.sqrt(math.pi)
-                    * gamma(1.0 - sigma / 2.0).real
-                    * beta_fn(1.0 - a1, 1.0 - a2).real) \
+                    * math.gamma(1.0 - sigma / 2.0)
+                    * math.gamma(1.0 - a1) * math.gamma(1.0 - a2)
+                    / math.gamma(2.0 - sigma)) \
                 * t ** ((1.0 - sigma) / 2.0)
             assert bn - bd == pytest.approx(want, rel=1e-8), (a1, a2, t)
             assert abs((bn - bd) - want) <= en + ed, (a1, a2, t)
@@ -164,6 +132,17 @@ def test_halfline_neumann_total_mass_limit():
     assert bn == pytest.approx(exact, rel=1e-3)
 
 
+def test_kernel_neumann_conserves_mass():
+    # the Neumann image kernel integrates to 1 in x: against unit rho on
+    # [0, 4], beta_N(t) = int phi once the data stays clear of x = 4
+    phi = plateau_profile(0.3, 4.0, 0.5)
+    one = SingularProfile(0.0, constant(), 4.0)
+    mass = sum(tanh_sinh(phi, a, b, tol=1e-13)[0] for a, b in phi.pieces())
+    for t in (1e-4, 1e-2):
+        bn, en = halfline_heat_content(phi, one, N, t)
+        assert abs(bn - mass) <= en, t
+
+
 def test_halfline_dirichlet_below_neumann():
     phi = plateau_profile(0.3, 4.0, 0.5)
     for t in (1e-3, 1e-2):
@@ -191,19 +170,17 @@ def test_interval_classical_dirichlet():
     # beta(t) for phi = rho = 1 on [0, pi], Dirichlet:
     # sum over odd n of 8/(pi n^2) e^{-t n^2}; the small-t expansion is
     # pi - (4/sqrt(pi)) sqrt(t) up to exponentially small corrections.
-    spec = interval_spectrum(SpectralKind.DIRICHLET_INTERVAL)
     one = _unit_profile()
     for t in (0.001, 0.01, 0.05):
-        beta, err = interval_heat_content(one, one, spec, t)
+        beta, err = interval_heat_content(one, one, D, 0.0, t)
         want = math.pi - 4.0 / math.sqrt(math.pi) * math.sqrt(t)
         assert beta == pytest.approx(want, abs=5e-9)
 
 
 def test_interval_large_t_single_mode():
-    spec = interval_spectrum(SpectralKind.DIRICHLET_INTERVAL)
     one = _unit_profile()
     t = 5.0
-    beta, _ = interval_heat_content(one, one, spec, t)
+    beta, _ = interval_heat_content(one, one, D, 0.0, t)
     # gamma_1 = sqrt(2/pi) * 2, higher modes are e^{-9t} suppressed
     want = math.exp(-t) * (2.0 * math.sqrt(2.0 / math.pi)) ** 2
     assert beta == pytest.approx(want, rel=1e-6)
@@ -215,24 +192,21 @@ def test_interval_matches_halfline_when_localized():
     # content matches the half-line one to exponential accuracy.
     phi = plateau_profile(0.3, math.pi, 0.5)
     rho = plateau_profile(0.2, math.pi, 0.5)
-    dspec = interval_spectrum(SpectralKind.DIRICHLET_INTERVAL)
-    rspec = interval_spectrum(SpectralKind.ROBIN_INTERVAL, 0.0)
     for t in (0.001, 0.01):
-        bi, _ = interval_heat_content(phi, rho, dspec, t)
+        bi, _ = interval_heat_content(phi, rho, D, 0.0, t)
         bh, _ = halfline_heat_content(phi, rho, D, t)
         assert bi == pytest.approx(bh, rel=1e-7)
-        bi_n, _ = interval_heat_content(phi, rho, rspec, t)
+        bi_n, _ = interval_heat_content(phi, rho, R, 0.0, t)
         bh_n, _ = halfline_heat_content(phi, rho, N, t)
         assert bi_n == pytest.approx(bh_n, rel=1e-7)
 
 
 def test_interval_err_bounds_exact_dirichlet_series():
     # constant unit data: beta(t) = sum over odd n of 8/(pi n^2) e^{-n^2 t}
-    spec = interval_spectrum(SpectralKind.DIRICHLET_INTERVAL)
     one = SingularProfile(0.0, constant(), math.pi)
     with mpmath.workdps(30):
         for t in np.geomspace(1e-4, 1e-1, 200):
-            beta, err = interval_heat_content(one, one, spec, float(t))
+            beta, err = interval_heat_content(one, one, D, 0.0, float(t))
             n_top = int(math.sqrt(80.0 / t)) + 2
             exact = mpmath.fsum(
                 8 / (mpmath.pi * n * n) * mpmath.exp(-n * n * mpmath.mpf(t))
@@ -342,7 +316,7 @@ def test_fourier_moment_table_memory():
 @pytest.mark.parametrize("c", (0.5, 2.0))
 def test_robin_zero_mode_moment_within_err(c):
     # int_0^pi e^{cx} dx = (e^{c pi} - 1)/c; two tanh-sinh levels agree
-    # bitwise here, so err is the rounding term alone
+    # bitwise here, so err is the rounding floor of the sum and of c x
     value, err = _exp_moment(SingularProfile(0.0, constant(), math.pi), c)
     with mpmath.workdps(30):
         exact = (mpmath.exp(c * mpmath.pi) - 1) / c
@@ -366,84 +340,50 @@ def test_fourier_moment_table_work_is_linear():
 
 def test_interval_truncation_error_at_tiny_t():
     one = _unit_profile()
-    spec = interval_spectrum(SpectralKind.DIRICHLET_INTERVAL)
     with pytest.raises(TruncationError):
-        interval_heat_content(one, one, spec, 1e-12)
+        interval_heat_content(one, one, D, 0.0, 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# spectral resolutions
+# interval modes
 
-def test_dirichlet_eigenfunction_values():
-    spec = interval_spectrum(SpectralKind.DIRICHLET_INTERVAL)
-    assert spec.eigenfunction(1, math.pi / 2) == pytest.approx(
-        math.sqrt(2.0 / math.pi), rel=1e-14)
-    assert spec.eigenvalue(3) == 9.0
-    with pytest.raises(RangeError):
-        spec.eigenfunction(0, 0.5)
-    with pytest.raises(RangeError):
-        interval_spectrum(SpectralKind.DIRICHLET_INTERVAL, 0.5)
-
-
-def test_robin_modes_satisfy_boundary_conditions():
-    c = 0.7
-    spec = interval_spectrum(SpectralKind.ROBIN_INTERVAL, c)
-    h = 1e-6
-    for n in (0, 1, 4):
-        def f(x):
-            return spec.eigenfunction(n, x)
-        d0 = (f(h) - f(0.0)) / h - 0.5 * (f(2 * h) - 2 * f(h) + f(0.0)) / h
-        dpi = (f(math.pi) - f(math.pi - h)) / h \
-            + 0.5 * (f(math.pi) - 2 * f(math.pi - h) + f(math.pi - 2 * h)) / h
-        assert abs(d0 - c * f(0.0)) < 1e-6
-        assert abs(-dpi + c * f(math.pi)) < 1e-6
-
-
-def test_robin_modes_orthonormal_and_complete():
-    c = 0.7
-    spec = interval_spectrum(SpectralKind.ROBIN_INTERVAL, c)
-
-    def inner(m, n):
-        return gauss_legendre(
-            lambda x: spec.eigenfunction(m, x) * spec.eigenfunction(n, x),
-            0.0, math.pi, n=200)
-
-    assert inner(3, 5) == pytest.approx(0.0, abs=1e-10)
-    assert inner(0, 2) == pytest.approx(0.0, abs=1e-10)
-    assert inner(0, 0) == pytest.approx(1.0, rel=1e-12)
-    assert inner(4, 4) == pytest.approx(1.0, rel=1e-12)
-
-    # Parseval for an f compatible with the boundary conditions (fast
-    # coefficient decay): sum <f, phi_n>^2 -> ||f||^2.  The zero mode is
-    # required; the n >= 1 family alone misses span{e^{cx}}.
-    def f(x):
-        return np.exp(c * x) * (1.0 + np.sin(x) ** 2)
-
+def _parseval_defect(f, bc, c, n_max):
+    """(|zero-mode part + sum gamma_n^2 - ||f||^2|, zero-mode part, ||f||^2)
+    for f on [0, pi], from the moments the spectral sum uses."""
+    profile = SingularProfile(0.0, FromCallable(f), L=math.pi)
+    g, _ = _gammas(profile, bc, c, n_max)
+    zero = 0.0
+    if bc is R:
+        zero = (_robin_zero_norm(c) * _exp_moment(profile, c)[0]) ** 2
     norm2 = gauss_legendre(lambda x: f(x) ** 2, 0.0, math.pi, n=400)
-    total = 0.0
-    zero_part = 0.0
-    for n in range(0, 121):
-        coef = gauss_legendre(lambda x: f(x) * spec.eigenfunction(n, x),
-                              0.0, math.pi, n=400)
-        if n == 0:
-            zero_part = coef ** 2
-        total += coef ** 2
-    assert total == pytest.approx(norm2, abs=1e-10)
-    # without the zero mode the family is measurably incomplete
-    assert zero_part > 0.1 * norm2
+    return abs(zero + float(np.dot(g, g)) - norm2), zero, norm2
+
+
+def test_interval_modes_satisfy_parseval():
+    # f compatible with the boundary conditions (fast coefficient decay):
+    # the modes are orthonormal and complete exactly when the squared
+    # coefficients add up to ||f||^2.  The Robin zero mode is required;
+    # the n >= 1 family alone misses span{e^{cx}}.
+    c = 0.7
+    for n_max in (256, 1024):
+        defect, zero, norm2 = _parseval_defect(
+            lambda x: np.exp(c * x) * (1.0 + np.sin(x) ** 2), R, c, n_max)
+        assert defect <= 1e-11, n_max
+        assert zero > 0.1 * norm2
+        defect, _, _ = _parseval_defect(lambda x: (1.0 + x) * np.sin(x),
+                                        D, 0.0, n_max)
+        assert defect <= 1e-11, n_max
 
 
 def test_robin_zero_mode_is_stationary():
     c = 0.7
-    spec = interval_spectrum(SpectralKind.ROBIN_INTERVAL, c)
-    assert spec.eigenvalue(0) == 0.0
     # e^{cx} solves -u'' + c^2 u = 0, so its heat-content contribution is
     # t-independent: check via the full sum with f proportional to e^{cx}.
     z = FromCallable(lambda x: np.exp(c * x),
                      (lambda x: c * np.exp(c * x),))
     phi = SingularProfile(0.0, z, L=math.pi)
-    b1, _ = interval_heat_content(phi, phi, spec, 1.0)
-    b2, _ = interval_heat_content(phi, phi, spec, 10.0)
+    b1, _ = interval_heat_content(phi, phi, R, c, 1.0)
+    b2, _ = interval_heat_content(phi, phi, R, c, 10.0)
     want = gauss_legendre(lambda x: np.exp(2 * c * x), 0.0, math.pi, n=100)
     assert b1 == pytest.approx(want, rel=1e-10)
     assert b2 == pytest.approx(want, rel=1e-10)
@@ -452,18 +392,20 @@ def test_robin_zero_mode_is_stationary():
 def test_eigenmode_decay_rate():
     # phi = rho = phi_2^D: beta(t) = e^{-t lambda_2}, so the log-slope
     # equals -lambda_2 = -4.
-    spec = interval_spectrum(SpectralKind.DIRICHLET_INTERVAL)
     mode = FromCallable(
         lambda x: math.sqrt(2.0 / math.pi) * np.sin(2 * x),
         (lambda x: math.sqrt(2.0 / math.pi) * 2 * np.cos(2 * x),))
     phi = SingularProfile(0.0, mode, L=math.pi)
     t, dt = 0.5, 1e-4
-    hi, _ = interval_heat_content(phi, phi, spec, t + dt)
-    lo, _ = interval_heat_content(phi, phi, spec, t - dt)
-    mid, _ = interval_heat_content(phi, phi, spec, t)
+    hi, _ = interval_heat_content(phi, phi, D, 0.0, t + dt)
+    lo, _ = interval_heat_content(phi, phi, D, 0.0, t - dt)
+    mid, _ = interval_heat_content(phi, phi, D, 0.0, t)
     slope = (math.log(hi) - math.log(lo)) / (2 * dt)
     assert slope == pytest.approx(-4.0, abs=1e-6)
     assert mid == pytest.approx(math.exp(-4.0 * t), rel=1e-9)
+    # with c the Dirichlet modes carry D = -d^2/dx^2 + c^2
+    shifted, _ = interval_heat_content(phi, phi, D, 0.5, t)
+    assert shifted == pytest.approx(math.exp(-4.25 * t), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +424,12 @@ def test_apply_a_jets_and_sign():
     out = apply_A(phi, 0.8, adjoint=True)
     assert out.alpha == pytest.approx(-0.5)
     # A* x^{1.5} = -1.5 x^{0.5} + 0.8 x^{1.5}: jets (-1.5, 0.8)
-    j = out.jets(1)
+    j = taylor_jets(out.smooth, 1)
     assert j[0] == pytest.approx(-1.5)
     assert j[1] == pytest.approx(0.8)
     # A flips the derivative contribution: leading jet +1.5
     out2 = apply_A(phi, 0.8, adjoint=False)
-    assert out2.jets(0)[0] == pytest.approx(1.5)
+    assert taylor_jets(out2.smooth, 0)[0] == pytest.approx(1.5)
     with pytest.raises(DomainError):
         apply_A(plateau_profile(0.3, 4.0, 0.5), 0.8, adjoint=True)
 

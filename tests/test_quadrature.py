@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,6 +38,19 @@ def test_both_endpoints_singular_by_splitting():
 def test_shifted_interval():
     val, _ = tanh_sinh(lambda x: np.exp(-x), 2.0, 5.0)
     assert val == pytest.approx(math.exp(-2) - math.exp(-5), rel=1e-12)
+
+
+def test_err_bounds_smooth_integrals():
+    # on smooth integrands two levels can agree bitwise (for e^{-x} the
+    # level difference reads 0 with the value 6e-17 off), so err needs its
+    # rounding floor
+    with mpmath.workdps(30):
+        cases = ((lambda x: np.exp(-x), 1 - mpmath.exp(-mpmath.pi)),
+                 (lambda x: np.exp(2 * x), (mpmath.exp(2 * mpmath.pi) - 1) / 2))
+        for f, exact in cases:
+            val, err = tanh_sinh(f, 0.0, math.pi)
+            assert abs(val - exact) <= err, (val, err)
+            assert err <= 1e-12 * abs(val)
 
 
 def test_rejects_empty_interval():

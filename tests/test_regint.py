@@ -18,13 +18,19 @@ def _unit():
     return SingularProfile(0.0, constant(), math.pi)
 
 
+def _integrand(phi, rho):
+    """x^(-alpha1 - alpha2) times the product of the smooth factors."""
+    return SingularIntegrand(complex(phi.alpha) + complex(rho.alpha),
+                             Product(phi.smooth, rho.smooth), phi.L)
+
+
 def test_smooth_integrand_is_plain_integral():
     one = _unit()
-    ig = SingularIntegrand.from_profiles(one, one)
+    ig = _integrand(one, one)
     assert i_reg(ig) == pytest.approx(math.pi, rel=1e-13)
     # negative effective exponent: x^{0.5} * chi, compare direct quadrature
     p = plateau_profile(-0.25, math.pi, 1.0)
-    ig2 = SingularIntegrand.from_profiles(p, p)
+    ig2 = _integrand(p, p)
     direct = sum(tanh_sinh(lambda x: p(x) ** 2, a, b, tol=1e-13)[0]
                  for a, b in ((0.0, 0.5), (0.5, 1.0)))
     assert complex(i_reg(ig2)).real == pytest.approx(direct, rel=1e-12)
@@ -44,7 +50,7 @@ def test_collar_width_independence():
 def test_agreement_with_direct_quadrature_when_convergent():
     p1 = plateau_profile(0.3, math.pi, 1.0)
     p2 = plateau_profile(0.4, math.pi, 1.0)
-    ig = SingularIntegrand.from_profiles(p1, p2)
+    ig = _integrand(p1, p2)
     direct = sum(tanh_sinh(lambda x: p1(x) * p2(x), a, b, tol=1e-13)[0]
                  for a, b in ((0.0, 0.5), (0.5, 1.0)))
     assert complex(i_reg(ig)).real == pytest.approx(direct, rel=1e-11)
@@ -101,7 +107,7 @@ def test_guards():
     p = plateau_profile(0.3, math.pi, 1.0)
     q = plateau_profile(0.3, 2.0, 1.0)
     with pytest.raises(RangeError):
-        SingularIntegrand.from_profiles(p, q)
+        interior_coefficients(p, q)
 
 
 def test_default_regularization_order():
@@ -126,7 +132,7 @@ def test_interior_coefficients_n0_is_i_reg():
     p2 = plateau_profile(0.4, math.pi, 1.0)
     b0 = interior_coefficients(p1, p2, 0.5, 0)[0]
     assert complex(b0) == pytest.approx(
-        complex(i_reg(SingularIntegrand.from_profiles(p1, p2))), rel=1e-13)
+        complex(i_reg(_integrand(p1, p2))), rel=1e-13)
 
 
 def test_interior_coefficients_collar_independent():

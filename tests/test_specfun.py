@@ -14,7 +14,7 @@ import mpmath
 import pytest
 
 from singularheat.errors import PoleError, RangeError
-from singularheat.specfun import beta_fn, gamma, gamma_ratio, log_gamma
+from singularheat.specfun import gamma_ratio, log_gamma
 
 mpmath.mp.dps = 50
 
@@ -138,11 +138,12 @@ def test_gamma_ratio_numerator_pole_raises():
 
 
 def test_beta_symmetry():
+    # B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) as the coefficients form it
     rng = random.Random(17)
     for _ in range(100):
         a = complex(rng.uniform(0.05, 5), rng.uniform(-2, 2))
         b = complex(rng.uniform(0.05, 5), rng.uniform(-2, 2))
-        assert beta_fn(a, b) == beta_fn(b, a)
+        assert gamma_ratio([a, b], [a + b]) == gamma_ratio([b, a], [b + a])
 
 
 def test_beta_against_quadrature_oracle():
@@ -155,8 +156,8 @@ def test_beta_against_quadrature_oracle():
     v2, e2 = tanh_sinh(lambda v: (1 - v) ** (-a2) * v ** (-a1), 0.0, 0.5)
     val = v1 + v2
     assert e1 + e2 < 1e-12 * abs(val)
-    assert _rel(beta_fn(1 - a2, 1 - a1), val) < 1e-12
+    assert _rel(gamma_ratio([1 - a2, 1 - a1], [2 - a1 - a2]), val) < 1e-12
 
 
 def test_gamma_half():
-    assert _rel(gamma(0.5), math.sqrt(math.pi)) < 1e-14
+    assert _rel(cmath.exp(log_gamma(0.5)), math.sqrt(math.pi)) < 1e-14
