@@ -184,7 +184,7 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
             return circle_heat_content(phi_f, rho_f, t), 0.0
 
     entries = [(t, *one(t)) for t in ts]
-    return HeatContentSamples(problem=cfg.problem, entries=entries)
+    return HeatContentSamples(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -153,18 +153,16 @@ def build_table(bc: BoundaryConditionKind, pair: ExponentPair) -> CoefficientTab
         v["eps17"] = _eps15_raw(a1 - 1, a2, d)
         v["eps18"] = _eps15_raw(a1, a2 - 1, d)
         v["eps2"] = -0.5 * v["eps1"] - 0.5 * v["eps3"] + 0.5 * v["eps15"]
-        v["eps5"] = -0.5 * eps(a1 - 2, a2) - 0.5 * eps(a1 - 1, a2 - 1) \
-            + 0.5 * v["eps17"]
-        v["eps8"] = -0.5 * eps(a1 - 1, a2 - 1) - 0.5 * eps(a1, a2 - 2) \
-            + 0.5 * v["eps18"]
+        v["eps5"] = -0.5 * v["eps4"] - 0.5 * v["eps14"] + 0.5 * v["eps17"]
+        v["eps8"] = -0.5 * v["eps14"] - 0.5 * v["eps7"] + 0.5 * v["eps18"]
         v["eps16"] = (-2.0 / (3.0 - sigma)) * eps(a1, a2, -1) \
             + (2.0 * a1 * a2 / (3.0 - sigma)) * _base_eps(-1, a1 + 1, a2 + 1, d) \
-            + eps(a1, a2, 1)
+            + v["eps0"]
         v["eps19"] = v["eps16"] - 0.5 * v["eps17"] - 0.5 * v["eps18"]
     else:
         v["eps2"] = -0.5 * (v["eps1"] + v["eps3"])
-        v["eps5"] = -0.5 * (eps(a1 - 2, a2) + eps(a1 - 1, a2 - 1))
-        v["eps8"] = -0.5 * (eps(a1 - 1, a2 - 1) + eps(a1, a2 - 2))
+        v["eps5"] = -0.5 * (v["eps4"] + v["eps14"])
+        v["eps8"] = -0.5 * (v["eps14"] + v["eps7"])
 
     v["eps9"] = -0.25 * v["eps4"] + 0.5 * v["eps6"] - 0.25 * v["eps7"]
     v["eps11"] = v["eps9"]
@@ -174,9 +172,9 @@ def build_table(bc: BoundaryConditionKind, pair: ExponentPair) -> CoefficientTab
         v["eps10"] += (-0.25 * v["eps16"] + 0.25 * v["eps17"]
                        + 0.25 * v["eps18"] + 0.5 * v["eps19"])
 
-    values = {k: complex(v[k]) for k in
-              (_ROBIN_KEYS if bc is BoundaryConditionKind.ROBIN else _DIRICHLET_KEYS)}
-    return CoefficientTable(bc, pair, values)
+    table = CoefficientTable(bc, pair, {})
+    table.values.update((k, complex(v[k])) for k in table.keys)
+    return table
 
 
 def _rel_residual(lhs: complex, rhs: complex) -> float:

@@ -187,10 +187,7 @@ def scaling_check(table: CoefficientTable, data: BoundaryPointData,
     return abs(scaled - factor * base) / abs(base)
 
 
-def flat_data(phi_jets=(1.0, 0.0, 0.0), rho_jets=(1.0, 0.0, 0.0),
-              SR: float = 0.0, E: float = 0.0,
-              weight: float = 1.0) -> BoundaryPointData:
-    """Boundary data of a flat 1-D endpoint."""
-    return BoundaryPointData(phi=tuple(complex(v) for v in phi_jets),
-                             rho=tuple(complex(v) for v in rho_jets),
-                             SR=SR, E=E, weight=weight)
+def flat_data(SR: float = 0.0) -> BoundaryPointData:
+    """Boundary data of a flat 1-D endpoint with unit data jets."""
+    unit = (1.0 + 0.0j, 0.0j, 0.0j)
+    return BoundaryPointData(phi=unit, rho=unit, SR=SR)

@@ -4,15 +4,18 @@ Three independent routes are provided: the half-line with image-method
 Gaussian kernels, the interval [0, pi] with sums over the Dirichlet or
 Robin eigenmodes of D = -d^2/dx^2 + c^2, and the circle with Fourier
 modes.  The boundary condition of the first two is one
-BoundaryConditionKind.  The half-line inner integrals F(d), H(s) take
-all nodes of one outer tanh-sinh level at once, as lanes: each node's
-range is split into the same number of padded slots, one batch of
-tanh-sinh or Gauss lanes each.  The interval moments int phi e^{inx},
-n = 1..N, use one node set per N, cached per (profile, N): 8-node Gauss
-cells on the lattice x = k pi/N, summed by one length-2N real FFT per
-Gauss offset, and the tanh-sinh head and tail grids plus the cells cut
-by a breakpoint, summed with their coarse-rule difference in one blocked
-complex matrix product.  apply_A / intertwine_residual realize the
+BoundaryConditionKind.  Each half-line outer integral is one
+tanh_sinh_lanes call whose lanes are its geometric Gaussian panels, and
+the inner integrals F(d), H(s) take all nodes of one outer level of
+every panel at once, as lanes: each node's range is split into the same
+number of padded slots, one batch of tanh-sinh or Gauss lanes each.
+The interval moments int phi e^{inx}, n = 1..N, use one node set per N,
+cached per (profile, N): 8-node Gauss cells on the lattice x = k pi/N,
+summed by one length-2N real FFT per Gauss offset, and the tanh-sinh
+head and tail grids plus the cells cut by a breakpoint, summed with
+their coarse-rule difference in one blocked complex matrix product.  The
+Robin zero-mode moment integrates the profile's pieces as one lanes
+call.  apply_A / intertwine_residual realize the
 first-order operators A = d/dx + c and A* = -d/dx + c that exchange the
 Dirichlet and Robin flows, giving a simulator-level consistency check on
 both realizations.
@@ -21,7 +24,7 @@ both realizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,8 +32,8 @@ import numpy as np
 from .coeff import BoundaryConditionKind
 from .errors import DomainError, RangeError, TruncationError
 from .profiles import IntertwinedFactor, SingularProfile
-from .quadrature import (gauss_legendre, gauss_rule, tanh_sinh,
-                         tanh_sinh_lanes, tanh_sinh_nodes)
+from .quadrature import (gauss_legendre, gauss_rule, tanh_sinh_lanes,
+                         tanh_sinh_nodes)
 
 #: kernel window: exp(-45^2/4) ~ 1e-220, far below any tolerance in use
 _WINDOW_SIGMAS = 45.0
@@ -57,8 +60,7 @@ def _robin_zero_norm(c: float) -> float:
 class HeatContentSamples:
     """beta(t) samples of one problem, serializable as t,beta,err CSV."""
 
-    problem: str
-    entries: list = field(default_factory=list)
+    entries: list
 
     def __post_init__(self):
         if not all(math.isfinite(v) for e in self.entries for v in e):
@@ -76,7 +78,7 @@ class HeatContentSamples:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv_text(cls, text: str, problem: str = "") -> "HeatContentSamples":
+    def from_csv_text(cls, text: str) -> "HeatContentSamples":
         lines = [ln for ln in text.strip().splitlines() if ln]
         if not lines or lines[0].strip() != "t,beta,err":
             raise RangeError("expected header 't,beta,err'")
@@ -87,7 +89,7 @@ class HeatContentSamples:
             except ValueError:
                 raise RangeError(f"malformed t,beta,err row {ln!r}") from None
             entries.append((t, beta, err))
-        return cls(problem=problem, entries=entries)
+        return cls(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +198,20 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
         return _endpoint_convolution(phi, rho, ss, inner_tol, inner_err) \
             * np.exp(-ss ** 2 / (4.0 * t))
 
-    def gaussian_edges(hi: float) -> list:
-        # geometric splits keep the Gaussian roll-off resolved per panel
+    def integrate(fn, hi: float) -> tuple:
+        # geometric panels keep the Gaussian roll-off resolved per panel;
+        # they are the lanes of one call, so one level of every panel
+        # shares one pass of the inner integrals
         edges = [0.0]
         e = 6.0 * math.sqrt(t)
         while e < hi:
             edges.append(e)
             e *= 2.0
         edges.append(hi)
-        return edges
-
-    def integrate(fn, hi: float) -> tuple:
-        total = e_tot = 0.0
-        edges = gaussian_edges(hi)
-        for a, b in zip(edges, edges[1:]):
-            val, e = tanh_sinh(fn, a, b, tol=tol, abs_tol=1e-3 * tol)
-            total += val
-            e_tot += e
-        return total, e_tot
+        vals, errs = tanh_sinh_lanes(
+            lambda x, rows: fn(x.ravel()).reshape(x.shape), edges[:-1],
+            edges[1:], tol=tol, abs_tol=1e-3 * tol)
+        return sum(vals.tolist()), sum(errs.tolist())
 
     beta = 0.0
     err = 0.0
@@ -358,12 +356,13 @@ def _exp_moment(profile: SingularProfile, c: float) -> tuple:
     rounding of the sum) and the rounding eps |c| b |value| of the
     exponent c x.
     """
+    a, b = np.array(profile.pieces()).T
+    vals, errs = tanh_sinh_lanes(lambda x, rows: profile(x) * np.exp(c * x),
+                                 a, b, abs_tol=1e-13)
     total = err = 0.0
-    for (a, b) in profile.pieces():
-        val, e = tanh_sinh(lambda x: profile(x) * np.exp(c * x), a, b,
-                           abs_tol=1e-13)
+    for val, e, hi in zip(vals.tolist(), errs.tolist(), b.tolist()):
         total += val
-        err += e + _EPS * abs(c) * b * abs(val)
+        err += e + _EPS * abs(c) * hi * abs(val)
     return total, err
 
 
@@ -463,21 +462,17 @@ def apply_A(profile: SingularProfile, c: float,
 
 
 def intertwine_residual(phi: SingularProfile, rho: SingularProfile,
-                        c: float, t: float, dt: float | None = None,
-                        dual: bool = False) -> float:
+                        c: float, t: float, dual: bool = False) -> float:
     """Relative defect of d/dt beta_R(phi, rho) = -beta_D(A* phi, A* rho).
 
     With dual=True the exchanged identity
     d/dt beta_D(phi, rho) = -beta_R(A phi, A rho) is tested instead.
-    The t-derivative is a central difference with step dt
-    (default min(1e-4, t/100)).
+    The t-derivative is a central difference with step
+    dt = min(1e-4, t/100).
     """
     if phi.real_alpha >= -1.0 or rho.real_alpha >= -1.0:
         raise DomainError("intertwining identity needs Re(alpha) < -1")
-    if dt is None:
-        dt = min(1e-4, t / 100.0)
-    if not 0.0 < dt < t:
-        raise DomainError("need 0 < dt < t")
+    dt = min(1e-4, t / 100.0)
     robin, dirichlet = (BoundaryConditionKind.ROBIN,
                         BoundaryConditionKind.DIRICHLET)
     flow, image = (dirichlet, robin) if dual else (robin, dirichlet)

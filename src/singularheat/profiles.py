@@ -73,8 +73,8 @@ class Polynomial(SmoothFunction):
         return math.inf
 
 
-def constant(value: float = 1.0) -> Polynomial:
-    return Polynomial((value,))
+def constant() -> Polynomial:
+    return Polynomial((1.0,))
 
 
 #: k-th u-derivative of the smoothstep ramp 1 - 10u^3 + 15u^4 - 6u^5, k <= 5

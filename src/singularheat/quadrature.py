@@ -8,8 +8,8 @@ endpoint so that points exponentially close to an endpoint keep full
 relative precision (essential when the singular endpoint is 0).
 
 tanh_sinh_lanes runs K integrals ("lanes") through one adaptive loop,
-one integrand call per level for all running lanes; tanh_sinh is its
-one-lane case.
+one integrand call per level for all running lanes, so a caller with a
+list of intervals integrates them all in one call.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ _H0 = 0.5
 _UMAX = 6.1          # (pi/2)*sinh(6.1) ~ 350: past this, weights underflow
 _WFRAC_MIN = 1e-250  # drop nodes whose weight fraction underflows
 _EPS = np.finfo(float).eps
+_MAX_LEVEL = 12      # finest refinement level: h = _H0 / 2**12
+_FAIL_FACTOR = 1e4   # a capped lane fails if its last move exceeds this * tol
 
 
 def _point(u: float) -> tuple[float, float]:
@@ -64,22 +66,24 @@ def _row_dots(vals, w):
     return (np.asarray(vals)[..., None, :] @ w[:, None])[..., 0, 0]
 
 
-def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, max_level: int = 12,
-                    fail_factor: float = 1e4, abs_tol: float = 0.0):
+def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, abs_tol: float = 0.0):
     """Adaptive tanh-sinh integration over K intervals [a_k, b_k] at once.
 
     f(x, rows) gets the nodes x, shape (len(rows), m), of the running
     lanes rows and returns real or complex values of that shape.  A lane
     stops at the first level >= 2 whose estimate moved by at most
     max(tol * |value|, abs_tol).  Returns (values, errors), arrays of
-    length K; a lane's error is that last move plus the rounding floor
-    eps * nodes * sum |w f| of its sum, so it stays above 0 once two
-    levels agree bitwise.  Raises QuadratureError on an empty interval,
-    or when a lane ends at the level cap with a move above
-    fail_factor * tol relative to its value (and above abs_tol).
+    length K; with K = 0 both are empty and f is never called.  A lane's
+    error is that last move plus the rounding floor eps * nodes *
+    sum |w f| of its sum, so it stays above 0 once two levels agree
+    bitwise.  Raises QuadratureError on an empty interval, or when a lane
+    ends at level _MAX_LEVEL with a move above _FAIL_FACTOR * tol
+    relative to its value (and above abs_tol).
     """
     a = np.atleast_1d(np.asarray(a, float))
     b = np.atleast_1d(np.asarray(b, float))
+    if a.size == 0:
+        return np.empty(0), np.empty(0)
     empty = np.flatnonzero(~(b > a))
     if empty.size:
         k = empty[0]
@@ -93,7 +97,7 @@ def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, max_level: int = 12,
     value = np.empty_like(total)
     error = np.empty(a.size)
     prev, err = None, np.full(a.size, math.inf)
-    for level in range(0, max_level + 1):
+    for level in range(0, _MAX_LEVEL + 1):
         deltas, wfracs = _level_points(level)
         if deltas.size:
             wd = width * deltas
@@ -119,7 +123,8 @@ def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, max_level: int = 12,
                     v[~done] for v in running]
         prev = cur
     scale = np.maximum(np.abs(prev), 1e-300)
-    bad = np.flatnonzero(err > np.maximum(fail_factor * tol * scale, abs_tol))
+    bad = np.flatnonzero(err > np.maximum(_FAIL_FACTOR * tol * scale,
+                                          abs_tol))
     if bad.size:
         k = bad[0]
         raise QuadratureError(
@@ -128,19 +133,6 @@ def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, max_level: int = 12,
     value[rows] = prev
     error[rows] = bound
     return value, error
-
-
-def tanh_sinh(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12,
-              fail_factor: float = 1e4, abs_tol: float = 0.0):
-    """(value, error_estimate) of f over [a, b]: one tanh_sinh_lanes lane.
-
-    f must accept a numpy array and return an array (real or complex).
-    abs_tol sets an absolute convergence floor for integrals that are
-    negligibly small in the caller's context.
-    """
-    value, error = tanh_sinh_lanes(lambda x, rows: np.asarray(f(x[0]))[None],
-                                   a, b, tol, max_level, fail_factor, abs_tol)
-    return value[0], error[0]
 
 
 @lru_cache(maxsize=32)

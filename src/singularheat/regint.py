@@ -21,7 +21,7 @@ from .coeff import DEFAULT_DELTA
 from .errors import DomainError, PoleError, RangeError
 from .profiles import (OperatorApplied, Product, SingularProfile,
                        SmoothFunction, taylor_jets)
-from .quadrature import segments, tanh_sinh
+from .quadrature import segments, tanh_sinh_lanes
 
 #: default subtraction margin: remainder exponent real part > -1 + margin
 _TOL = 1e-13
@@ -72,14 +72,14 @@ def default_regularization(integrand: SingularIntegrand) -> CollarRegularization
 
 
 def i_reg(integrand: SingularIntegrand,
-          reg: CollarRegularization | None = None,
-          delta: float = DEFAULT_DELTA) -> complex:
+          reg: CollarRegularization | None = None) -> complex:
     """Collar-regularized integral of x^(-sigma) smooth(x) over [0, L].
 
     For smooth parts with exact Taylor data on an initial plateau the
     collar piece is evaluated in closed form (no cancellation of
     smooth - Taylor at large Re(sigma)); otherwise the subtracted
-    remainder is integrated numerically.
+    remainder is integrated numerically.  A counterterm within
+    DEFAULT_DELTA of a pole raises PoleError.
     """
     if reg is None:
         reg = default_regularization(integrand)
@@ -98,7 +98,7 @@ def i_reg(integrand: SingularIntegrand,
     for j, h in enumerate(jets):
         if h == 0.0:
             continue
-        if abs(j + 1 - sigma) < delta:
+        if abs(j + 1 - sigma) < DEFAULT_DELTA:
             raise PoleError(
                 f"regularized integral has a pole at sigma = {j + 1}")
         total += h * eps ** (j + 1 - sigma) / (j + 1 - sigma)
@@ -111,7 +111,7 @@ def i_reg(integrand: SingularIntegrand,
         for j in range(k_sub, len(taylor)):
             if taylor[j] == 0.0:
                 continue
-            if abs(j + 1 - sigma) < delta:
+            if abs(j + 1 - sigma) < DEFAULT_DELTA:
                 raise PoleError(
                     f"regularized integral has a pole at sigma = {j + 1}")
             total += taylor[j] * r_exact ** (j + 1 - sigma) / (j + 1 - sigma)
@@ -124,21 +124,21 @@ def i_reg(integrand: SingularIntegrand,
             t = t + h * x ** complex(j)
         return x ** (-sigma) * (integrand.smooth(x) - t)
 
+    # the subtracted remainder on the rest of the collar, then the plain
+    # integrand away from it, each as one call with a lane per segment
     cuts = integrand.smooth.breakpoints
-    for a, b in segments(lo, eps, cuts):
-        val, _ = tanh_sinh(remainder, a, b, tol=_TOL, abs_tol=1e-16)
-        total += val
-
-    # region away from the collar: plain quadrature
-    for a, b in segments(eps, integrand.L, cuts):
-        val, _ = tanh_sinh(integrand, a, b, tol=_TOL, abs_tol=1e-16)
-        total += val
+    for fn, start, end in ((remainder, lo, eps),
+                           (integrand, eps, integrand.L)):
+        a, b = np.array(segments(start, end, cuts)).reshape(-1, 2).T
+        vals, _ = tanh_sinh_lanes(lambda x, rows: fn(x), a, b, tol=_TOL,
+                                  abs_tol=1e-16)
+        for val in vals.tolist():
+            total += val
     return total
 
 
 def interior_coefficients(phi: SingularProfile, rho: SingularProfile,
-                          c: float = 0.0, n_max: int = 2,
-                          reg: CollarRegularization | None = None) -> list:
+                          c: float = 0.0, n_max: int = 2) -> list:
     """beta_n = (-1)^n / n! * i_reg(D^n phi * rho) for D = -d^2/dx^2 + c^2.
 
     D^n phi is formed symbolically on the (exponent, smooth factor)
@@ -158,7 +158,7 @@ def interior_coefficients(phi: SingularProfile, rho: SingularProfile,
         # an overflow (inf, nan or OverflowError) is rejected, not returned
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                val = i_reg(integrand, reg)
+                val = i_reg(integrand)
             except OverflowError:
                 val = math.inf
         if not cmath.isfinite(val):

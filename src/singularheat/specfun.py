@@ -43,11 +43,11 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
 
-def _near_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
-    if abs(z.imag) > tol:
+def _near_nonpositive_integer(z: complex) -> bool:
+    if abs(z.imag) > POLE_TOL:
         return False
     n = round(z.real)
-    return n <= 0 and abs(z.real - n) <= tol
+    return n <= 0 and abs(z.real - n) <= POLE_TOL
 
 
 def _log_gamma_right(z: complex) -> complex:

@@ -115,8 +115,7 @@ def test_end_to_end_robin_coefficient_recovery():
     entries = [(float(t),) + interval_heat_content(phi, rho, R, c, float(t))
                for t in ts]
 
-    samples = HeatContentSamples(
-        "robin", [e for e in entries if e[0] >= 1e-6])
+    samples = HeatContentSamples([e for e in entries if e[0] >= 1e-6])
     model = fit(samples, (0.3, 0.4), j_max=3, known_interior=known)
     # data vanishes away from x = 0, so only that endpoint contributes;
     # its inward Robin parameter is -c

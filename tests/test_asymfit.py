@@ -19,8 +19,7 @@ TS = np.geomspace(1e-6, 1e-2, 40)
 
 
 def _samples(ts, f):
-    return HeatContentSamples("synthetic",
-                              [(float(t), float(f(t)), 0.0) for t in ts])
+    return HeatContentSamples([(float(t), float(f(t)), 0.0) for t in ts])
 
 
 def test_synthetic_exact_recovery():
@@ -53,7 +52,7 @@ def test_classical_halfpower_coefficient():
     for t in np.geomspace(1e-5, 1e-3, 25):
         b, e = interval_heat_content(one, one, D, 0.0, float(t))
         entries.append((float(t), b, e))
-    s = HeatContentSamples("interval-dirichlet-classical", entries)
+    s = HeatContentSamples(entries)
     m = fit(s, (0.0, 0.0), j_max=0, known_interior=[math.pi])
     assert m.coefficients[0] == pytest.approx(-4.0 / math.sqrt(math.pi),
                                               abs=1e-6)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from singularheat import coeff
 from singularheat.coeff import (BoundaryConditionKind, DEFAULT_DELTA,
                                 ExponentPair, build_table,
                                 closed_form_crosscheck, recursion_check)
@@ -100,6 +101,25 @@ def test_crosscheck_random_sweep():
         pair = _random_pair(rng)
         for name, r in closed_form_crosscheck(pair).items():
             assert r <= 1e-10, f"{name} residual {r} at {pair}"
+
+
+def test_build_table_evaluates_each_shifted_base_once(monkeypatch):
+    # six shifted pairs eps0..eps14, each read back wherever eps5, eps8
+    # and eps16 need it; Robin adds two per eps15-type combination (three
+    # of them) and the two Dirichlet-sign terms of eps16
+    calls = []
+    base = coeff._base_eps
+
+    def counted(*args):
+        calls.append(args)
+        return base(*args)
+
+    monkeypatch.setattr(coeff, "_base_eps", counted)
+    pair = ExponentPair(0.3 + 0.1j, -0.45)
+    for bc, want in ((R, 14), (D, 6)):
+        calls.clear()
+        build_table(bc, pair)
+        assert len(calls) == want, bc
 
 
 def test_table_identities():

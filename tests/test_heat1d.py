@@ -19,7 +19,7 @@ from singularheat.heat1d import (_EPS, HeatContentSamples, _TINY,
 from singularheat.profiles import (FromCallable, PlateauCutoff, Product,
                                    SingularProfile, constant,
                                    plateau_profile, taylor_jets)
-from singularheat.quadrature import gauss_legendre, tanh_sinh
+from singularheat.quadrature import gauss_legendre, tanh_sinh_lanes
 
 D = BoundaryConditionKind.DIRICHLET
 R = BoundaryConditionKind.ROBIN
@@ -120,7 +120,7 @@ def test_halfline_profile_calls_are_batched(monkeypatch):
     phi = plateau_profile(0.3, 4.0, 0.5)
     rho = plateau_profile(0.4, 4.0, 0.5)
     halfline_heat_content(phi, rho, D, 1e-6)
-    assert 0 < calls[0] <= 2000
+    assert 0 < calls[0] <= 400
 
 
 def test_halfline_neumann_total_mass_limit():
@@ -128,7 +128,8 @@ def test_halfline_neumann_total_mass_limit():
     # from where the reflected mass is retained.
     phi = plateau_profile(0.0, 4.0, 1.0)
     bn, _ = halfline_heat_content(phi, phi, N, 1e-4)
-    exact = tanh_sinh(lambda x: phi(x) ** 2, 0.0, 1.0, tol=1e-12)[0]
+    (exact,), _ = tanh_sinh_lanes(lambda x, rows: phi(x) ** 2, 0.0, 1.0,
+                                  tol=1e-12)
     assert bn == pytest.approx(exact, rel=1e-3)
 
 
@@ -137,7 +138,8 @@ def test_kernel_neumann_conserves_mass():
     # [0, 4], beta_N(t) = int phi once the data stays clear of x = 4
     phi = plateau_profile(0.3, 4.0, 0.5)
     one = SingularProfile(0.0, constant(), 4.0)
-    mass = sum(tanh_sinh(phi, a, b, tol=1e-13)[0] for a, b in phi.pieces())
+    mass = sum(tanh_sinh_lanes(lambda x, rows: phi(x), a, b, tol=1e-13)[0][0]
+               for a, b in phi.pieces())
     for t in (1e-4, 1e-2):
         bn, en = halfline_heat_content(phi, one, N, t)
         assert abs(bn - mass) <= en, t
@@ -446,23 +448,20 @@ def test_apply_a_matches_direct_derivative():
 
 def test_intertwine_residual_robin():
     phi = _cubic_halfpower_profile()
-    r = intertwine_residual(phi, phi, 0.5, 0.05, 1e-4)
+    r = intertwine_residual(phi, phi, 0.5, 0.05)
     assert r < 1e-6
 
 
 def test_intertwine_residual_dual():
     phi = _cubic_halfpower_profile()
-    r = intertwine_residual(phi, phi, 0.5, 0.05, 1e-4, dual=True)
+    r = intertwine_residual(phi, phi, 0.5, 0.05, dual=True)
     assert r < 1e-6
 
 
 def test_intertwine_guards():
-    phi = _cubic_halfpower_profile()
     shallow = plateau_profile(-0.5, math.pi, 0.5)
     with pytest.raises(DomainError):
         intertwine_residual(shallow, shallow, 0.5, 0.05)
-    with pytest.raises(DomainError):
-        intertwine_residual(phi, phi, 0.5, 0.05, dt=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -494,23 +493,22 @@ def test_circle_constant_and_orthogonality():
 # samples container
 
 def test_samples_csv_round_trip():
-    s = HeatContentSamples("interval-dirichlet",
-                           [(1e-3, 3.01, 1e-12), (1e-2, 2.7, 2e-12)])
+    s = HeatContentSamples([(1e-3, 3.01, 1e-12), (1e-2, 2.7, 2e-12)])
     text = s.to_csv_text()
     assert text.splitlines()[0] == "t,beta,err"
-    back = HeatContentSamples.from_csv_text(text, problem=s.problem)
+    back = HeatContentSamples.from_csv_text(text)
     assert back.entries == s.entries
 
 
 def test_samples_validation():
     with pytest.raises(RangeError):
-        HeatContentSamples("p", [(0.01, 1.0, 0.0), (0.001, 1.0, 0.0)])
+        HeatContentSamples([(0.01, 1.0, 0.0), (0.001, 1.0, 0.0)])
     with pytest.raises(RangeError):
-        HeatContentSamples("p", [(-1.0, 1.0, 0.0)])
+        HeatContentSamples([(-1.0, 1.0, 0.0)])
     # NaN compares false against both the ordering and the err >= 0 checks
     for row in ((math.nan, 1.0, 0.0), (0.1, math.nan, 0.0),
                 (0.1, 1.0, math.nan), (0.1, 1.0, math.inf)):
         with pytest.raises(RangeError):
-            HeatContentSamples("p", [(0.001, 1.0, 0.0), row])
+            HeatContentSamples([(0.001, 1.0, 0.0), row])
     with pytest.raises(RangeError):
         HeatContentSamples.from_csv_text("time,beta\n1,2\n")

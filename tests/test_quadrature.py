@@ -7,36 +7,37 @@ import numpy as np
 import pytest
 
 from singularheat.errors import QuadratureError
-from singularheat.quadrature import (gauss_legendre, tanh_sinh,
-                                    tanh_sinh_lanes, tanh_sinh_nodes)
+from singularheat.quadrature import (gauss_legendre, tanh_sinh_lanes,
+                                    tanh_sinh_nodes)
 
 
 def test_power_singularity_left_endpoint():
-    val, err = tanh_sinh(lambda x: x ** -0.9, 0.0, 1.0)
+    (val,), (err,) = tanh_sinh_lanes(lambda x, rows: x ** -0.9, 0.0, 1.0)
     assert val == pytest.approx(10.0, rel=1e-12)
     assert err < 1e-8
 
 
 def test_complex_exponent():
     alpha = 0.3 - 0.2j
-    val, _ = tanh_sinh(lambda x: x ** -alpha, 0.0, 1.0)
+    (val,), _ = tanh_sinh_lanes(lambda x, rows: x ** -alpha, 0.0, 1.0)
     assert val == pytest.approx(1.0 / (1.0 - alpha), rel=1e-12)
 
 
 def test_log_singularity():
-    val, _ = tanh_sinh(np.log, 0.0, 1.0)
+    (val,), _ = tanh_sinh_lanes(lambda x, rows: np.log(x), 0.0, 1.0)
     assert val == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_both_endpoints_singular_by_splitting():
     # full precision is kept at the left endpoint, so integrands singular
     # at both ends are split so each half is singular at its left end only
-    half, _ = tanh_sinh(lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 0.5)
+    (half,), _ = tanh_sinh_lanes(
+        lambda x, rows: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 0.5)
     assert 2.0 * half == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_shifted_interval():
-    val, _ = tanh_sinh(lambda x: np.exp(-x), 2.0, 5.0)
+    (val,), _ = tanh_sinh_lanes(lambda x, rows: np.exp(-x), 2.0, 5.0)
     assert val == pytest.approx(math.exp(-2) - math.exp(-5), rel=1e-12)
 
 
@@ -48,24 +49,25 @@ def test_err_bounds_smooth_integrals():
         cases = ((lambda x: np.exp(-x), 1 - mpmath.exp(-mpmath.pi)),
                  (lambda x: np.exp(2 * x), (mpmath.exp(2 * mpmath.pi) - 1) / 2))
         for f, exact in cases:
-            val, err = tanh_sinh(f, 0.0, math.pi)
+            (val,), (err,) = tanh_sinh_lanes(lambda x, rows: f(x), 0.0,
+                                             math.pi)
             assert abs(val - exact) <= err, (val, err)
             assert err <= 1e-12 * abs(val)
 
 
 def test_rejects_empty_interval():
     with pytest.raises(QuadratureError):
-        tanh_sinh(lambda x: x, 1.0, 1.0)
+        tanh_sinh_lanes(lambda x, rows: x, 1.0, 1.0)
 
 
 def test_rejects_divergent_integrand():
     with pytest.raises(QuadratureError):
-        tanh_sinh(lambda x: 1.0 / x, 0.0, 1.0, tol=1e-12, max_level=8)
+        tanh_sinh_lanes(lambda x, rows: 1.0 / x, 0.0, 1.0, tol=1e-12)
 
 
 def test_fixed_grid_matches_adaptive():
     f = lambda x: x ** -0.7 * np.cos(x)
-    want, _ = tanh_sinh(f, 0.0, 2.0)
+    (want,), _ = tanh_sinh_lanes(lambda x, rows: f(x), 0.0, 2.0)
     x, w, w_coarse = tanh_sinh_nodes(0.0, 2.0, level=7)
     fine = np.dot(w, f(x))
     coarse = np.dot(w_coarse, f(x))
@@ -109,8 +111,8 @@ def test_lanes_match_one_lane_calls():
     assert val.shape == err.shape == (K,)
     assert running[0] == K and len(set(running)) > 2  # lanes retire early
     for k in range(K):
-        want, want_err = tanh_sinh(
-            lambda x: x ** -alpha[k] / (eps[k] ** 2 + (x - 0.3) ** 2),
+        (want,), (want_err,) = tanh_sinh_lanes(
+            lambda x, rows: x ** -alpha[k] / (eps[k] ** 2 + (x - 0.3) ** 2),
             a[k], b[k])
         assert val[k] == want and err[k] == want_err, k
 
@@ -128,7 +130,7 @@ def test_lanes_reject_divergent_lane():
     p = np.array([-0.5, -1.0, 0.3])  # the 1/x lane diverges
     with pytest.raises(QuadratureError):
         tanh_sinh_lanes(lambda x, rows: x ** p[rows, None], np.zeros(3),
-                        np.ones(3), tol=1e-12, max_level=8)
+                        np.ones(3), tol=1e-12)
 
 
 def test_lanes_reject_empty_interval():
@@ -136,6 +138,14 @@ def test_lanes_reject_empty_interval():
     for b in ([0.0, 2.0, 3.0], [1.0, 1.0, 3.0], [1.0, 2.0, -1.0]):
         with pytest.raises(QuadratureError):
             tanh_sinh_lanes(lambda x, rows: x, a, np.array(b))
+
+
+def test_lanes_zero_lanes_return_empty():
+    def never(x, rows):
+        raise AssertionError("integrand called with no lanes")
+
+    val, err = tanh_sinh_lanes(never, np.empty(0), np.empty(0))
+    assert val.shape == err.shape == (0,)
 
 
 def test_gauss_legendre_lanes_match_single_panels():

@@ -8,7 +8,7 @@ from singularheat.errors import DomainError, PoleError, RangeError
 from singularheat.profiles import (OperatorApplied, PlateauCutoff, Polynomial,
                                    Product, SingularProfile, constant,
                                    plateau_profile)
-from singularheat.quadrature import tanh_sinh
+from singularheat.quadrature import tanh_sinh_lanes
 from singularheat.regint import (CollarRegularization, SingularIntegrand,
                                  default_regularization, i_reg,
                                  interior_coefficients)
@@ -31,7 +31,8 @@ def test_smooth_integrand_is_plain_integral():
     # negative effective exponent: x^{0.5} * chi, compare direct quadrature
     p = plateau_profile(-0.25, math.pi, 1.0)
     ig2 = _integrand(p, p)
-    direct = sum(tanh_sinh(lambda x: p(x) ** 2, a, b, tol=1e-13)[0]
+    direct = sum(tanh_sinh_lanes(lambda x, rows: p(x) ** 2, a, b,
+                                 tol=1e-13)[0][0]
                  for a, b in ((0.0, 0.5), (0.5, 1.0)))
     assert complex(i_reg(ig2)).real == pytest.approx(direct, rel=1e-12)
 
@@ -51,7 +52,8 @@ def test_agreement_with_direct_quadrature_when_convergent():
     p1 = plateau_profile(0.3, math.pi, 1.0)
     p2 = plateau_profile(0.4, math.pi, 1.0)
     ig = _integrand(p1, p2)
-    direct = sum(tanh_sinh(lambda x: p1(x) * p2(x), a, b, tol=1e-13)[0]
+    direct = sum(tanh_sinh_lanes(lambda x, rows: p1(x) * p2(x), a, b,
+                                 tol=1e-13)[0][0]
                  for a, b in ((0.0, 0.5), (0.5, 1.0)))
     assert complex(i_reg(ig)).real == pytest.approx(direct, rel=1e-11)
 
@@ -136,12 +138,18 @@ def test_interior_coefficients_n0_is_i_reg():
 
 
 def test_interior_coefficients_collar_independent():
+    # the integrands D^n phi * rho of beta_0..beta_2, c = 0.5, built as
+    # interior_coefficients builds them
     p1 = plateau_profile(0.3, math.pi, 1.0)
     p2 = plateau_profile(0.4, math.pi, 1.0)
-    a = interior_coefficients(p1, p2, 0.5, 2, CollarRegularization(0.1, 6))
-    b = interior_coefficients(p1, p2, 0.5, 2, CollarRegularization(0.4, 6))
-    for x, y in zip(a, b):
-        assert complex(x) == pytest.approx(complex(y), rel=1e-10)
+    a, smooth = 0.3, p1.smooth
+    for n in range(3):
+        ig = SingularIntegrand(a + 0.4, Product(smooth, p2.smooth), math.pi)
+        x = i_reg(ig, CollarRegularization(0.1, 6))
+        y = i_reg(ig, CollarRegularization(0.4, 6))
+        assert complex(x) == pytest.approx(complex(y), rel=1e-10), n
+        smooth = OperatorApplied(smooth, a, 0.25)
+        a += 2.0
 
 
 @pytest.mark.parametrize("a1, a2, c", [(0.3, 0.4, 0.5), (0.25, 0.45, 0.0),
