@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +32,8 @@ class AsymptoticModel:
 
     exponents: list
     coefficients: list
-    fit_residual: float = 0.0
-    condition_estimate: float = 1.0
-
-    def __post_init__(self):
-        if len(self.exponents) != len(self.coefficients):
-            raise RangeError("exponent and coefficient lists must align")
-        gaps = np.diff(np.asarray(self.exponents, float))
-        if np.any(gaps < GAP_MIN):
-            raise RangeError(
-                f"exponents must increase with gaps >= {GAP_MIN}")
+    fit_residual: float
+    condition_estimate: float
 
     def to_json(self) -> str:
         return json.dumps({

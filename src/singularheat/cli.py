@@ -30,8 +30,7 @@ from .heat1d import (HeatContentSamples, circle_heat_content,
                      interval_heat_content)
 from .profiles import (FromCallable, SingularProfile, check_integrable,
                        constant, plateau_profile)
-from .regint import (CollarRegularization, SingularIntegrand, i_reg,
-                     interior_coefficients)
+from .regint import SingularIntegrand, i_reg, interior_coefficients
 
 DEFAULT_SEED = 3141592653
 
@@ -325,7 +324,7 @@ def _suite_scaling(seed: int) -> dict:
 def _suite_regint(seed: int) -> dict:
     from .profiles import PlateauCutoff
     ig = SingularIntegrand(1.4, PlateauCutoff(1.0), math.pi)
-    vals = [complex(i_reg(ig, CollarRegularization(wd, 2))).real
+    vals = [complex(i_reg(ig, wd)).real
             for wd in (0.1, 0.4)]
     collar = abs(vals[0] - vals[1]) / max(abs(vals[0]), 1e-300)
     probe = 0.0

@@ -40,14 +40,13 @@ class ExponentPair:
     """Admissible pair of singularity exponents (alpha1, alpha2).
 
     Requires Re(alpha1) < 1, Re(alpha2) < 1, and alpha1 + alpha2 further
-    than delta from every integer.  Integer-shifted pairs keep the same
+    than DEFAULT_DELTA from every integer.  Integer-shifted pairs keep the same
     fractional part of the sum, so shifts in the table construction stay
     admissible automatically.
     """
 
     alpha1: complex
     alpha2: complex
-    delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
         a1, a2 = complex(self.alpha1), complex(self.alpha2)
@@ -56,13 +55,11 @@ class ExponentPair:
         if a1.real >= 1.0 or a2.real >= 1.0:
             raise AdmissibilityError(
                 f"need Re(alpha1) < 1 and Re(alpha2) < 1, got {a1}, {a2}")
-        if self.delta <= 0:
-            raise AdmissibilityError("delta must be positive")
-        if _integer_distance(a1 + a2) <= self.delta:
+        if _integer_distance(a1 + a2) <= DEFAULT_DELTA:
             raise AdmissibilityError(
-                f"alpha1 + alpha2 = {a1 + a2} is within {self.delta} of an integer")
+                f"alpha1 + alpha2 = {a1 + a2} is within {DEFAULT_DELTA} of an integer")
 
-def _base_eps(sign: int, a1: complex, a2: complex, delta: float) -> complex:
+def _base_eps(sign: int, a1: complex, a2: complex) -> complex:
     """Closed form for the order-0 coefficient at an arbitrary pair.
 
     Only the integer-distance guard on a1 + a2 applies here; this private
@@ -70,9 +67,9 @@ def _base_eps(sign: int, a1: complex, a2: complex, delta: float) -> complex:
     public admissibility constraint Re < 1 does not hold.
     """
     sigma = a1 + a2
-    if _integer_distance(sigma) <= delta:
+    if _integer_distance(sigma) <= DEFAULT_DELTA:
         raise AdmissibilityError(
-            f"alpha1 + alpha2 = {sigma} is within {delta} of an integer")
+            f"alpha1 + alpha2 = {sigma} is within {DEFAULT_DELTA} of an integer")
     pref = cmath.exp(-sigma * math.log(2.0)) / _SQRT_PI
     half = 0.5 * (2.0 - sigma)
     term1 = sign * gamma_ratio([half, 1.0 - a1, 1.0 - a2], [2.0 - sigma])
@@ -110,7 +107,7 @@ class CoefficientTable:
             "bc": self.bc.value,
             "alpha1": _c2j(self.pair.alpha1),
             "alpha2": _c2j(self.pair.alpha2),
-            "delta": self.pair.delta,
+            "delta": DEFAULT_DELTA,
         }
         for key in self.keys:
             out[key] = _c2j(self.values[key])
@@ -121,21 +118,20 @@ def _c2j(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def _eps15_raw(a1: complex, a2: complex, delta: float) -> complex:
+def _eps15_raw(a1: complex, a2: complex) -> complex:
     sigma = a1 + a2
-    return (2.0 / (2.0 - sigma)) * (a2 * _base_eps(-1, a1, a2 + 1.0, delta)
-                                    + a1 * _base_eps(-1, a1 + 1.0, a2, delta))
+    return (2.0 / (2.0 - sigma)) * (a2 * _base_eps(-1, a1, a2 + 1.0)
+                                    + a1 * _base_eps(-1, a1 + 1.0, a2))
 
 
 def build_table(bc: BoundaryConditionKind, pair: ExponentPair) -> CoefficientTable:
     """Assemble the full coefficient table at an admissible pair."""
     a1, a2 = complex(pair.alpha1), complex(pair.alpha2)
-    d = pair.delta
     sign = bc.sign
     sigma = a1 + a2
 
     def eps(b1: complex, b2: complex, s: int = sign) -> complex:
-        return _base_eps(s, b1, b2, d)
+        return _base_eps(s, b1, b2)
 
     v: dict[str, complex] = {}
     v["eps0"] = eps(a1, a2)
@@ -149,14 +145,14 @@ def build_table(bc: BoundaryConditionKind, pair: ExponentPair) -> CoefficientTab
     v["eps13"] = 0.0 + 0.0j
 
     if bc is BoundaryConditionKind.ROBIN:
-        v["eps15"] = _eps15_raw(a1, a2, d)
-        v["eps17"] = _eps15_raw(a1 - 1, a2, d)
-        v["eps18"] = _eps15_raw(a1, a2 - 1, d)
+        v["eps15"] = _eps15_raw(a1, a2)
+        v["eps17"] = _eps15_raw(a1 - 1, a2)
+        v["eps18"] = _eps15_raw(a1, a2 - 1)
         v["eps2"] = -0.5 * v["eps1"] - 0.5 * v["eps3"] + 0.5 * v["eps15"]
         v["eps5"] = -0.5 * v["eps4"] - 0.5 * v["eps14"] + 0.5 * v["eps17"]
         v["eps8"] = -0.5 * v["eps14"] - 0.5 * v["eps7"] + 0.5 * v["eps18"]
         v["eps16"] = (-2.0 / (3.0 - sigma)) * eps(a1, a2, -1) \
-            + (2.0 * a1 * a2 / (3.0 - sigma)) * _base_eps(-1, a1 + 1, a2 + 1, d) \
+            + (2.0 * a1 * a2 / (3.0 - sigma)) * _base_eps(-1, a1 + 1, a2 + 1) \
             + v["eps0"]
         v["eps19"] = v["eps16"] - 0.5 * v["eps17"] - 0.5 * v["eps18"]
     else:
@@ -189,20 +185,19 @@ def recursion_check(bc: BoundaryConditionKind, pair: ExponentPair) -> dict:
     'swap' (both exponents down by 1, boundary condition swapped).
     """
     a1, a2 = complex(pair.alpha1), complex(pair.alpha2)
-    d = pair.delta
     sigma = a1 + a2
-    e = _base_eps(bc.sign, a1, a2, d)
+    e = _base_eps(bc.sign, a1, a2)
     other = -bc.sign
     out = {}
     out["shift1"] = _rel_residual(
-        _base_eps(bc.sign, a1 - 2, a2, d),
+        _base_eps(bc.sign, a1 - 2, a2),
         2.0 * (a1 - 2.0) * (a1 - 1.0) / (3.0 - sigma) * e)
     out["shift2"] = _rel_residual(
-        _base_eps(bc.sign, a1, a2 - 2, d),
+        _base_eps(bc.sign, a1, a2 - 2),
         2.0 * (a2 - 2.0) * (a2 - 1.0) / (3.0 - sigma) * e)
     out["swap"] = _rel_residual(
-        _base_eps(bc.sign, a1 - 1, a2 - 1, d),
-        -2.0 * (a1 - 1.0) * (a2 - 1.0) / (3.0 - sigma) * _base_eps(other, a1, a2, d))
+        _base_eps(bc.sign, a1 - 1, a2 - 1),
+        -2.0 * (a1 - 1.0) * (a2 - 1.0) / (3.0 - sigma) * _base_eps(other, a1, a2))
     return out
 
 
@@ -219,7 +214,7 @@ def closed_form_crosscheck(pair: ExponentPair) -> dict:
     sigma = a1 + a2
     table = build_table(BoundaryConditionKind.ROBIN, pair)
     e_r = table["eps0"]
-    e_d = _base_eps(-1, a1, a2, pair.delta)
+    e_d = _base_eps(-1, a1, a2)
     quad = a1 * a1 - 2 * a1 + a2 * a2 - 2 * a2 + 1
     refs = {
         "eps9": -0.5 * quad / (3.0 - sigma) * e_r,
@@ -228,7 +223,7 @@ def closed_form_crosscheck(pair: ExponentPair) -> dict:
         - a1 * a2 / (2.0 * (3.0 - sigma)) * e_d,
         "eps19": sigma / (3.0 - sigma) * (e_r - e_d),
     }
-    if abs(a1 - 1.0) > pair.delta and abs(a2 - 1.0) > pair.delta:
-        refs["eps16"] = _base_eps(1, a1 - 1, a2 - 1, pair.delta) \
+    if abs(a1 - 1.0) > DEFAULT_DELTA and abs(a2 - 1.0) > DEFAULT_DELTA:
+        refs["eps16"] = _base_eps(1, a1 - 1, a2 - 1) \
             / ((a1 - 1.0) * (a2 - 1.0)) + 2.0 / (3.0 - sigma) * e_r
     return {key: _rel_residual(table[key], ref) for key, ref in refs.items()}

@@ -72,26 +72,20 @@ class WarpedProfile:
 
 
 def modified_taylor_jets(smooth: SmoothFunction, omega_m: float,
-                         order: int = 2, side: JetSide = JetSide.TEMPERATURE,
+                         side: JetSide = JetSide.TEMPERATURE,
                          omega_m_derivative: float = 0.0) -> list:
-    """Modified Taylor jets (1/l!) (covariant d/dr)^l smooth at r = 0.
+    """Modified Taylor jets (1/l!) (covariant d/dr)^l smooth at r = 0, l <= 2.
 
     The covariant derivative acts as d/dr + omega_m on the temperature
     side and d/dr - omega_m on the dual side, with omega_m(r) modelled
     linearly through omega_m_derivative.  The smooth factor's Taylor
     coefficients at 0 come from its exact derivatives pass.
     """
-    if order not in (0, 1, 2):
-        raise RangeError("order must be 0, 1, or 2")
     sgn = 1.0 if side is JetSide.TEMPERATURE else -1.0
     w, wp = sgn * omega_m, sgn * omega_m_derivative
-    t = taylor_jets(smooth, order)
-    jets = [t[0]]
-    if order >= 1:
-        jets.append(t[1] + w * t[0])
-    if order >= 2:
-        jets.append(t[2] + w * t[1] + 0.5 * (wp + w * w) * t[0])
-    return jets
+    t = taylor_jets(smooth, 2)
+    return [t[0], t[1] + w * t[0],
+            t[2] + w * t[1] + 0.5 * (wp + w * w) * t[0]]
 
 
 def warped_invariants(w: WarpedProfile, a: ExponentPair) -> BoundaryPointData:
@@ -105,9 +99,9 @@ def warped_invariants(w: WarpedProfile, a: ExponentPair) -> BoundaryPointData:
     G = float(sum(w.fsecond))
     sum_sq = float(sum(v * v for v in w.fprime))
     rho_smooth = Polynomial((1.0, -F, 0.5 * (F * F - G)))
-    phi_jets = modified_taylor_jets(constant(), -0.5 * F, 2,
+    phi_jets = modified_taylor_jets(constant(), -0.5 * F,
                                     JetSide.TEMPERATURE, -0.5 * G)
-    rho_jets = modified_taylor_jets(rho_smooth, -0.5 * F, 2,
+    rho_jets = modified_taylor_jets(rho_smooth, -0.5 * F,
                                     JetSide.DUAL, -0.5 * G)
     return BoundaryPointData(
         phi=tuple(phi_jets), rho=tuple(rho_jets),

@@ -180,7 +180,7 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_legendre(f, a, b, n: int = 80):
+def gauss_legendre(f, a, b, n: int):
     """Fixed-order Gauss-Legendre panel for smooth integrands; for
     arrays a, b of K lanes, f gets nodes of shape (K, n)."""
     nodes, weights = gauss_rule(n)

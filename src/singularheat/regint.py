@@ -1,12 +1,14 @@
 """Regularized interior integrals and the interior expansion coefficients.
 
 The interior integrand x^(-sigma) * smooth(x) is generally divergent at
-x = 0 once Re(sigma) >= 1.  The regularized value subtracts the first K
-modified-Taylor terms h_j x^(j - sigma) of the integrand inside a collar
-[0, eps] and adds the closed-form counterterms
-h_j eps^(j + 1 - sigma) / (j + 1 - sigma); the result is independent of
-the collar width, has simple poles at sigma in {1, ..., K}, and reduces
-to the plain integral whenever that converges.
+x = 0 once Re(sigma) >= 1.  Its regularized value is the Hadamard finite
+part (Gel'fand & Shilov, Generalized Functions I, sec. I.3).  On a collar
+[0, eps] where smooth equals its exact Taylor polynomial sum_j s_j x^j,
+the collar piece is the closed form
+sum_j s_j eps^(j + 1 - sigma) / (j + 1 - sigma); the rest [eps, L] is
+integrated numerically.  The result is independent of eps, has a simple
+pole at each sigma = j + 1 with s_j != 0, and reduces to the plain
+integral whenever that converges.
 """
 
 from __future__ import annotations
@@ -20,25 +22,11 @@ import numpy as np
 from .coeff import DEFAULT_DELTA
 from .errors import DomainError, PoleError, RangeError
 from .profiles import (OperatorApplied, Product, SingularProfile,
-                       SmoothFunction, taylor_jets)
+                       SmoothFunction)
 from .quadrature import segments, tanh_sinh_lanes
 
-#: default subtraction margin: remainder exponent real part > -1 + margin
+#: relative tolerance of the quadrature on [eps, L]
 _TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class CollarRegularization:
-    """Collar width and number of modified-Taylor counterterms."""
-
-    collar_width: float
-    subtraction_order: int
-
-    def __post_init__(self):
-        if self.collar_width <= 0:
-            raise DomainError("collar width must be positive")
-        if self.subtraction_order < 1:
-            raise DomainError("need at least one counterterm")
 
 
 @dataclass(frozen=True)
@@ -58,82 +46,39 @@ class SingularIntegrand:
         x = np.asarray(x, float)
         return x ** (-self.sigma) * self.smooth(x)
 
-    def jets(self, order: int) -> list:
-        """h_j = smooth^(j)(0) / j! for j = 0..order."""
-        return taylor_jets(self.smooth, order)
 
+def i_reg(integrand: SingularIntegrand, collar: float | None = None) -> complex:
+    """Finite part of the integral of x^(-sigma) smooth(x) over [0, L].
 
-def default_regularization(integrand: SingularIntegrand) -> CollarRegularization:
-    """Smallest K giving an integrable remainder, collar inside the plateau."""
-    k = max(1, math.ceil(integrand.sigma.real) + 1)
-    r = integrand.smooth.taylor_radius()
-    eps = min(0.5 * r if r > 0 else 0.25 * integrand.L, integrand.L)
-    return CollarRegularization(eps, k)
-
-
-def i_reg(integrand: SingularIntegrand,
-          reg: CollarRegularization | None = None) -> complex:
-    """Collar-regularized integral of x^(-sigma) smooth(x) over [0, L].
-
-    For smooth parts with exact Taylor data on an initial plateau the
-    collar piece is evaluated in closed form (no cancellation of
-    smooth - Taylor at large Re(sigma)); otherwise the subtracted
-    remainder is integrated numerically.  A counterterm within
-    DEFAULT_DELTA of a pole raises PoleError.
+    The collar width eps (default half the Taylor radius, at most L) must
+    lie in (0, taylor_radius], where taylor0() is exact; otherwise, or
+    without exact Taylor data, DomainError is raised.  A closed-form term
+    within DEFAULT_DELTA of a pole raises PoleError.
     """
-    if reg is None:
-        reg = default_regularization(integrand)
-    sigma = integrand.sigma
-    k_sub = reg.subtraction_order
-    if k_sub - sigma.real <= -1.0:
-        # remainder exponent K - sigma must stay absolutely integrable
-        raise DomainError(
-            f"subtraction order {k_sub} too small for sigma = {sigma}")
-    eps = min(reg.collar_width, integrand.L)
-    jets = integrand.jets(k_sub - 1)
+    sigma, smooth = integrand.sigma, integrand.smooth
+    taylor, radius = smooth.taylor0(), smooth.taylor_radius()
+    eps = min(0.5 * radius if collar is None else collar, integrand.L)
+    if taylor is None or not 0.0 < eps <= radius:
+        raise DomainError("need exact Taylor data on the collar [0, eps]")
 
     total = 0.0 + 0.0j
-    # counterterms at the singular endpoint; a vanishing jet contributes
-    # nothing and carries no pole (e.g. D phi = 0 for constant data)
-    for j, h in enumerate(jets):
-        if h == 0.0:
+    # a vanishing coefficient contributes nothing and carries no pole
+    # (e.g. D phi = 0 for constant data)
+    for j, s in enumerate(taylor):
+        if s == 0.0:
             continue
         if abs(j + 1 - sigma) < DEFAULT_DELTA:
             raise PoleError(
                 f"regularized integral has a pole at sigma = {j + 1}")
-        total += h * eps ** (j + 1 - sigma) / (j + 1 - sigma)
+        total += s * eps ** (j + 1 - sigma) / (j + 1 - sigma)
 
-    # collar: closed form on the exact-Taylor plateau, numeric elsewhere
-    taylor = integrand.smooth.taylor0()
-    r_exact = min(eps, integrand.smooth.taylor_radius())
-    lo = 0.0
-    if taylor is not None and r_exact > 0.0:
-        for j in range(k_sub, len(taylor)):
-            if taylor[j] == 0.0:
-                continue
-            if abs(j + 1 - sigma) < DEFAULT_DELTA:
-                raise PoleError(
-                    f"regularized integral has a pole at sigma = {j + 1}")
-            total += taylor[j] * r_exact ** (j + 1 - sigma) / (j + 1 - sigma)
-        lo = r_exact
-
-    def remainder(x):
-        x = np.asarray(x, float)
-        t = np.zeros_like(x, dtype=complex)
-        for j, h in enumerate(jets):
-            t = t + h * x ** complex(j)
-        return x ** (-sigma) * (integrand.smooth(x) - t)
-
-    # the subtracted remainder on the rest of the collar, then the plain
-    # integrand away from it, each as one call with a lane per segment
-    cuts = integrand.smooth.breakpoints
-    for fn, start, end in ((remainder, lo, eps),
-                           (integrand, eps, integrand.L)):
-        a, b = np.array(segments(start, end, cuts)).reshape(-1, 2).T
-        vals, _ = tanh_sinh_lanes(lambda x, rows: fn(x), a, b, tol=_TOL,
-                                  abs_tol=1e-16)
-        for val in vals.tolist():
-            total += val
+    # the plain integrand away from the collar, one lane per segment
+    a, b = np.array(segments(eps, integrand.L, smooth.breakpoints)
+                    ).reshape(-1, 2).T
+    vals, _ = tanh_sinh_lanes(lambda x, rows: integrand(x), a, b, tol=_TOL,
+                              abs_tol=1e-16)
+    for val in vals.tolist():
+        total += val
     return total
 
 

@@ -118,10 +118,6 @@ def test_model_exponents_and_serialization():
     assert set(obj) == {"exponents", "coefficients", "residual", "condition"}
     assert obj["exponents"] == m.exponents
     assert obj["coefficients"] == m.coefficients
-    with pytest.raises(RangeError):
-        AsymptoticModel([0.15, 0.16], [1.0, 1.0])
-    with pytest.raises(RangeError):
-        AsymptoticModel([0.15], [1.0, 2.0])
 
 
 def test_classical_deficit_log_slope():

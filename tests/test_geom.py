@@ -19,7 +19,7 @@ R = BoundaryConditionKind.ROBIN
 
 
 def test_jets_constant_profile():
-    jets = modified_taylor_jets(constant(), 0.0, order=2)
+    jets = modified_taylor_jets(constant(), 0.0)
     assert jets == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
 
 
@@ -27,7 +27,7 @@ def test_jets_connection_only():
     # smooth factor 1, omega(r) = -F/2 - (F'/2) r on the temperature side:
     # expanding (1/2)(d/dr + omega)^2 gives (1, -F/2, F^2/8 - F'/4)
     F, Fp = 0.8, -0.3
-    jets = modified_taylor_jets(constant(), -0.5 * F, order=2,
+    jets = modified_taylor_jets(constant(), -0.5 * F,
                                 omega_m_derivative=-0.5 * Fp)
     want = [1.0, -0.5 * F, 0.125 * F * F - 0.25 * Fp]
     assert jets == pytest.approx(want, abs=1e-15)
@@ -41,16 +41,11 @@ def test_jets_exponential_dual_side():
     s = lambda r: np.exp(-(F * r + 0.5 * G * r * r))
     s1 = lambda r: -(F + G * r) * s(r)
     s2 = lambda r: ((F + G * r) ** 2 - G) * s(r)
-    jets = modified_taylor_jets(FromCallable(s, (s1, s2)), -0.5 * F, order=2,
+    jets = modified_taylor_jets(FromCallable(s, (s1, s2)), -0.5 * F,
                                 side=JetSide.DUAL, omega_m_derivative=-0.5 * G)
     assert jets[0] == pytest.approx(1.0, abs=1e-15)
     assert jets[1] == pytest.approx(-0.5 * F, abs=1e-15)
     assert jets[2] == pytest.approx(0.125 * F * F - 0.25 * G, abs=1e-15)
-
-
-def test_jets_stencil_domain_guard():
-    with pytest.raises(RangeError):
-        modified_taylor_jets(constant(), 0.0, order=3)
 
 
 def test_warped_invariants_fields():

@@ -1,11 +1,13 @@
-"""Every public name and every defaulted parameter is used by the package.
+"""Every public name, defaulted parameter and defaulted field is used.
 
 A public top-level function or class, or a public method, that no module
 under src/singularheat names outside its own definition is API that only
 tests call.  Likewise a defaulted parameter of a top-level function or
 method that no call in the package passes, by keyword or by position, is
-an option only tests set.  Such a helper or option is deleted, not kept:
-tests check the code that the commands run.
+an option only tests set; so is a defaulted dataclass field that no
+constructor call passes (a cls(...) call in the class's own methods
+counts as one).  Such a helper or option is deleted, not kept: tests
+check the code that the commands run.
 """
 
 import ast
@@ -87,24 +89,40 @@ def _defaulted(fn, bound: bool):
             yield arg.arg, None
 
 
+def _bare(expr):
+    """The bare name of a Name or Attribute node, else None."""
+    return expr.id if isinstance(expr, ast.Name) else \
+        expr.attr if isinstance(expr, ast.Attribute) else None
+
+
+def _call_records(root):
+    """(bare callee name, (positional count, keyword names, splat)) of
+    each call under root; a *args or **kwargs splat passes every
+    parameter."""
+    for node in ast.walk(root):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _bare(node.func)
+        if name is None:
+            continue
+        splat = any(isinstance(a, ast.Starred) for a in node.args) \
+            or any(k.arg is None for k in node.keywords)
+        keys = {k.arg for k in node.keywords}
+        yield name, (len(node.args), keys, splat)
+
+
 def _calls(trees):
-    """bare callee name -> list of (positional count, keyword names,
-    splat); a *args or **kwargs splat passes every parameter."""
+    """bare callee name -> list of call records."""
     out = {}
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else \
-                f.attr if isinstance(f, ast.Attribute) else None
-            if name is None:
-                continue
-            splat = any(isinstance(a, ast.Starred) for a in node.args) \
-                or any(k.arg is None for k in node.keywords)
-            keys = {k.arg for k in node.keywords}
-            out.setdefault(name, []).append((len(node.args), keys, splat))
+        for name, record in _call_records(tree):
+            out.setdefault(name, []).append(record)
     return out
+
+
+def _passed(records, name, pos) -> bool:
+    return any(splat or name in keys or (pos is not None and n > pos)
+               for n, keys, splat in records)
 
 
 def unpassed_defaults(src: Path) -> list:
@@ -114,12 +132,52 @@ def unpassed_defaults(src: Path) -> list:
     for module, tree in trees.items():
         for qualified, fn, bound in _functions(tree):
             for param, pos in _defaulted(fn, bound):
-                passed = any(splat or param in keys
-                             or (pos is not None and n > pos)
-                             for n, keys, splat in calls.get(fn.name, ()))
-                if not passed:
+                if not _passed(calls.get(fn.name, ()), param, pos):
                     out.append(f"{module}:{qualified}({param})")
     return [name for name in out if name not in ALLOWED_DEFAULTS]
+
+
+def _is_dataclass(cls) -> bool:
+    return any(_bare(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _defaulted_fields(cls):
+    """(name, position) of each defaulted __init__ field of a dataclass;
+    a field(init=False) takes no position."""
+    pos = 0
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and _bare(value.func) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            init = kw.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in kw or "default_factory" in kw
+        else:
+            defaulted = value is not None
+        if defaulted:
+            yield stmt.target.id, pos
+        pos += 1
+
+
+def unpassed_fields(src: Path) -> list:
+    trees = _trees(src)
+    calls = _calls(trees)
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            records = calls.get(cls.name, []) + [
+                record for name, record in _call_records(cls) if name == "cls"]
+            for field, pos in _defaulted_fields(cls):
+                if not _passed(records, field, pos):
+                    out.append(f"{module}:{cls.name}.{field}")
+    return out
 
 
 def test_every_public_name_has_a_caller_in_the_package():
@@ -128,3 +186,25 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 def test_every_defaulted_parameter_is_passed_in_the_package():
     assert unpassed_defaults(SRC) == []
+
+
+def test_every_defaulted_field_is_passed_in_the_package():
+    assert unpassed_fields(SRC) == []
+
+
+def test_field_rule_counts_constructor_calls(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = 1\n"
+        "    w: list = field(default_factory=list)\n"
+        "    h: int = field(init=False)\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls(1, w=[2])\n"
+        "def build():\n"
+        "    return A(1, 2)\n")
+    assert unpassed_fields(tmp_path) == ["m:A.z"]

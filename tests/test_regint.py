@@ -2,15 +2,17 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from singularheat.errors import DomainError, PoleError, RangeError
-from singularheat.profiles import (OperatorApplied, PlateauCutoff, Polynomial,
-                                   Product, SingularProfile, constant,
-                                   plateau_profile)
+from singularheat.profiles import (FromCallable, OperatorApplied,
+                                   PlateauCutoff, Polynomial, Product,
+                                   SingularProfile, constant, plateau_profile,
+                                   taylor_jets)
 from singularheat.quadrature import tanh_sinh_lanes
-from singularheat.regint import (CollarRegularization, SingularIntegrand,
-                                 default_regularization, i_reg,
+from singularheat.regint import (SingularIntegrand, i_reg,
                                  interior_coefficients)
 
 
@@ -42,8 +44,7 @@ def test_collar_width_independence():
     # depend on where the collar is cut
     chi = PlateauCutoff(1.0)
     ig = SingularIntegrand(1.4, chi, math.pi)
-    vals = [complex(i_reg(ig, CollarRegularization(w, 1))).real
-            for w in (0.1, 0.2, 0.4)]
+    vals = [complex(i_reg(ig, w)).real for w in (0.1, 0.2, 0.4)]
     assert vals[0] == pytest.approx(vals[1], rel=1e-10)
     assert vals[0] == pytest.approx(vals[2], rel=1e-10)
 
@@ -95,30 +96,23 @@ def test_linearity_in_profiles():
 
 
 def test_guards():
-    with pytest.raises(DomainError):
-        CollarRegularization(0.0, 1)
-    with pytest.raises(DomainError):
-        CollarRegularization(0.1, 0)
-    ig = SingularIntegrand(1.4, PlateauCutoff(1.0), math.pi)
-    with pytest.raises(DomainError):
-        i_reg(ig, CollarRegularization(0.1, 0))
-    # K too small: remainder x^{K - sigma} not integrable
-    ig2 = SingularIntegrand(2.4, PlateauCutoff(1.0), math.pi)
-    with pytest.raises(DomainError):
-        i_reg(ig2, CollarRegularization(0.1, 1))
     p = plateau_profile(0.3, math.pi, 1.0)
     q = plateau_profile(0.3, 2.0, 1.0)
     with pytest.raises(RangeError):
         interior_coefficients(p, q)
 
 
-def test_default_regularization_order():
-    assert default_regularization(
-        SingularIntegrand(1.4, PlateauCutoff(1.0), math.pi)
-    ).subtraction_order == 3
-    assert default_regularization(
-        SingularIntegrand(-2.0, PlateauCutoff(1.0), math.pi)
-    ).subtraction_order == 1
+def test_collar_needs_exact_taylor_data():
+    # a handle carries no Taylor data, so there is no closed-form collar
+    ig = SingularIntegrand(0.4, FromCallable(np.cos), math.pi)
+    with pytest.raises(DomainError):
+        i_reg(ig)
+    # PlateauCutoff(1.0) is exactly 1 only on [0, 0.5]
+    ig2 = SingularIntegrand(1.4, PlateauCutoff(1.0), math.pi)
+    for width in (0.6, 0.0, -0.1):
+        with pytest.raises(DomainError):
+            i_reg(ig2, width)
+    i_reg(ig2, 0.5)
 
 
 def test_interior_coefficients_constant_data():
@@ -145,8 +139,8 @@ def test_interior_coefficients_collar_independent():
     a, smooth = 0.3, p1.smooth
     for n in range(3):
         ig = SingularIntegrand(a + 0.4, Product(smooth, p2.smooth), math.pi)
-        x = i_reg(ig, CollarRegularization(0.1, 6))
-        y = i_reg(ig, CollarRegularization(0.4, 6))
+        x = i_reg(ig, 0.1)
+        y = i_reg(ig, 0.4)
         assert complex(x) == pytest.approx(complex(y), rel=1e-10), n
         smooth = OperatorApplied(smooth, a, 0.25)
         a += 2.0
@@ -165,9 +159,78 @@ def test_jets_match_exact_taylor_data(a1, a2, c):
         for n in range(7):
             ig = SingularIntegrand(a + a2, Product(smooth, rho.smooth), math.pi)
             exact = ig.smooth.taylor0()
-            jets = ig.jets(len(exact) + 1)
+            jets = taylor_jets(ig.smooth, len(exact) + 1)
             for j, h in enumerate(jets):
                 want = exact[j] if j < len(exact) else 0.0
                 assert h == pytest.approx(want, rel=1e-12, abs=0.0), (n, j)
             smooth = OperatorApplied(smooth, a, c * c)
             a += 2.0
+
+
+#: ascending coefficients of the cutoff ramp 1 - 10u^3 + 15u^4 - 6u^5
+_RAMP = (1, 0, 0, -10, 15, -6)
+
+
+def _ramp_deriv(u, k):
+    """k-th derivative in u of the ramp polynomial, in mpmath."""
+    c = list(_RAMP)
+    for _ in range(k):
+        c = [i * ci for i, ci in enumerate(c)][1:]
+    return mpmath.fsum(ci * u ** i for i, ci in enumerate(c))
+
+
+def _finite_part_oracle(plateau, ramp, r0):
+    """Finite part of the integral over [0, r0] of an integrand equal to
+    sum_k h_k x^(-s_k) on [0, r0/2] and to ramp(x) on [r0/2, r0]: the
+    Hadamard closed form on the plateau plus mpmath.quad on the ramp."""
+    e = mpmath.mpf(r0) / 2
+    head = mpmath.fsum(h * e ** (1 - s) / (1 - s) for h, s in plateau)
+    return complex(head + mpmath.quad(ramp, [e, r0]))
+
+
+@pytest.mark.parametrize("sigma", [1.4, 2.7, 1.6 + 0.3j])
+def test_i_reg_matches_finite_part_oracle(sigma):
+    r0 = 1.0
+    with mpmath.workdps(30):
+        s = mpmath.mpmathify(sigma)
+        want = _finite_part_oracle(
+            [(1, s)], lambda x: x ** -s * _ramp_deriv(2 * x / r0 - 1, 0), r0)
+    got = i_reg(SingularIntegrand(sigma, PlateauCutoff(r0), math.pi))
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_interior_integrand_matches_finite_part_oracle(n):
+    # D^n phi * rho for D = -d^2/dx^2 + c^2, phi = x^(-a1) chi and
+    # rho = x^(-a2) chi with chi = PlateauCutoff(1): on the plateau
+    # (-d^2)^k x^(-a1) = (-1)^k (a1)_(2k) x^(-a1 - 2k); on the ramp the
+    # derivatives of phi come from Leibniz's rule
+    a1, a2, c, r0 = 0.3, 0.4, 0.5, 1.0
+    p1 = plateau_profile(a1, math.pi, r0)
+    a, smooth = a1, p1.smooth
+    for _ in range(n):
+        smooth = OperatorApplied(smooth, a, c * c)
+        a += 2.0
+    got = i_reg(SingularIntegrand(a + a2, Product(smooth, p1.smooth),
+                                  math.pi))
+    with mpmath.workdps(30):
+        A1, A2, C = mpmath.mpf(a1), mpmath.mpf(a2), mpmath.mpf(c)
+        terms = [(math.comb(n, k) * C ** (2 * (n - k)), k)
+                 for k in range(n + 1)]
+        plateau = [(w * (-1) ** k * mpmath.rf(A1, 2 * k), A1 + A2 + 2 * k)
+                   for w, k in terms]
+
+        def phi_deriv(x, m):
+            u = 2 * x / r0 - 1
+            return mpmath.fsum(
+                math.comb(m, i) * mpmath.ff(-A1, i) * x ** (-A1 - i)
+                * _ramp_deriv(u, m - i) * (2 / mpmath.mpf(r0)) ** (m - i)
+                for i in range(m + 1))
+
+        def ramp(x):
+            dn = mpmath.fsum(w * (-1) ** k * phi_deriv(x, 2 * k)
+                             for w, k in terms)
+            return dn * x ** -A2 * _ramp_deriv(2 * x / r0 - 1, 0)
+
+        want = _finite_part_oracle(plateau, ramp, r0)
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
