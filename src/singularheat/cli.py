@@ -28,9 +28,9 @@ from .geom import (BoundaryPointData, WarpedProfile, boundary_beta,
 from .heat1d import (HeatContentSamples, circle_heat_content,
                      halfline_heat_content, intertwine_residual,
                      interval_heat_content)
-from .profiles import (FromCallable, SingularProfile, check_integrable,
-                       constant, plateau_profile)
-from .regint import SingularIntegrand, i_reg, interior_coefficients
+from .profiles import (FromCallable, PlateauCutoff, SingularProfile,
+                       check_integrable, constant, plateau_profile)
+from .regint import i_reg, interior_coefficients
 
 DEFAULT_SEED = 3141592653
 
@@ -93,7 +93,7 @@ class ProblemConfig:
     alpha1: float = 0.0
     alpha2: float = 0.0
     c: float = 0.0
-    #: plateau-cutoff radius; None means constant-1 data on the whole domain
+    #: plateau-cutoff radius; None (interval only) means constant-1 data
     cutoff: float | None = 0.5
     tmin: float = 1e-6
     tmax: float = 1e-2
@@ -124,6 +124,9 @@ class ProblemConfig:
         if self.problem == "interval" and self.bc == "dirichlet" \
                 and self.c != 0.0:
             raise RangeError("nonzero c requires the Robin interval kind")
+        if self.problem == "halfline" and self.cutoff is None:
+            raise RangeError("halfline needs a cutoff: constant data has "
+                             "infinite heat content on the half-line")
         if self.problem == "circle-product" and (
                 not self.phi_fourier or not self.rho_fourier):
             raise RangeError(
@@ -162,7 +165,7 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
         return plateau_profile(alpha, L, cfg.cutoff)
 
     if cfg.problem == "halfline":
-        L = max(4.0, 2.0 * (cfg.cutoff or 2.0))
+        L = max(4.0, 2.0 * cfg.cutoff)
         phi = make_profile(cfg.alpha1, L)
         rho = make_profile(cfg.alpha2, L)
         tol = float(cfg.tolerances.get("halfline", 1e-9))
@@ -322,15 +325,12 @@ def _suite_scaling(seed: int) -> dict:
 
 
 def _suite_regint(seed: int) -> dict:
-    from .profiles import PlateauCutoff
-    ig = SingularIntegrand(1.4, PlateauCutoff(1.0), math.pi)
-    vals = [complex(i_reg(ig, wd)).real
+    vals = [complex(i_reg(1.4, PlateauCutoff(1.0), math.pi, wd)).real
             for wd in (0.1, 0.4)]
     collar = abs(vals[0] - vals[1]) / max(abs(vals[0]), 1e-300)
     probe = 0.0
     for s in (0.99, 0.999, 0.9999):
-        igp = SingularIntegrand(s, PlateauCutoff(1.0), math.pi)
-        v = (1.0 - s) * complex(i_reg(igp)).real
+        v = (1.0 - s) * complex(i_reg(s, PlateauCutoff(1.0), math.pi)).real
         probe = max(probe, abs(v - 1.0))
     return {"regint-collar": (collar, 1e-10),
             "regint-pole-probe": (probe, 2e-2)}

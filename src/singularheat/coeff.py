@@ -119,9 +119,15 @@ def _c2j(z: complex) -> list:
 
 
 def _eps15_raw(a1: complex, a2: complex) -> complex:
+    """(2/(2 - sigma)) (a2 eps_D(a1, a2 + 1) + a1 eps_D(a1 + 1, a2)) in
+    closed form.  The Gamma(sigma) terms of the two summands cancel and
+    a Gamma(-a) = -Gamma(1 - a) leaves one product, which has no pole
+    at a1 = 0 or a2 = 0.
+    """
     sigma = a1 + a2
-    return (2.0 / (2.0 - sigma)) * (a2 * _base_eps(-1, a1, a2 + 1.0)
-                                    + a1 * _base_eps(-1, a1 + 1.0, a2))
+    return (2.0 / (2.0 - sigma)) * cmath.exp(-sigma * math.log(2.0)) \
+        / _SQRT_PI * gamma_ratio([0.5 * (1.0 - sigma), 1.0 - a1, 1.0 - a2],
+                                 [1.0 - sigma])
 
 
 def build_table(bc: BoundaryConditionKind, pair: ExponentPair) -> CoefficientTable:
@@ -151,9 +157,9 @@ def build_table(bc: BoundaryConditionKind, pair: ExponentPair) -> CoefficientTab
         v["eps2"] = -0.5 * v["eps1"] - 0.5 * v["eps3"] + 0.5 * v["eps15"]
         v["eps5"] = -0.5 * v["eps4"] - 0.5 * v["eps14"] + 0.5 * v["eps17"]
         v["eps8"] = -0.5 * v["eps14"] - 0.5 * v["eps7"] + 0.5 * v["eps18"]
-        v["eps16"] = (-2.0 / (3.0 - sigma)) * eps(a1, a2, -1) \
-            + (2.0 * a1 * a2 / (3.0 - sigma)) * _base_eps(-1, a1 + 1, a2 + 1) \
-            + v["eps0"]
+        # the swap recursion at (a1 + 1, a2 + 1) turns the shifted
+        # Dirichlet term 2 a1 a2 eps_D(a1 + 1, a2 + 1) into (sigma - 1) eps0
+        v["eps16"] = 2.0 * (v["eps0"] - eps(a1, a2, -1)) / (3.0 - sigma)
         v["eps19"] = v["eps16"] - 0.5 * v["eps17"] - 0.5 * v["eps18"]
     else:
         v["eps2"] = -0.5 * (v["eps1"] + v["eps3"])
@@ -208,7 +214,8 @@ def closed_form_crosscheck(pair: ExponentPair) -> dict:
     values below are explicit rational-in-alpha combinations of the base
     coefficients, derived by eliminating every shifted evaluation with
     the recursion relations, so agreement is a genuine double check of
-    the assembly.
+    the assembly.  The eps16 row checks the swap recursion at (a1, a2)
+    against the table's form 2 (eps0 - eps_D(a1, a2)) / (3 - sigma).
     """
     a1, a2 = complex(pair.alpha1), complex(pair.alpha2)
     sigma = a1 + a2

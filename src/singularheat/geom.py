@@ -3,7 +3,7 @@
 BoundaryPointData collects every scalar entering the boundary terms at a
 single boundary point; boundary_beta contracts it against a coefficient
 table.  modified_taylor_jets builds the phi/rho jets from the smooth
-factor's exact derivatives at 0 and the connection algebra.
+factor's exact Taylor data at 0 (taylor0) and the connection algebra.
 warped_invariants generates such data for the warped-product family of
 model metrics, where the boundary terms are known to be independent of
 the warping profile, and scaling_check verifies the weighted homogeneity
@@ -14,18 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .coeff import BoundaryConditionKind, CoefficientTable, ExponentPair
-from .errors import DegenerateInputError, RangeError
-from .profiles import Polynomial, SmoothFunction, constant, taylor_jets
+from .errors import DegenerateInputError, DomainError, RangeError
+from .profiles import Polynomial, SmoothFunction, constant
 
 _TWO_PI = 2.0 * math.pi
-
-
-class JetSide(Enum):
-    TEMPERATURE = "temperature"
-    DUAL = "dual"
 
 
 @dataclass(frozen=True)
@@ -72,18 +66,19 @@ class WarpedProfile:
 
 
 def modified_taylor_jets(smooth: SmoothFunction, omega_m: float,
-                         side: JetSide = JetSide.TEMPERATURE,
                          omega_m_derivative: float = 0.0) -> list:
-    """Modified Taylor jets (1/l!) (covariant d/dr)^l smooth at r = 0, l <= 2.
+    """Modified Taylor jets (1/l!) (d/dr + omega_m)^l smooth at r = 0, l <= 2.
 
-    The covariant derivative acts as d/dr + omega_m on the temperature
-    side and d/dr - omega_m on the dual side, with omega_m(r) modelled
-    linearly through omega_m_derivative.  The smooth factor's Taylor
-    coefficients at 0 come from its exact derivatives pass.
+    omega_m is the signed connection, modelled linearly in r through
+    omega_m_derivative: the dual side passes the negated connection.
+    The smooth factor's exact Taylor data at 0 is padded to the 2-jet;
+    a factor without it raises DomainError.
     """
-    sgn = 1.0 if side is JetSide.TEMPERATURE else -1.0
-    w, wp = sgn * omega_m, sgn * omega_m_derivative
-    t = taylor_jets(smooth, 2)
+    taylor = smooth.taylor0()
+    if taylor is None:
+        raise DomainError("modified jets need exact Taylor data at 0")
+    t = [complex(v) for v in (*taylor, 0.0, 0.0)[:3]]
+    w, wp = omega_m, omega_m_derivative
     return [t[0], t[1] + w * t[0],
             t[2] + w * t[1] + 0.5 * (wp + w * w) * t[0]]
 
@@ -99,10 +94,8 @@ def warped_invariants(w: WarpedProfile, a: ExponentPair) -> BoundaryPointData:
     G = float(sum(w.fsecond))
     sum_sq = float(sum(v * v for v in w.fprime))
     rho_smooth = Polynomial((1.0, -F, 0.5 * (F * F - G)))
-    phi_jets = modified_taylor_jets(constant(), -0.5 * F,
-                                    JetSide.TEMPERATURE, -0.5 * G)
-    rho_jets = modified_taylor_jets(rho_smooth, -0.5 * F,
-                                    JetSide.DUAL, -0.5 * G)
+    phi_jets = modified_taylor_jets(constant(), -0.5 * F, -0.5 * G)
+    rho_jets = modified_taylor_jets(rho_smooth, 0.5 * F, 0.5 * G)
     return BoundaryPointData(
         phi=tuple(phi_jets), rho=tuple(rho_jets),
         Laa=-F, LabLab=sum_sq, LaaLbb=F * F,

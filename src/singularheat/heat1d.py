@@ -451,11 +451,11 @@ def apply_A(profile: SingularProfile, c: float,
     """(A phi) or (A* phi) for A = d/dx + c, A* = -d/dx + c.
 
     The singular exponent shifts by +1, so integrability of the result
-    requires Re(alpha) < 0 on input.
+    requires alpha < 0 on input.
     """
-    a = profile.real_alpha
+    a = profile.alpha
     if a >= 0.0:
-        raise DomainError("apply_A needs Re(alpha) < 0 to stay integrable")
+        raise DomainError("apply_A needs alpha < 0 to stay integrable")
     smooth = IntertwinedFactor(profile.smooth, a, float(c),
                                sign=+1 if adjoint else -1)
     return SingularProfile(a + 1.0, smooth, profile.L, profile.cutoff_radius)
@@ -470,8 +470,8 @@ def intertwine_residual(phi: SingularProfile, rho: SingularProfile,
     The t-derivative is a central difference with step
     dt = min(1e-4, t/100).
     """
-    if phi.real_alpha >= -1.0 or rho.real_alpha >= -1.0:
-        raise DomainError("intertwining identity needs Re(alpha) < -1")
+    if phi.alpha >= -1.0 or rho.alpha >= -1.0:
+        raise DomainError("intertwining identity needs alpha < -1")
     dt = min(1e-4, t / 100.0)
     robin, dirichlet = (BoundaryConditionKind.ROBIN,
                         BoundaryConditionKind.DIRICHLET)

@@ -8,20 +8,21 @@ and, when available, exact Taylor data at 0 valid on an initial plateau
 (which lets the regularized-integral collar be evaluated in closed form).
 
 derivatives(x, order) returns [f(x), f'(x), ..., f^(order)(x)] in one
-pass.  The leaves (Polynomial, PlateauCutoff, FromCallable) define
-__call__ and deriv and inherit a derivatives that loops over deriv.  The
-composites (Product, OperatorApplied, IntertwinedFactor) define only
-derivatives: each asks its factors for one list and builds every order
-from it, so an n-fold nested factor costs O(n) list passes rather than
-a Leibniz tree of size ~7^n.  Their __call__ and deriv read that list.
+pass, and it is the only way a smooth factor is read: f(x) is
+derivatives(x, 0)[0].  Every class defines it.  The composites (Product,
+OperatorApplied, IntertwinedFactor) ask their factors for one list and
+build every order from it, so an n-fold nested factor costs O(n) list
+passes rather than a Leibniz tree of size ~7^n.  Taylor data at 0 comes
+only from taylor0().
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import DomainError, RangeError
 from .quadrature import segments
@@ -36,13 +37,9 @@ class SmoothFunction:
     def __call__(self, x):
         return self.derivatives(x, 0)[0]
 
-    def deriv(self, x, k: int = 1):
-        return self.derivatives(x, k)[k]
-
     def derivatives(self, x, order: int) -> list:
-        """[f(x), f'(x), ..., f^(order)(x)]; a subclass overrides either
-        this or both __call__ and deriv."""
-        return [self(x)] + [self.deriv(x, k) for k in range(1, order + 1)]
+        """[f(x), f'(x), ..., f^(order)(x)]; every subclass defines it."""
+        raise NotImplementedError
 
     def taylor0(self):
         """Exact Taylor coefficients at 0, or None if not available."""
@@ -59,12 +56,9 @@ class Polynomial(SmoothFunction):
 
     coeffs: tuple
 
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(np.asarray(x, float), self.coeffs)
-
-    def deriv(self, x, k: int = 1):
-        c = np.polynomial.polynomial.polyder(self.coeffs, k) if k else self.coeffs
-        return np.polynomial.polynomial.polyval(np.asarray(x, float), c)
+    def derivatives(self, x, order: int) -> list:
+        x = np.asarray(x, float)
+        return [polyval(x, polyder(self.coeffs, k)) for k in range(order + 1)]
 
     def taylor0(self):
         return tuple(self.coeffs)
@@ -78,8 +72,8 @@ def constant() -> Polynomial:
 
 
 #: k-th u-derivative of the smoothstep ramp 1 - 10u^3 + 15u^4 - 6u^5, k <= 5
-_RAMP_DERIVS = tuple(np.polynomial.polynomial.polyder(
-    (1.0, 0.0, 0.0, -10.0, 15.0, -6.0), k) for k in range(6))
+_RAMP_DERIVS = tuple(polyder((1.0, 0.0, 0.0, -10.0, 15.0, -6.0), k)
+                     for k in range(6))
 
 
 @dataclass(frozen=True)
@@ -96,24 +90,19 @@ class PlateauCutoff(SmoothFunction):
     def breakpoints(self):
         return (0.5 * self.r0, self.r0)
 
-    def _u(self, x):
+    def derivatives(self, x, order: int) -> list:
         # map the ramp [r0/2, r0] to [0, 1]
-        return (np.asarray(x, float) - 0.5 * self.r0) / (0.5 * self.r0)
-
-    def __call__(self, x):
-        u = np.minimum(np.maximum(self._u(x), 0.0), 1.0)
-        return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
-
-    def deriv(self, x, k: int = 1):
-        if k == 0:
-            return self(x)
-        x = np.asarray(x, float)
-        u = self._u(x)
-        inside = (u > 0.0) & (u < 1.0)
-        out = np.zeros_like(x)
-        if k <= 5:
-            out[inside] = (2.0 / self.r0) ** k \
-                * np.polynomial.polynomial.polyval(u[inside], _RAMP_DERIVS[k])
+        u = (np.asarray(x, float) - 0.5 * self.r0) / (0.5 * self.r0)
+        v = np.minimum(np.maximum(u, 0.0), 1.0)
+        out = [1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)]
+        if order >= 1:
+            inside = (u > 0.0) & (u < 1.0)
+        for k in range(1, order + 1):
+            d = np.zeros_like(u)
+            if k <= 5:
+                d[inside] = (2.0 / self.r0) ** k \
+                    * polyval(u[inside], _RAMP_DERIVS[k])
+            out.append(d)
         return out
 
     def taylor0(self):
@@ -164,28 +153,19 @@ class FromCallable(SmoothFunction):
     fn: object
     derivs: tuple = ()
 
-    def __call__(self, x):
-        return np.asarray(self.fn(np.asarray(x, float)))
-
-    def deriv(self, x, k: int = 1):
-        if k == 0:
-            return self(x)
-        if k <= len(self.derivs):
-            return np.asarray(self.derivs[k - 1](np.asarray(x, float)))
-        raise RangeError(f"derivative order {k} not provided for this handle")
+    def derivatives(self, x, order: int) -> list:
+        if order > len(self.derivs):
+            raise RangeError(
+                f"derivative order {order} not provided for this handle")
+        x = np.asarray(x, float)
+        return [np.asarray(h(x)) for h in (self.fn,) + self.derivs[:order]]
 
 
-def taylor_jets(smooth: SmoothFunction, order: int) -> list:
-    """smooth^(l)(0) / l! for l = 0..order, from one derivatives pass."""
-    d = smooth.derivatives(np.array([0.0]), order)
-    return [complex(np.asarray(d[k])[0]) / math.factorial(k)
-            for k in range(order + 1)]
-
-
-def check_integrable(alpha: complex) -> None:
-    """Raise DomainError unless r^(-alpha) is integrable at 0."""
-    if complex(alpha).real >= 1.0:
-        raise DomainError(f"need Re(alpha) < 1 for integrability, got {alpha}")
+def check_integrable(alpha: float) -> None:
+    """Raise DomainError unless alpha is real and r^(-alpha) is integrable
+    at 0."""
+    if isinstance(alpha, complex) or alpha >= 1.0:
+        raise DomainError(f"need real alpha with Re(alpha) < 1, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -196,12 +176,10 @@ class SingularProfile:
     vanishes identically beyond it (None when it does not vanish).
     """
 
-    alpha: complex
+    alpha: float
     smooth: SmoothFunction
     L: float
     cutoff_radius: float | None = None
-    #: Re(alpha), or None when alpha is not real (resolved once)
-    _real: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_integrable(self.alpha)
@@ -209,18 +187,10 @@ class SingularProfile:
             raise DomainError("domain length must be positive")
         if self.cutoff_radius is not None and not 0 < self.cutoff_radius <= self.L:
             raise DomainError("cutoff radius must lie in (0, L]")
-        a = complex(self.alpha)
-        object.__setattr__(self, "_real", None if abs(a.imag) > 1e-14 else a.real)
-
-    @property
-    def real_alpha(self) -> float:
-        if self._real is None:
-            raise DomainError("simulators require a real exponent")
-        return self._real
 
     def __call__(self, x):
         x = np.asarray(x, float)
-        return x ** (-self.real_alpha) * self.smooth(x)
+        return x ** (-self.alpha) * self.smooth(x)
 
     def support_end(self) -> float:
         return self.cutoff_radius if self.cutoff_radius is not None else self.L
@@ -230,7 +200,7 @@ class SingularProfile:
         return segments(0.0, self.support_end(), self.smooth.breakpoints)
 
 
-def plateau_profile(alpha: complex, L: float, cutoff_radius: float) -> SingularProfile:
+def plateau_profile(alpha: float, L: float, cutoff_radius: float) -> SingularProfile:
     """r^(-alpha) times a plateau cutoff: the canonical model datum."""
     return SingularProfile(alpha, PlateauCutoff(cutoff_radius), L, cutoff_radius)
 

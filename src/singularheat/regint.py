@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,35 +28,19 @@ from .quadrature import segments, tanh_sinh_lanes
 _TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class SingularIntegrand:
-    """x^(-sigma) * smooth(x) on [0, L]; sigma may be complex."""
-
-    sigma: complex
-    smooth: SmoothFunction
-    L: float
-
-    def __post_init__(self):
-        if self.L <= 0:
-            raise DomainError("domain length must be positive")
-        object.__setattr__(self, "sigma", complex(self.sigma))
-
-    def __call__(self, x):
-        x = np.asarray(x, float)
-        return x ** (-self.sigma) * self.smooth(x)
-
-
-def i_reg(integrand: SingularIntegrand, collar: float | None = None) -> complex:
+def i_reg(sigma: complex, smooth: SmoothFunction, L: float,
+          collar: float | None = None) -> complex:
     """Finite part of the integral of x^(-sigma) smooth(x) over [0, L].
 
-    The collar width eps (default half the Taylor radius, at most L) must
-    lie in (0, taylor_radius], where taylor0() is exact; otherwise, or
-    without exact Taylor data, DomainError is raised.  A closed-form term
-    within DEFAULT_DELTA of a pole raises PoleError.
+    sigma may be complex.  The collar width eps (default half the Taylor
+    radius, at most L) must lie in (0, taylor_radius], where taylor0() is
+    exact; otherwise, or without exact Taylor data, DomainError is
+    raised.  A closed-form term within DEFAULT_DELTA of a pole raises
+    PoleError.
     """
-    sigma, smooth = integrand.sigma, integrand.smooth
+    sigma = complex(sigma)
     taylor, radius = smooth.taylor0(), smooth.taylor_radius()
-    eps = min(0.5 * radius if collar is None else collar, integrand.L)
+    eps = min(0.5 * radius if collar is None else collar, L)
     if taylor is None or not 0.0 < eps <= radius:
         raise DomainError("need exact Taylor data on the collar [0, eps]")
 
@@ -73,10 +56,9 @@ def i_reg(integrand: SingularIntegrand, collar: float | None = None) -> complex:
         total += s * eps ** (j + 1 - sigma) / (j + 1 - sigma)
 
     # the plain integrand away from the collar, one lane per segment
-    a, b = np.array(segments(eps, integrand.L, smooth.breakpoints)
-                    ).reshape(-1, 2).T
-    vals, _ = tanh_sinh_lanes(lambda x, rows: integrand(x), a, b, tol=_TOL,
-                              abs_tol=1e-16)
+    a, b = np.array(segments(eps, L, smooth.breakpoints)).reshape(-1, 2).T
+    vals, _ = tanh_sinh_lanes(lambda x, rows: x ** (-sigma) * smooth(x), a, b,
+                              tol=_TOL, abs_tol=1e-16)
     for val in vals.tolist():
         total += val
     return total
@@ -94,16 +76,12 @@ def interior_coefficients(phi: SingularProfile, rho: SingularProfile,
     if phi.L != rho.L:
         raise RangeError("profiles live on different domains")
     out = []
-    a = phi.real_alpha  # symbolic D^n needs a real exponent
-    a_rho = complex(rho.alpha)
-    smooth = phi.smooth
+    a, smooth = phi.alpha, phi.smooth
     for n in range(n_max + 1):
-        integrand = SingularIntegrand(
-            complex(a) + a_rho, Product(smooth, rho.smooth), phi.L)
         # an overflow (inf, nan or OverflowError) is rejected, not returned
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                val = i_reg(integrand)
+                val = i_reg(a + rho.alpha, Product(smooth, rho.smooth), phi.L)
             except OverflowError:
                 val = math.inf
         if not cmath.isfinite(val):

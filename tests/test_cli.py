@@ -43,6 +43,15 @@ def test_coeffs_robin_table(capsys):
     assert all(f"eps{k}" in obj for k in range(20))
 
 
+def test_coeffs_robin_accepts_a_zero_exponent(capsys):
+    # the non-singular temperature alpha1 = 0 is admissible for Robin too
+    code, out, _ = run(capsys, ["coeffs", "--alpha1", "0",
+                                "--alpha2", "0.3", "--bc", "robin"])
+    assert code == 0
+    obj = json.loads(out)
+    assert all(map(math.isfinite, obj["eps15"] + obj["eps16"]))
+
+
 def test_coeffs_dirichlet_complex_pair(capsys):
     code, out, _ = run(capsys, ["coeffs", "--alpha1", "0.3,0.2",
                                 "--alpha2", "0.1,-0.4"])
@@ -142,6 +151,8 @@ def test_simulate_invalid_config(capsys, tmp_path):
                 {**interval, "tolerances": {"interval": 1e-6}},
                 # the half-line kernels are Dirichlet or Neumann only
                 {**halfline, "bc": "robin", "c": 0.5},
+                # constant data has no finite heat content on the half-line
+                {**halfline, "cutoff": None},
                 # a Dirichlet interval has no use for c
                 {**interval, "bc": "dirichlet", "c": 2},
                 # fields a problem does not read must keep their default

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import mpmath
 import pytest
 
 from singularheat import coeff
@@ -105,8 +106,8 @@ def test_crosscheck_random_sweep():
 
 def test_build_table_evaluates_each_shifted_base_once(monkeypatch):
     # six shifted pairs eps0..eps14, each read back wherever eps5, eps8
-    # and eps16 need it; Robin adds two per eps15-type combination (three
-    # of them) and the two Dirichlet-sign terms of eps16
+    # and eps16 need it; Robin adds only the Dirichlet-sign base of eps16,
+    # since the eps15-type constants are one gamma product each
     calls = []
     base = coeff._base_eps
 
@@ -116,10 +117,41 @@ def test_build_table_evaluates_each_shifted_base_once(monkeypatch):
 
     monkeypatch.setattr(coeff, "_base_eps", counted)
     pair = ExponentPair(0.3 + 0.1j, -0.45)
-    for bc, want in ((R, 14), (D, 6)):
+    for bc, want in ((R, 7), (D, 6)):
         calls.clear()
         build_table(bc, pair)
         assert len(calls) == want, bc
+
+
+def _mp_base(sign, a1, a2):
+    """eps(bc, a1, a2) in mpmath, the two-term closed form of _base_eps."""
+    s = a1 + a2
+    g = mpmath.gamma
+    return 2 ** (-s) / mpmath.sqrt(mpmath.pi) * g((2 - s) / 2) * (
+        sign * g(1 - a1) * g(1 - a2) * mpmath.rgamma(2 - s)
+        + g(s - 1) * (g(1 - a1) * mpmath.rgamma(a2)
+                      + g(1 - a2) * mpmath.rgamma(a1)))
+
+
+@pytest.mark.parametrize("a1, a2", [(0, 0.3), (0.3, 0), (0, -1.5),
+                                    (0, 0.2 + 0.3j)])
+def test_robin_constants_at_a_zero_exponent(a1, a2):
+    # the shift forms of eps15 and eps16 have a removable singularity at
+    # a zero exponent: compare with their mpmath limit, the zero replaced
+    # by 1e-40
+    with mpmath.workdps(40):
+        b1, b2 = (mpmath.mpmathify(v) if v else mpmath.mpf("1e-40")
+                  for v in (a1, a2))
+        s = b1 + b2
+        eps15 = 2 / (2 - s) * (b2 * _mp_base(-1, b1, b2 + 1)
+                               + b1 * _mp_base(-1, b1 + 1, b2))
+        eps16 = (-2 * _mp_base(-1, b1, b2)
+                 + 2 * b1 * b2 * _mp_base(-1, b1 + 1, b2 + 1)) / (3 - s) \
+            + _mp_base(1, b1, b2)
+        want = {"eps15": complex(eps15), "eps16": complex(eps16)}
+    table = build_table(R, ExponentPair(a1, a2))
+    for key, w in want.items():
+        assert abs(table[key] - w) <= 1e-13 * abs(w), key
 
 
 def test_table_identities():

@@ -8,11 +8,11 @@ import pytest
 
 from singularheat.cli import _suite_warped
 from singularheat.coeff import BoundaryConditionKind, ExponentPair, build_table
-from singularheat.errors import RangeError
-from singularheat.geom import (BoundaryPointData, JetSide, WarpedProfile,
+from singularheat.errors import DomainError, RangeError
+from singularheat.geom import (BoundaryPointData, WarpedProfile,
                                boundary_beta, flat_data, modified_taylor_jets,
                                rescale_data, scaling_check, warped_invariants)
-from singularheat.profiles import FromCallable, constant
+from singularheat.profiles import FromCallable, Polynomial, constant
 
 D = BoundaryConditionKind.DIRICHLET
 R = BoundaryConditionKind.ROBIN
@@ -34,18 +34,22 @@ def test_jets_connection_only():
 
 
 def test_jets_exponential_dual_side():
-    # rho side of a warped metric: smooth factor e^{-u}, omega = -u'/2,
-    # dual connection d/dr - omega; exact jets (1, -u'(0), (u'^2 - u'')/2
-    # combined with the connection algebra)
+    # rho side of a warped metric: smooth factor e^{-u}, u = F r + G r^2/2,
+    # given by its exact 2-jet (1, -F, (F^2 - G)/2); omega = -u'/2, and
+    # the dual connection d/dr - omega passes the negated connection
     F, G = 0.7, -0.4
-    s = lambda r: np.exp(-(F * r + 0.5 * G * r * r))
-    s1 = lambda r: -(F + G * r) * s(r)
-    s2 = lambda r: ((F + G * r) ** 2 - G) * s(r)
-    jets = modified_taylor_jets(FromCallable(s, (s1, s2)), -0.5 * F,
-                                side=JetSide.DUAL, omega_m_derivative=-0.5 * G)
+    two_jet = Polynomial((1.0, -F, 0.5 * (F * F - G)))
+    jets = modified_taylor_jets(two_jet, 0.5 * F, omega_m_derivative=0.5 * G)
     assert jets[0] == pytest.approx(1.0, abs=1e-15)
     assert jets[1] == pytest.approx(-0.5 * F, abs=1e-15)
     assert jets[2] == pytest.approx(0.125 * F * F - 0.25 * G, abs=1e-15)
+
+
+def test_jets_need_exact_taylor_data():
+    # a handle carries derivatives but no Taylor data at 0
+    s = FromCallable(np.exp, (np.exp, np.exp))
+    with pytest.raises(DomainError):
+        modified_taylor_jets(s, 0.0)
 
 
 def test_warped_invariants_fields():

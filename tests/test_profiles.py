@@ -8,8 +8,14 @@ import pytest
 from singularheat.errors import DomainError, RangeError
 from singularheat.profiles import (FromCallable, IntertwinedFactor,
                                    OperatorApplied, PlateauCutoff, Polynomial,
-                                   Product, SingularProfile, constant,
-                                   plateau_profile, taylor_jets)
+                                   Product, SingularProfile, SmoothFunction,
+                                   constant, plateau_profile)
+
+
+def _jets(smooth, order):
+    """smooth^(k)(0) / k! for k = 0..order, from one derivatives pass."""
+    d = smooth.derivatives(np.array([0.0]), order)
+    return [d[k][0] / math.factorial(k) for k in range(order + 1)]
 
 
 def central_diff(fn, x, k, h=1e-3):
@@ -29,8 +35,8 @@ def test_polynomial_eval_and_deriv():
     p = Polynomial((1.0, -2.0, 0.5, 3.0))
     x = np.array([0.0, 0.3, 1.7])
     assert p(x) == pytest.approx(1 - 2 * x + 0.5 * x ** 2 + 3 * x ** 3)
-    assert p.deriv(x, 1) == pytest.approx(-2 + x + 9 * x ** 2)
-    assert p.deriv(x, 2) == pytest.approx(1 + 18 * x)
+    assert p.derivatives(x, 1)[1] == pytest.approx(-2 + x + 9 * x ** 2)
+    assert p.derivatives(x, 2)[2] == pytest.approx(1 + 18 * x)
     assert p.taylor0() == (1.0, -2.0, 0.5, 3.0)
     assert p.taylor_radius() == math.inf
 
@@ -44,12 +50,12 @@ def test_plateau_cutoff_shape():
     # C^2 across both breakpoints
     for b in cut.breakpoints:
         for k in (0, 1, 2):
-            lo = cut.deriv(np.array([b - 1e-9]), k)[0]
-            hi = cut.deriv(np.array([b + 1e-9]), k)[0]
+            lo = cut.derivatives(np.array([b - 1e-9]), k)[k][0]
+            hi = cut.derivatives(np.array([b + 1e-9]), k)[k][0]
             assert lo == pytest.approx(hi, abs=1e-6)
     # derivative vs central differences inside the ramp
     for k in (1, 2):
-        got = cut.deriv(np.array([0.6]), k)[0]
+        got = cut.derivatives(np.array([0.6]), k)[k][0]
         want = central_diff(lambda t: cut(np.array([t]))[0], 0.6, k, h=1e-4)
         assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
     with pytest.raises(DomainError):
@@ -63,7 +69,7 @@ def test_product_combines_taylor_and_breakpoints():
     assert p.taylor_radius() == pytest.approx(0.4)
     x = np.array([0.1, 0.6])
     assert p(x) == pytest.approx(PlateauCutoff(0.8)(x) * (2.0 + x))
-    got = p.deriv(np.array([0.6]), 2)[0]
+    got = p.derivatives(np.array([0.6]), 2)[2][0]
     want = central_diff(lambda t: p(np.array([t]))[0], 0.6, 2, h=1e-4)
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -72,9 +78,9 @@ def test_from_callable_guard():
     f = FromCallable(np.sin, (np.cos,))
     x = np.array([0.3])
     assert f(x) == pytest.approx(np.sin(x))
-    assert f.deriv(x, 1) == pytest.approx(np.cos(x))
+    assert f.derivatives(x, 1)[1] == pytest.approx(np.cos(x))
     with pytest.raises(RangeError):
-        f.deriv(x, 2)
+        f.derivatives(x, 2)
     assert f.taylor0() is None
 
 
@@ -84,18 +90,20 @@ def test_singular_profile_validation_and_pieces():
     assert prof(x) == pytest.approx(x ** -0.7)
     assert prof.support_end() == pytest.approx(0.8)
     assert prof.pieces() == [(0.0, 0.4), (0.4, 0.8)]
-    assert taylor_jets(prof.smooth, 2) == pytest.approx([1.0, 0.0, 0.0])
+    assert _jets(prof.smooth, 2) == pytest.approx([1.0, 0.0, 0.0])
     full = SingularProfile(0.7, Polynomial((1.0, 2.0)), L=2.0)
     assert full.pieces() == [(0.0, 2.0)]
-    assert taylor_jets(full.smooth, 1) == pytest.approx([1.0, 2.0])
+    assert _jets(full.smooth, 1) == pytest.approx([1.0, 2.0])
     with pytest.raises(DomainError):
         SingularProfile(1.2, constant(), L=1.0)
     with pytest.raises(DomainError):
         plateau_profile(0.3, L=1.0, cutoff_radius=2.0)
-    with pytest.raises(DomainError):
-        _ = SingularProfile(0.3 + 0.2j, constant(), L=1.0).real_alpha
-    with pytest.raises(DomainError):
-        SingularProfile(0.3 + 0.2j, constant(), L=1.0)(x)
+    # a complex exponent is rejected when the profile is built
+    for alpha in (0.3 + 0.2j, 0.3 + 0.0j, np.complex128(-0.5 + 1e-3j)):
+        with pytest.raises(DomainError):
+            SingularProfile(alpha, constant(), L=1.0)
+        with pytest.raises(DomainError):
+            plateau_profile(alpha, 1.0, 0.5)
 
 
 def test_intertwined_factor_matches_operator():
@@ -118,7 +126,7 @@ def test_intertwined_factor_matches_operator():
     # Taylor data consistent with the derivatives at 0
     t = fac.taylor0()
     for k in range(len(t) - 1):
-        dk = fac.deriv(np.array([0.0]), k)[0] if k else fac(np.array([0.0]))[0]
+        dk = fac.derivatives(np.array([0.0]), k)[k][0]
         assert t[k] == pytest.approx(dk / math.factorial(k), rel=1e-12)
 
 
@@ -135,10 +143,10 @@ def test_operator_applied_matches_operator():
         assert got == pytest.approx(want, rel=1e-5, abs=1e-8)
     t = fac.taylor0()
     for k in range(3):
-        dk = fac.deriv(np.array([0.0]), k)[0] if k else fac(np.array([0.0]))[0]
+        dk = fac.derivatives(np.array([0.0]), k)[k][0]
         assert t[k] == pytest.approx(dk / math.factorial(k), rel=1e-12, abs=1e-12)
     # derivative oracle away from 0
-    got = fac.deriv(np.array([0.9]), 2)[0]
+    got = fac.derivatives(np.array([0.9]), 2)[2][0]
     want = central_diff(lambda x: fac(np.array([x]))[0], 0.9, 2, h=1e-3)
     assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
@@ -173,7 +181,7 @@ def _recursive_deriv(f, x, k):
         if k >= 1:
             return term + f.c * (x * d(f.s, k) + k * d(f.s, k - 1))
         return term + f.c * x * d(f.s, k)
-    return f.deriv(x, k) if k else f(x)
+    return f.derivatives(x, k)[k]
 
 
 def _sine():
@@ -202,14 +210,15 @@ def test_derivatives_match_deriv_bitwise():
         assert np.asarray(f(x)).tobytes() == np.asarray(got[0]).tobytes()
         for k in range(order + 1):
             want = np.asarray(got[k], float).tobytes()
-            assert np.asarray(f.deriv(x, k), float).tobytes() == want, (f, k)
+            assert np.asarray(f.derivatives(x, k)[k], float).tobytes() \
+                == want, (f, k)
             assert np.asarray(_recursive_deriv(f, x, k), float).tobytes() \
                 == want, (f, k)
 
 
 def test_nested_factor_calls_each_leaf_handle_once_per_order():
     # D^6 of a product, times a third factor, at order 8: a per-order
-    # recursion over deriv would call these handles thousands of times
+    # recursion would call these handles thousands of times
     calls = {}
 
     def leaf(name, rate, n):
@@ -227,3 +236,26 @@ def test_nested_factor_calls_each_leaf_handle_once_per_order():
     f.derivatives(np.linspace(0.1, 1.0, 5), 8)
     assert len(calls) == 21 + 21 + 9
     assert max(calls.values()) == 1
+
+
+def test_every_smooth_class_reads_one_protocol_bitwise():
+    # f(x) is the order-0 entry, and a higher order list starts with the
+    # lower order one, for one instance of every class in the package
+    cut, poly = PlateauCutoff(0.8), Polynomial((1.0, -0.5, 0.25, 0.1))
+    fs = [cut, poly, _sine(), Product(cut, poly),
+          OperatorApplied(Product(cut, poly), 0.35, 0.49),
+          IntertwinedFactor(Product(_sine(), cut), -0.3, 0.6, +1)]
+    assert {type(f) for f in fs} == set(SmoothFunction.__subclasses__())
+    for x in (np.array([0.0, 0.1, 0.37, 0.4, 0.45, 0.6, 0.79, 0.8, 1.2]),
+              0.6, 0.2):
+        for f in fs:
+            assert np.asarray(f(x)).tobytes() \
+                == np.asarray(f.derivatives(x, 0)[0]).tobytes(), f
+            for k in range(1, 5):
+                full = f.derivatives(x, k)
+                for j in range(k):
+                    low = f.derivatives(x, j)
+                    assert len(low) == j + 1
+                    for i in range(j + 1):
+                        assert np.asarray(full[i]).tobytes() \
+                            == np.asarray(low[i]).tobytes(), (f, k, j, i)

@@ -7,7 +7,9 @@ method that no call in the package passes, by keyword or by position, is
 an option only tests set; so is a defaulted dataclass field that no
 constructor call passes (a cls(...) call in the class's own methods
 counts as one).  Such a helper or option is deleted, not kept: tests
-check the code that the commands run.
+check the code that the commands run.  A public method that the package
+reaches only as self.<name> is an internal hook of its class, not API:
+it is inlined or made private.
 """
 
 import ast
@@ -60,6 +62,28 @@ def unused_public_names(src: Path) -> list:
             for module, tree in trees.items()
             for qualified, bare in _public_definitions(tree)
             if bare not in used]
+
+
+def _self_only_attributes(trees) -> set:
+    """Attribute names the package reads only as self.<name>; a method
+    is reached through an attribute, never a bare name."""
+    via_self, elsewhere = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                on_self = isinstance(node.value, ast.Name) \
+                    and node.value.id == "self"
+                (via_self if on_self else elsewhere).add(node.attr)
+    return via_self - elsewhere
+
+
+def internal_hooks(src: Path) -> list:
+    trees = _trees(src)
+    hooks = _self_only_attributes(trees)
+    return [f"{module}:{qualified}"
+            for module, tree in trees.items()
+            for qualified, bare in _public_definitions(tree)
+            if "." in qualified and bare in hooks]
 
 
 def _functions(tree):
@@ -182,6 +206,24 @@ def unpassed_fields(src: Path) -> list:
 
 def test_every_public_name_has_a_caller_in_the_package():
     assert unused_public_names(SRC) == []
+
+
+def test_no_public_method_is_reached_only_through_self():
+    assert internal_hooks(SRC) == []
+
+
+def test_hook_rule_flags_self_only_methods(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class A:\n"
+        "    def hook(self):\n"
+        "        return 1\n"
+        "    def api(self):\n"
+        "        return self.hook()\n"
+        "    def other(self):\n"
+        "        return self.api()\n"
+        "def use(a):\n"
+        "    return a.api() + a.other()\n")
+    assert internal_hooks(tmp_path) == ["m:A.hook"]
 
 
 def test_every_defaulted_parameter_is_passed_in_the_package():

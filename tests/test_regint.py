@@ -9,11 +9,9 @@ import pytest
 from singularheat.errors import DomainError, PoleError, RangeError
 from singularheat.profiles import (FromCallable, OperatorApplied,
                                    PlateauCutoff, Polynomial, Product,
-                                   SingularProfile, constant, plateau_profile,
-                                   taylor_jets)
+                                   SingularProfile, constant, plateau_profile)
 from singularheat.quadrature import tanh_sinh_lanes
-from singularheat.regint import (SingularIntegrand, i_reg,
-                                 interior_coefficients)
+from singularheat.regint import i_reg, interior_coefficients
 
 
 def _unit():
@@ -21,30 +19,30 @@ def _unit():
 
 
 def _integrand(phi, rho):
-    """x^(-alpha1 - alpha2) times the product of the smooth factors."""
-    return SingularIntegrand(complex(phi.alpha) + complex(rho.alpha),
-                             Product(phi.smooth, rho.smooth), phi.L)
+    """(sigma, smooth, L) of x^(-alpha1 - alpha2) times the product of
+    the smooth factors."""
+    return (complex(phi.alpha) + complex(rho.alpha),
+            Product(phi.smooth, rho.smooth), phi.L)
 
 
 def test_smooth_integrand_is_plain_integral():
     one = _unit()
     ig = _integrand(one, one)
-    assert i_reg(ig) == pytest.approx(math.pi, rel=1e-13)
+    assert i_reg(*ig) == pytest.approx(math.pi, rel=1e-13)
     # negative effective exponent: x^{0.5} * chi, compare direct quadrature
     p = plateau_profile(-0.25, math.pi, 1.0)
     ig2 = _integrand(p, p)
     direct = sum(tanh_sinh_lanes(lambda x, rows: p(x) ** 2, a, b,
                                  tol=1e-13)[0][0]
                  for a, b in ((0.0, 0.5), (0.5, 1.0)))
-    assert complex(i_reg(ig2)).real == pytest.approx(direct, rel=1e-12)
+    assert complex(i_reg(*ig2)).real == pytest.approx(direct, rel=1e-12)
 
 
 def test_collar_width_independence():
     # divergent integrand r^{-1.4} chi: the regularized value must not
     # depend on where the collar is cut
     chi = PlateauCutoff(1.0)
-    ig = SingularIntegrand(1.4, chi, math.pi)
-    vals = [complex(i_reg(ig, w)).real for w in (0.1, 0.2, 0.4)]
+    vals = [complex(i_reg(1.4, chi, math.pi, w)).real for w in (0.1, 0.2, 0.4)]
     assert vals[0] == pytest.approx(vals[1], rel=1e-10)
     assert vals[0] == pytest.approx(vals[2], rel=1e-10)
 
@@ -56,43 +54,36 @@ def test_agreement_with_direct_quadrature_when_convergent():
     direct = sum(tanh_sinh_lanes(lambda x, rows: p1(x) * p2(x), a, b,
                                  tol=1e-13)[0][0]
                  for a, b in ((0.0, 0.5), (0.5, 1.0)))
-    assert complex(i_reg(ig)).real == pytest.approx(direct, rel=1e-11)
+    assert complex(i_reg(*ig)).real == pytest.approx(direct, rel=1e-11)
 
 
 def test_pole_probe_bounded():
     # (1 - sigma) * i_reg stays bounded (and tends to the leading jet) as
     # sigma -> 1 along non-integer values
     for s in (0.99, 0.999, 0.9999):
-        ig = SingularIntegrand(s, PlateauCutoff(1.0), math.pi)
-        v = (1.0 - s) * complex(i_reg(ig)).real
+        v = (1.0 - s) * complex(i_reg(s, PlateauCutoff(1.0), math.pi)).real
         assert abs(v) < 2.0
         # the O(1 - sigma) correction comes from the regular part
         assert v == pytest.approx(1.0, abs=(1.0 - s) + 1e-6)
 
 
 def test_pole_error_at_integer_sigma():
-    ig = SingularIntegrand(1.0, PlateauCutoff(1.0), math.pi)
     with pytest.raises(PoleError):
-        i_reg(ig)
+        i_reg(1.0, PlateauCutoff(1.0), math.pi)
     # near sigma = 2 the pole residue is the first-order jet h_1, so the
     # error fires only when that jet is nonzero
-    from singularheat.profiles import Polynomial
-    ig2 = SingularIntegrand(2.0 + 1e-9, Polynomial((1.0, 1.0)), math.pi)
     with pytest.raises(PoleError):
-        i_reg(ig2)
-    ig3 = SingularIntegrand(2.0 + 1e-9, PlateauCutoff(1.0), math.pi)
-    i_reg(ig3)  # h_1 = 0: no pole, value finite
+        i_reg(2.0 + 1e-9, Polynomial((1.0, 1.0)), math.pi)
+    i_reg(2.0 + 1e-9, PlateauCutoff(1.0), math.pi)  # h_1 = 0: no pole
 
 
 def test_linearity_in_profiles():
     chi = PlateauCutoff(1.0)
-    ig = SingularIntegrand(1.4, chi, math.pi)
-    v = complex(i_reg(ig))
-    scaled = SingularIntegrand(1.4, PlateauCutoff(1.0), math.pi)
+    v = complex(i_reg(1.4, chi, math.pi))
     # scale via a wrapped smooth factor: 3 * chi
-    from singularheat.profiles import Polynomial, Product
-    ig3 = SingularIntegrand(1.4, Product(Polynomial((3.0,)), chi), math.pi)
-    assert complex(i_reg(ig3)) == pytest.approx(3.0 * v, rel=1e-12)
+    three_chi = Product(Polynomial((3.0,)), chi)
+    assert complex(i_reg(1.4, three_chi, math.pi)) \
+        == pytest.approx(3.0 * v, rel=1e-12)
 
 
 def test_guards():
@@ -104,15 +95,13 @@ def test_guards():
 
 def test_collar_needs_exact_taylor_data():
     # a handle carries no Taylor data, so there is no closed-form collar
-    ig = SingularIntegrand(0.4, FromCallable(np.cos), math.pi)
     with pytest.raises(DomainError):
-        i_reg(ig)
+        i_reg(0.4, FromCallable(np.cos), math.pi)
     # PlateauCutoff(1.0) is exactly 1 only on [0, 0.5]
-    ig2 = SingularIntegrand(1.4, PlateauCutoff(1.0), math.pi)
     for width in (0.6, 0.0, -0.1):
         with pytest.raises(DomainError):
-            i_reg(ig2, width)
-    i_reg(ig2, 0.5)
+            i_reg(1.4, PlateauCutoff(1.0), math.pi, width)
+    i_reg(1.4, PlateauCutoff(1.0), math.pi, 0.5)
 
 
 def test_interior_coefficients_constant_data():
@@ -128,7 +117,7 @@ def test_interior_coefficients_n0_is_i_reg():
     p2 = plateau_profile(0.4, math.pi, 1.0)
     b0 = interior_coefficients(p1, p2, 0.5, 0)[0]
     assert complex(b0) == pytest.approx(
-        complex(i_reg(_integrand(p1, p2))), rel=1e-13)
+        complex(i_reg(*_integrand(p1, p2))), rel=1e-13)
 
 
 def test_interior_coefficients_collar_independent():
@@ -138,9 +127,9 @@ def test_interior_coefficients_collar_independent():
     p2 = plateau_profile(0.4, math.pi, 1.0)
     a, smooth = 0.3, p1.smooth
     for n in range(3):
-        ig = SingularIntegrand(a + 0.4, Product(smooth, p2.smooth), math.pi)
-        x = i_reg(ig, 0.1)
-        y = i_reg(ig, 0.4)
+        product = Product(smooth, p2.smooth)
+        x = i_reg(a + 0.4, product, math.pi, 0.1)
+        y = i_reg(a + 0.4, product, math.pi, 0.4)
         assert complex(x) == pytest.approx(complex(y), rel=1e-10), n
         smooth = OperatorApplied(smooth, a, 0.25)
         a += 2.0
@@ -157,10 +146,11 @@ def test_jets_match_exact_taylor_data(a1, a2, c):
     for smooth in (phi.smooth, Product(poly, phi.smooth)):
         a = a1
         for n in range(7):
-            ig = SingularIntegrand(a + a2, Product(smooth, rho.smooth), math.pi)
-            exact = ig.smooth.taylor0()
-            jets = taylor_jets(ig.smooth, len(exact) + 1)
-            for j, h in enumerate(jets):
+            product = Product(smooth, rho.smooth)
+            exact = product.taylor0()
+            d = product.derivatives(np.array([0.0]), len(exact) + 1)
+            for j in range(len(exact) + 2):
+                h = d[j][0] / math.factorial(j)
                 want = exact[j] if j < len(exact) else 0.0
                 assert h == pytest.approx(want, rel=1e-12, abs=0.0), (n, j)
             smooth = OperatorApplied(smooth, a, c * c)
@@ -195,7 +185,7 @@ def test_i_reg_matches_finite_part_oracle(sigma):
         s = mpmath.mpmathify(sigma)
         want = _finite_part_oracle(
             [(1, s)], lambda x: x ** -s * _ramp_deriv(2 * x / r0 - 1, 0), r0)
-    got = i_reg(SingularIntegrand(sigma, PlateauCutoff(r0), math.pi))
+    got = i_reg(sigma, PlateauCutoff(r0), math.pi)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -211,8 +201,7 @@ def test_interior_integrand_matches_finite_part_oracle(n):
     for _ in range(n):
         smooth = OperatorApplied(smooth, a, c * c)
         a += 2.0
-    got = i_reg(SingularIntegrand(a + a2, Product(smooth, p1.smooth),
-                                  math.pi))
+    got = i_reg(a + a2, Product(smooth, p1.smooth), math.pi)
     with mpmath.workdps(30):
         A1, A2, C = mpmath.mpf(a1), mpmath.mpf(a2), mpmath.mpf(c)
         terms = [(math.comb(n, k) * C ** (2 * (n - k)), k)
