@@ -9,16 +9,18 @@ tanh_sinh_lanes call whose lanes are its geometric Gaussian panels, and
 the inner integrals F(d), H(s) take all nodes of one outer level of
 every panel at once, as lanes: each node's range is split into the same
 number of padded slots, one batch of tanh-sinh or Gauss lanes each.
-The interval moments int phi e^{inx}, n = 1..N, use one node set per N,
-cached per (profile, N): 8-node Gauss cells on the lattice x = k pi/N,
-summed by one length-2N real FFT per Gauss offset, and the tanh-sinh
-head and tail grids plus the cells cut by a breakpoint, summed with
-their coarse-rule difference in one blocked complex matrix product.  The
-Robin zero-mode moment integrates the profile's pieces as one lanes
-call.  apply_A / intertwine_residual realize the
-first-order operators A = d/dx + c and A* = -d/dx + c that exchange the
-Dirichlet and Robin flows, giving a simulator-level consistency check on
-both realizations.
+The interval moments int phi e^{inx}, n = 1..N, use one node set per N
+and per pieces(): 8-node Gauss cells on the lattice x = k pi/N, summed by
+one length-2N real FFT per Gauss offset, and the tanh-sinh head and tail
+grids plus the cells cut by a breakpoint, summed with their coarse-rule
+difference in one blocked complex matrix product, one pass per node set
+with the rows of phi and rho side by side and the nodes that carry no
+weight dropped.  Only the spectral-sum terms of each (phi, rho, bc, c, N)
+are cached, not the moments.  The Robin zero-mode moment integrates the
+profile's pieces as one lanes call.  apply_A / intertwine_residual
+realize the first-order operators A = d/dx + c and A* = -d/dx + c that
+exchange the Dirichlet and Robin flows, giving a simulator-level
+consistency check on both realizations.
 """
 
 from __future__ import annotations
@@ -319,33 +321,55 @@ def _lattice_sums(u, cells, N: int):
     return total
 
 
-@lru_cache(maxsize=32)
-def _fourier_moments(profile: SingularProfile, N: int):
-    """(S, C, err): S_n = int phi sin(nx), C_n = int phi cos(nx), n <= N.
+def _direct_sums(profiles: tuple, x, w, w_coarse, N: int):
+    """(sums, mass, dropped) over the direct nodes x of _table_nodes.
 
-    The whole lattice cells are summed by _lattice_sums, eight real FFTs
-    of length 2N.  The direct nodes (head and tail grids and cut cells) go
-    through one _exp_sums pass with two right-hand sides, w phi and
-    (w - w_coarse) phi.  err_n, a conservative estimate of |S_n - exact|
-    and |C_n - exact| that the tests check as a bound, is the head and
-    tail coarse-rule difference, plus eps (M + n x_max) sum |w phi| over
-    the M direct nodes (rounding of M products and of n x), plus
-    eps (log2(2N) + n h) sum |u| over the lattice nodes, u = wl phi
+    The rows are w phi and (w - w_coarse) phi of each profile, side by
+    side.  A node is dropped when its largest |v_r| is at most
+    eps min sum |w phi| / M, so a row drops at most eps sum |w phi| of its
+    own profile (about half the nodes: the far ends of the tanh-sinh
+    grids).  sums is one _exp_sums pass over the kept nodes; mass and
+    dropped hold, per profile, the sum |v| of its two rows over all M
+    nodes and over the dropped ones.
+    """
+    values = [profile(x) for profile in profiles]
+    v = np.array([r for f in values for r in (w * f, (w - w_coarse) * f)])
+    size = np.abs(v)
+    mass = np.sum(size, axis=1)
+    keep = np.max(size, axis=0) > _EPS * float(np.min(mass[::2])) / x.size
+    dropped = np.sum(size[:, ~keep], axis=1)
+    return (_exp_sums(x[keep], v[:, keep], N), mass.reshape(-1, 2).sum(1),
+            dropped.reshape(-1, 2).sum(1))
+
+
+def _moment_tables(profiles: tuple, N: int) -> list:
+    """[(S, C, err)] per profile: S_n = int phi sin(nx), C_n = int phi cos(nx).
+
+    The profiles share one pieces(), hence one node set.  The whole
+    lattice cells are summed by _lattice_sums, eight real FFTs of length
+    2N per profile; the direct nodes (head and tail grids and cut cells)
+    by _direct_sums, one pass for all profiles.  err_n, a conservative
+    estimate of |S_n - exact| and |C_n - exact| that the tests check as a
+    bound, is the head and tail coarse-rule difference, plus the mass
+    sum_dropped |v| of both rows on the dropped nodes, plus
+    eps (M + n x_max) sum (|w phi| + |(w - w_coarse) phi|) over all M
+    direct nodes (rounding of the M products of both rows and of n x),
+    plus eps (log2(2N) + n h) sum |u| over the lattice nodes, u = wl phi
     (rounding of the FFT and of the offset phase).
     """
-    (x, w, w_coarse), (cells, xl, wl) = _table_nodes(profile, N)
-    f = profile(x)
-    u = profile(xl) * wl
-    mom, quad = _exp_sums(x, (w * f, (w - w_coarse) * f), N)
-    mom = mom + _lattice_sums(u, cells, N)
+    (x, w, w_coarse), (cells, xl, wl) = _table_nodes(profiles[0], N)
+    sums, mass, dropped = _direct_sums(profiles, x, w, w_coarse, N)
     n = np.arange(1, N + 1, dtype=float)
-    rounding = _EPS * ((x.size + n * x.max()) * float(np.sum(np.abs(w * f)))
-                       + (math.log2(2 * N) + n * math.pi / N)
-                       * float(np.sum(np.abs(u))))
-    table = (mom.imag, mom.real, np.abs(quad) + rounding)
-    for a in table:
-        a.setflags(write=False)  # shared by every caller of the cache
-    return table
+    tables = []
+    for k, profile in enumerate(profiles):
+        u = profile(xl) * wl
+        mom = sums[2 * k] + _lattice_sums(u, cells, N)
+        rounding = _EPS * ((x.size + n * x.max()) * float(mass[k])
+                           + (math.log2(2 * N) + n * math.pi / N)
+                           * float(np.sum(np.abs(u))))
+        err = np.abs(sums[2 * k + 1]) + rounding + float(dropped[k])
+        tables.append((mom.imag, mom.real, err))
+    return tables
 
 
 @lru_cache(maxsize=32)
@@ -366,17 +390,44 @@ def _exp_moment(profile: SingularProfile, c: float) -> tuple:
     return total, err
 
 
-def _gammas(profile: SingularProfile, bc: BoundaryConditionKind, c: float,
-            n_max: int):
-    """(gamma_n, err_n) for the modes n = 1..n_max of interval_heat_content."""
-    S, C, err = _fourier_moments(profile, n_max)
+def _gammas(table: tuple, bc: BoundaryConditionKind, c: float):
+    """(gamma_n, err_n), n = 1..N, of interval_heat_content from one
+    (S, C, err) moment table."""
+    S, C, err = table
     root = math.sqrt(2.0 / math.pi)
     if bc is BoundaryConditionKind.DIRICHLET:
         return root * S, root * err
-    n = np.arange(1, n_max + 1, dtype=float)
+    n = np.arange(1, S.size + 1, dtype=float)
     lam_half = np.sqrt(n ** 2 + c ** 2)
     return (root * (n * C + c * S) / lam_half,
             root * (n + abs(c)) * err / lam_half)
+
+
+@lru_cache(maxsize=32)
+def _pair_terms(phi: SingularProfile, rho: SingularProfile,
+                bc: BoundaryConditionKind, c: float, N: int) -> tuple:
+    """(gp gr, |gp gr|, |gp| er + |gr| ep, tail bound) for n = 1..N.
+
+    gp, ep are the (gamma_n, err_n) of phi and gr, er those of rho; the
+    tail bound is 2 max |gp gr| over the upper half of the modes.  A pair
+    phi == rho is one profile, and profiles with the same pieces() are
+    tabulated together; other pairs take one pass per profile.  Only
+    these terms are kept, not the moment tables behind them.
+    """
+    if phi == rho:
+        tables = _moment_tables((phi,), N) * 2
+    elif phi.pieces() == rho.pieces():
+        tables = _moment_tables((phi, rho), N)
+    else:
+        tables = _moment_tables((phi,), N) + _moment_tables((rho,), N)
+    (gp, ep), (gr, er) = (_gammas(table, bc, c) for table in tables)
+    gg = gp * gr
+    size = np.abs(gg)
+    terms = (gg, size, np.abs(gp) * er + np.abs(gr) * ep,
+             2.0 * float(np.max(size[N // 2:])))
+    for a in terms[:3]:
+        a.setflags(write=False)  # shared by every caller of the cache
+    return terms
 
 
 def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
@@ -418,24 +469,21 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     """(base + sum_n e^{-t (n^2 + c^2)} gamma_n(phi) gamma_n(rho), err).
 
     N doubles from 64 under the truncation rule of interval_heat_content,
-    each N with its own moment table; err is the tail bound plus the
+    each N with its own cached _pair_terms; err is the tail bound plus the
     propagated moment error plus the rounding of the n_max + 1 terms.
     """
     n_max = 64
     while True:
-        gp, ep = _gammas(phi, bc, c, n_max)
-        gr, er = _gammas(rho, bc, c, n_max)
+        gg, size, quad, bound = _pair_terms(phi, rho, bc, c, n_max)
         n = np.arange(1, n_max + 1, dtype=float)
         weights = np.exp(-t * (n ** 2 + c ** 2))
-        partial = base + float(np.dot(weights, gp * gr))
-        bound = 2.0 * float(np.max(np.abs(gp * gr)[n_max // 2:]))
+        partial = base + float(np.dot(weights, gg))
         tail = math.exp(-t * n_max ** 2) * bound \
             * (1.0 + 1.0 / (2.0 * t * n_max))
         if tail < _TAIL_REL * max(abs(partial), 1e-300):
-            quad_err = float(np.dot(weights, np.abs(gp) * er
-                                    + np.abs(gr) * ep))
+            quad_err = float(np.dot(weights, quad))
             rounding = (n_max + 1) * _EPS \
-                * (float(np.dot(weights, np.abs(gp * gr))) + abs(base))
+                * (float(np.dot(weights, size)) + abs(base))
             return partial, tail + quad_err + rounding
         if n_max >= _SUM_CAP:
             raise TruncationError(

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 
 from singularheat.coeff import BoundaryConditionKind
 from singularheat.errors import (DomainError, RangeError, TruncationError)
+from singularheat import heat1d
 from singularheat.heat1d import (_EPS, HeatContentSamples, _TINY,
                                  _cross_correlation, _endpoint_convolution,
-                                 _exp_moment, _exp_sums, _fourier_moments,
-                                 _gammas, _lattice_sums, _robin_zero_norm,
-                                 _table_nodes, apply_A, circle_heat_content,
+                                 _exp_moment, _exp_sums, _gammas,
+                                 _lattice_sums, _moment_tables, _pair_terms,
+                                 _robin_zero_norm, _table_nodes, apply_A,
+                                 circle_heat_content,
                                  halfline_heat_content, interval_heat_content,
                                  intertwine_residual)
 from singularheat.profiles import (FromCallable, PlateauCutoff, Product,
@@ -229,7 +232,7 @@ def test_fourier_moments_within_err_of_closed_form(alpha):
                                               mpmath.mpc(0, -n) * mpmath.pi))
                  for n in modes}
     for size in (64, 1024, 8192):
-        S, C, err = _fourier_moments(profile, size)
+        S, C, err = _moment_tables((profile,), size)[0]
         for n in (n for n in modes if n <= size):
             assert abs(S[n - 1] - exact[n].imag) <= err[n - 1], (size, n)
             assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
@@ -254,11 +257,15 @@ def _check_plateau_moments(alpha, r, sizes, modes):
             edges = mpmath.linspace(r / 2, r, 2 + int(n * r / 8))
             exact[n] = complex(head + mpmath.quad(lambda x: ramp(x, n),
                                                   edges))
+    # alone, and fused with a partner on the same pieces (whose mass sets
+    # a different node-dropping threshold)
+    partner = plateau_profile(0.5, math.pi, r)
     for size in sizes:
-        S, C, err = _fourier_moments(profile, size)
-        for n in (n for n in modes if n <= size):
-            assert abs(S[n - 1] - exact[n].imag) <= err[n - 1], (size, n)
-            assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
+        for S, C, err in (_moment_tables((profile,), size)[0],
+                          _moment_tables((profile, partner), size)[0]):
+            for n in (n for n in modes if n <= size):
+                assert abs(S[n - 1] - exact[n].imag) <= err[n - 1], (size, n)
+                assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
 
 
 @pytest.mark.parametrize("alpha", (0.25, 0.9))
@@ -281,7 +288,7 @@ def test_fourier_moments_at_edge_geometry():
         _check_plateau_moments(0.25, r, sizes,
                                (1, 2, 63, 64, 65, 1000, 8191, 8192))
     with pytest.raises(DomainError):
-        _fourier_moments(SingularProfile(0.25, constant(), 4.0), 64)
+        _moment_tables((SingularProfile(0.25, constant(), 4.0),), 64)
 
 
 @pytest.mark.parametrize("size", (64, 1024, 8192))
@@ -302,13 +309,15 @@ def test_lattice_fft_matches_direct_product(size):
 
 
 def test_fourier_moment_table_memory():
-    # one cold 8192-mode table stays near 1 MB of numpy temporaries (a
-    # batched (2N, 8) complex transform would take about 6.7 MB)
-    profile = plateau_profile(0.25, math.pi, 0.5)
-    _fourier_moments.__wrapped__(profile, 64)
+    # the cold 8192-mode terms of a distinct pair, tabulated in one fused
+    # pass with four rows, stay under 2 MB of numpy temporaries (a batched
+    # (2N, 8) complex transform would take about 6.7 MB per profile)
+    phi = plateau_profile(0.25, math.pi, 0.5)
+    rho = plateau_profile(0.4, math.pi, 0.5)
+    _pair_terms.__wrapped__(phi, rho, R, 0.5, 64)
     tracemalloc.start()
     try:
-        _fourier_moments.__wrapped__(profile, 8192)
+        _pair_terms.__wrapped__(phi, rho, R, 0.5, 8192)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,8 +345,105 @@ def test_fourier_moment_table_work_is_linear():
 
     smooth = Product(PlateauCutoff(0.5), FromCallable(counted))
     profile = SingularProfile(0.25, smooth, math.pi, 0.5)
-    _fourier_moments(profile, 8192)
+    _moment_tables((profile,), 8192)
     assert 0 < points[0] <= 50000
+
+
+def _record_passes(monkeypatch):
+    """Wrap heat1d._exp_sums; the list collects (x, v, sums) per pass."""
+    passes = []
+
+    def recorded(x, v, N):
+        sums = _exp_sums(x, v, N)
+        passes.append((x, np.asarray(v), sums))
+        return sums
+
+    monkeypatch.setattr(heat1d, "_exp_sums", recorded)
+    return passes
+
+
+def test_fused_pass_matches_single_profile_passes(monkeypatch):
+    # two profiles on the same pieces share one pass, four rows side by
+    # side; each pair of rows equals its own pass over the same nodes
+    passes = _record_passes(monkeypatch)
+    phi = plateau_profile(0.25, math.pi, 0.5)
+    rho = plateau_profile(0.9, math.pi, 0.5)
+    _moment_tables((phi, rho), 1024)
+    [(x, v, sums)] = passes
+    assert v.shape == (4, x.size)
+    assert np.array_equal(sums[:2], _exp_sums(x, v[:2], 1024))
+    assert np.array_equal(sums[2:], _exp_sums(x, v[2:], 1024))
+
+
+def test_pair_terms_on_different_pieces_match_per_profile_tables(
+        monkeypatch):
+    passes = _record_passes(monkeypatch)
+    phi = plateau_profile(0.25, math.pi, 0.5)
+    rho = plateau_profile(0.4, math.pi, 1.0)
+    size = 1024
+    gg, mag, quad, bound = _pair_terms.__wrapped__(phi, rho, R, 0.5, size)
+    assert [v.shape[0] for _, v, _ in passes] == [2, 2]
+    gp, ep = _gammas(_moment_tables((phi,), size)[0], R, 0.5)
+    gr, er = _gammas(_moment_tables((rho,), size)[0], R, 0.5)
+    assert np.array_equal(gg, gp * gr)
+    assert np.array_equal(mag, np.abs(gp * gr))
+    assert np.array_equal(quad, np.abs(gp) * er + np.abs(gr) * ep)
+    assert bound == 2.0 * float(np.max(np.abs(gp * gr)[size // 2:]))
+
+
+def test_self_pair_uses_two_rows(monkeypatch):
+    passes = _record_passes(monkeypatch)
+    # equal profiles built apart are one profile
+    _pair_terms.__wrapped__(plateau_profile(0.25, math.pi, 0.5),
+                            plateau_profile(0.25, math.pi, 0.5), D, 0.0, 256)
+    assert [v.shape[0] for _, v, _ in passes] == [2]
+
+
+def test_spectral_sums_build_each_pair_table_once(monkeypatch):
+    passes = _record_passes(monkeypatch)
+    # the benchmark's seed-7 Robin grid: one fused pass per size 64..8192
+    phi = plateau_profile(0.19714982944994874, math.pi, 0.5)
+    rho = plateau_profile(0.2877122934811255, math.pi, 0.5)
+    _pair_terms.cache_clear()
+    for t in np.geomspace(1e-6, 1e-4, 40):
+        interval_heat_content(phi, rho, R, 0.5, float(t))
+    assert [s.shape for _, _, s in passes] \
+        == [(4, 64 << k) for k in range(8)]
+    # the Dirichlet sweep of constant data: each size 64..512 once
+    del passes[:]
+    one = SingularProfile(0.0, constant(), math.pi)
+    for t in np.geomspace(1e-4, 1e-1, 2000):
+        interval_heat_content(one, one, D, 0.0, float(t))
+    assert [s.shape for _, _, s in passes] \
+        == [(2, 64 << k) for k in range(4)]
+
+
+@pytest.mark.parametrize("size", (64, 8192))
+def test_dropped_direct_nodes_are_bounded_and_counted(monkeypatch, size):
+    # each dropped node carries at most eps min sum |w phi| / M in every
+    # row, so a row drops at most eps sum |w phi|, and err covers it
+    passes = _record_passes(monkeypatch)
+    profiles = (plateau_profile(0.25, math.pi, 0.5),
+                plateau_profile(0.9, math.pi, 0.5))
+    tables = _moment_tables(profiles, size)
+    [(kept, v_kept, _)] = passes
+    (x, w, w_coarse), _ = _table_nodes(profiles[0], size)
+    rows = []
+    for profile in profiles:
+        f = profile(x)
+        rows += [w * f, (w - w_coarse) * f]
+    # dropped = all nodes minus the kept ones, as multisets of
+    # (x, rows) columns: the far ends of a grid repeat abscissae
+    dropped = Counter(zip(x, *rows))
+    dropped.subtract(Counter(zip(kept, *v_kept)))
+    assert all(k >= 0 for k in dropped.values())
+    assert kept.size < 0.75 * x.size
+    gone = np.abs([col for col, k in dropped.items() for _ in range(k)])
+    assert gone.shape == (x.size - kept.size, 5)
+    for k, (_, _, err) in enumerate(tables):
+        mass = np.sum(gone[:, 1 + 2 * k:3 + 2 * k], axis=0)
+        assert np.all(mass <= _EPS * np.sum(np.abs(rows[2 * k]))), mass
+        assert np.all(err >= np.sum(mass))
 
 
 def test_interval_truncation_error_at_tiny_t():
@@ -353,7 +459,7 @@ def _parseval_defect(f, bc, c, n_max):
     """(|zero-mode part + sum gamma_n^2 - ||f||^2|, zero-mode part, ||f||^2)
     for f on [0, pi], from the moments the spectral sum uses."""
     profile = SingularProfile(0.0, FromCallable(f), L=math.pi)
-    g, _ = _gammas(profile, bc, c, n_max)
+    g, _ = _gammas(_moment_tables((profile,), n_max)[0], bc, c)
     zero = 0.0
     if bc is R:
         zero = (_robin_zero_norm(c) * _exp_moment(profile, c)[0]) ** 2
