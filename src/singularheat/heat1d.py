@@ -13,14 +13,16 @@ The interval moments int phi e^{inx}, n = 1..N, use one node set per N
 and per pieces(): 8-node Gauss cells on the lattice x = k pi/N, summed by
 one length-2N real FFT per Gauss offset, and the tanh-sinh head and tail
 grids plus the cells cut by a breakpoint, summed with their coarse-rule
-difference in one blocked complex matrix product, one pass per node set
+difference by Gaussian gridding onto a 4N-point grid and one real FFT
+per row (Greengard and Lee, SIAM Rev. 46, 2004), one pass per node set
 with the rows of phi and rho side by side and the nodes that carry no
-weight dropped.  Only the spectral-sum terms of each (phi, rho, bc, c, N)
-are cached, not the moments.  The Robin zero-mode moment integrates the
-profile's pieces as one lanes call.  apply_A / intertwine_residual
-realize the first-order operators A = d/dx + c and A* = -d/dx + c that
-exchange the Dirichlet and Robin flows, giving a simulator-level
-consistency check on both realizations.
+weight dropped; the gridding error (Gaussian truncation, aliasing and
+rounding) is bounded in err.  Only the spectral-sum terms of each
+(phi, rho, bc, c, N) are cached, not the moments.  The Robin zero-mode
+moment integrates the profile's pieces as one lanes call.  apply_A /
+intertwine_residual realize the first-order operators A = d/dx + c and
+A* = -d/dx + c that exchange the Dirichlet and Robin flows, giving a
+simulator-level consistency check on both realizations.
 """
 
 from __future__ import annotations
@@ -236,8 +238,11 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
 _HEAD_LEVEL = 6        # tanh-sinh level of the head and tail grids
 _PANEL_NODES = 8       # Gauss nodes per lattice cell of width pi / N
 _HEAD_PERIODS = 10.0   # head and tail cover 10 / N
-_MODE_BLOCK = 64       # n = n0 + d with n0 a multiple of 64, d in 1..64
-_NODE_BLOCK = 32       # nodes per block of the matrix product
+_SPREAD = 14           # a gridded node spreads to 2 * 14 grid points
+_SPREAD_CHUNK = 64     # nodes per bincount of the spread
+#: Gaussian e^{-c t^2} in grid steps, c = pi (R - 1/2) / (R _SPREAD) at
+#: oversampling R = 2 (4N grid points for the 2N modes -N..N)
+_GAUSS = 0.75 * math.pi / _SPREAD
 _EPS = np.finfo(float).eps
 
 
@@ -287,18 +292,89 @@ def _table_nodes(profile: SingularProfile, N: int):
     return tuple(map(np.concatenate, zip(*parts))), lattice
 
 
-def _exp_sums(x, v, N: int):
-    """sum_j v_rj e^{i n x_j} for n = 1..N, one row per row r of v, as one
-    blocked matrix product with the rows side by side on the right."""
-    d = np.arange(1, _MODE_BLOCK + 1, dtype=float)
-    n0 = np.arange(0, N, _MODE_BLOCK, dtype=float)
-    v = np.asarray(v)
-    out = np.zeros((n0.size, d.size * v.shape[0]), complex)
-    for lo in range(0, x.size, _NODE_BLOCK):
-        xb, vb = x[lo:lo + _NODE_BLOCK], v[:, lo:lo + _NODE_BLOCK]
-        rhs = np.exp(1j * np.outer(xb, d))[:, :, None] * vb.T[:, None, :]
-        out += np.exp(1j * np.outer(n0, xb)) @ rhs.reshape(xb.size, -1)
-    return out.reshape(-1, v.shape[0])[:N].T
+def _grid_sums(x, v, N: int):
+    """sum_j v_rj e^{i n x_j} for n = 1..N, one row per row r of v, by
+    Gaussian gridding (Greengard and Lee, SIAM Rev. 46, 2004).
+
+    In grid units s = x 2N/pi, each node spreads v_j e^{-c (s_j - k)^2}
+    to the 2 _SPREAD integers k nearest s_j, wrapped onto the 4N-periodic
+    grid; one real FFT of each row gives F_n = sum_k G_k e^{-i pi n k/2N},
+    and the sum is conj(F_n) sqrt(c/pi) e^{(pi n/4N)^2/c}, which undoes
+    the Fourier coefficient of the Gaussian.  The nodes are spread in
+    ascending order, _SPREAD_CHUNK at a time, each chunk by one bincount
+    into the window of grid points it reaches; each row's grid is then
+    the sum of its chunk windows, one row at a time, so only one row of
+    the grid is held.  N must be at least 8.
+    """
+    rows, period, pad = v.shape[0], 4 * N, _SPREAD - 1
+    order = np.argsort(x, kind="stable")
+    s = x[order] * (2 * N / math.pi)
+    base = np.floor(s)
+    frac = s - base
+    base = base.astype(np.intp)
+    v = v[:, order]
+    k = np.arange(-pad, _SPREAD + 1)
+    # column j of a row's grid holds grid point j - pad; a window is its
+    # first column and the spread of every row
+    windows = []
+    for lo in range(0, x.size, _SPREAD_CHUNK):
+        b = base[lo:lo + _SPREAD_CHUNK]
+        width = int(b[-1] - b[0]) + 2 * _SPREAD
+        cols = (b - b[0])[:, None] + (k + pad) \
+            + width * np.arange(rows)[:, None, None]
+        w = np.exp(-_GAUSS * (k - frac[lo:lo + b.size, None]) ** 2)
+        spread = np.bincount(cols.ravel(),
+                             (v[:, lo:lo + b.size, None] * w).ravel(),
+                             rows * width)
+        windows.append((b[0], spread.reshape(rows, width)))
+    n = np.arange(1, N + 1)
+    scale = math.sqrt(_GAUSS / math.pi) \
+        * np.exp((math.pi / period * n) ** 2 / _GAUSS)
+    out = np.empty((rows, N), complex)
+    for r, row in enumerate(out):
+        grid = np.zeros(period + pad)
+        for first, spread in windows:
+            grid[first:first + spread.shape[1]] += spread[r]
+        grid[period:] += grid[:pad]  # the first pad columns wrap
+        row[:] = np.fft.rfft(grid[pad:])[1:N + 1]
+        np.conjugate(row, out=row)
+        row *= scale
+    return out
+
+
+def _grid_error(x, v, N: int):
+    """Bound on |_grid_sums(x, v, N) - exact|, one row per row of v.
+
+    With M nodes, B = _SPREAD_CHUNK, u = eps/2, a = (pi n/4N)^2/c and
+    A = sum_j |v_rj|, the parts are:
+    - truncation: the Gaussian beyond the window, which is at least
+      _SPREAD grid steps from every node, sqrt(c/pi) e^a 2 sum_{i>=0}
+      e^{-c (_SPREAD + i)^2} A (the terms past i = 7 are below 1e-35);
+    - aliasing: the FFT also returns the Gaussian's coefficients at
+      n + 4Np, (e^{-(pi^2/c)(1 - n/2N)} + 2.0001 e^{-pi^2/c}) A;
+    - rounding of the spread, (B + ceil(M/B) + 4) u: the product v w, a
+      sum of at most B terms per grid point in a chunk and of at most
+      ceil(M/B) chunk windows, the fold, and the weights (relative error
+      (4 c t^2 + 2) u at distance t, whose Gaussian sum is
+      4 sqrt(pi/c)); and of the FFT, eps log2(4N) as for the lattice;
+      both per sum_k |G_k| <= sqrt(pi/c) A, so times sqrt(c/pi) e^a;
+    - the scaling, (6a + 5) u A;
+    - the rounding of s = x 2N/pi, a node shift of at most 3 u x_j, so
+      3 u n sum_j |v_rj| x_j.
+    """
+    u = 0.5 * _EPS
+    n = np.arange(1, N + 1, dtype=float)
+    a = (math.pi / (4 * N) * n) ** 2 / _GAUSS
+    tail = 2.0 * sum(math.exp(-_GAUSS * (_SPREAD + i) ** 2)
+                     for i in range(8))
+    chunks = -(-x.size // _SPREAD_CHUNK)
+    spread = (_SPREAD_CHUNK + chunks + 4) * u + _EPS * math.log2(4 * N)
+    unit = np.exp(a) * (math.sqrt(_GAUSS / math.pi) * tail + spread) \
+        + np.exp(-math.pi ** 2 / _GAUSS * (1.0 - n / (2 * N))) \
+        + 2.0001 * math.exp(-math.pi ** 2 / _GAUSS) + (6.0 * a + 5.0) * u
+    size = np.abs(v)
+    return np.outer(np.sum(size, axis=1), unit) \
+        + 3.0 * u * np.outer(np.sum(size * x, axis=1), n)
 
 
 def _lattice_sums(u, cells, N: int):
@@ -322,24 +398,28 @@ def _lattice_sums(u, cells, N: int):
 
 
 def _direct_sums(profiles: tuple, x, w, w_coarse, N: int):
-    """(sums, mass, dropped) over the direct nodes x of _table_nodes.
+    """(sums, err), one row per profile, over the direct nodes x of
+    _table_nodes: sums_n = sum w phi e^{inx} and its error bound err_n.
 
-    The rows are w phi and (w - w_coarse) phi of each profile, side by
-    side.  A node is dropped when its largest |v_r| is at most
-    eps min sum |w phi| / M, so a row drops at most eps sum |w phi| of its
-    own profile (about half the nodes: the far ends of the tanh-sinh
-    grids).  sums is one _exp_sums pass over the kept nodes; mass and
-    dropped hold, per profile, the sum |v| of its two rows over all M
-    nodes and over the dropped ones.
+    The pass sums the rows w phi and (w - w_coarse) phi of each profile,
+    side by side, in one _grid_sums call.  A node is dropped when its
+    largest |v_r| is at most eps min sum |w phi| / M, so a row drops at
+    most eps sum |w phi| of its own profile (about half the nodes: the
+    far ends of the tanh-sinh grids).  err is the coarse-rule difference
+    |sum (w - w_coarse) phi e^{inx}|, plus the _grid_error of both rows
+    (linear in |v|, so that of their sum |v|), plus their mass
+    sum_dropped |v| on the dropped nodes.
     """
     values = [profile(x) for profile in profiles]
     v = np.array([r for f in values for r in (w * f, (w - w_coarse) * f)])
     size = np.abs(v)
-    mass = np.sum(size, axis=1)
-    keep = np.max(size, axis=0) > _EPS * float(np.min(mass[::2])) / x.size
-    dropped = np.sum(size[:, ~keep], axis=1)
-    return (_exp_sums(x[keep], v[:, keep], N), mass.reshape(-1, 2).sum(1),
-            dropped.reshape(-1, 2).sum(1))
+    keep = np.max(size, axis=0) \
+        > _EPS * float(np.min(np.sum(size[::2], axis=1))) / x.size
+    sums = _grid_sums(x[keep], v[:, keep], N)
+    pairs = size.reshape(-1, 2, x.size).sum(axis=1)
+    err = np.abs(sums[1::2]) + _grid_error(x[keep], pairs[:, keep], N) \
+        + np.sum(pairs[:, ~keep], axis=1)[:, None]
+    return sums[::2].copy(), err
 
 
 def _moment_tables(profiles: tuple, N: int) -> list:
@@ -348,26 +428,27 @@ def _moment_tables(profiles: tuple, N: int) -> list:
     The profiles share one pieces(), hence one node set.  The whole
     lattice cells are summed by _lattice_sums, eight real FFTs of length
     2N per profile; the direct nodes (head and tail grids and cut cells)
-    by _direct_sums, one pass for all profiles.  err_n, a conservative
-    estimate of |S_n - exact| and |C_n - exact| that the tests check as a
-    bound, is the head and tail coarse-rule difference, plus the mass
-    sum_dropped |v| of both rows on the dropped nodes, plus
-    eps (M + n x_max) sum (|w phi| + |(w - w_coarse) phi|) over all M
-    direct nodes (rounding of the M products of both rows and of n x),
-    plus eps (log2(2N) + n h) sum |u| over the lattice nodes, u = wl phi
+    by _direct_sums, one gridding pass for all profiles.  err_n, a
+    conservative estimate of |S_n - exact| and |C_n - exact| that the
+    tests check as a bound, is the head and tail coarse-rule difference,
+    plus the mass sum_dropped |v| of both rows on the dropped nodes, plus
+    the _grid_error of both rows (Gaussian truncation and aliasing, the
+    rounding of the spread, the FFT and the scaling, which undoing the
+    Gaussian amplifies by up to e^{(pi n/4N)^2/c}, about 39 at n = N, and
+    the rounding of the grid coordinate, 3 u n sum |v| x), plus
+    eps (log2(2N) + n h) sum |u| over the lattice nodes, u = wl phi
     (rounding of the FFT and of the offset phase).
     """
     (x, w, w_coarse), (cells, xl, wl) = _table_nodes(profiles[0], N)
-    sums, mass, dropped = _direct_sums(profiles, x, w, w_coarse, N)
+    sums, direct_err = _direct_sums(profiles, x, w, w_coarse, N)
     n = np.arange(1, N + 1, dtype=float)
     tables = []
     for k, profile in enumerate(profiles):
         u = profile(xl) * wl
-        mom = sums[2 * k] + _lattice_sums(u, cells, N)
-        rounding = _EPS * ((x.size + n * x.max()) * float(mass[k])
-                           + (math.log2(2 * N) + n * math.pi / N)
-                           * float(np.sum(np.abs(u))))
-        err = np.abs(sums[2 * k + 1]) + rounding + float(dropped[k])
+        mom = sums[k] + _lattice_sums(u, cells, N)
+        rounding = _EPS * (math.log2(2 * N) + n * math.pi / N) \
+            * float(np.sum(np.abs(u)))
+        err = direct_err[k] + rounding
         tables.append((mom.imag, mom.real, err))
     return tables
 

@@ -13,9 +13,10 @@ from singularheat.errors import (DomainError, RangeError, TruncationError)
 from singularheat import heat1d
 from singularheat.heat1d import (_EPS, HeatContentSamples, _TINY,
                                  _cross_correlation, _endpoint_convolution,
-                                 _exp_moment, _exp_sums, _gammas,
-                                 _lattice_sums, _moment_tables, _pair_terms,
-                                 _robin_zero_norm, _table_nodes, apply_A,
+                                 _exp_moment, _gammas, _grid_error,
+                                 _grid_sums, _lattice_sums, _moment_tables,
+                                 _pair_terms, _robin_zero_norm, _table_nodes,
+                                 apply_A,
                                  circle_heat_content,
                                  halfline_heat_content, interval_heat_content,
                                  intertwine_residual)
@@ -291,6 +292,24 @@ def test_fourier_moments_at_edge_geometry():
         _moment_tables((SingularProfile(0.25, constant(), 4.0),), 64)
 
 
+def _blocked_product(x, v, N, dtype=complex):
+    """sum_j v_rj e^{i n x_j} for n = 1..N, one row per row r of v, as the
+    blocked matrix product e^{i n0 x} @ (e^{i d x} v) with n = n0 + d,
+    n0 a multiple of 64 and d in 1..64, over blocks of 32 nodes.  Its
+    rounding is eps (M + n x_max) sum |v| over M nodes, eps that of
+    dtype: the products and the phases n x."""
+    d = np.arange(1, 65, dtype=float)
+    n0 = np.arange(0, N, 64, dtype=float)
+    v = np.asarray(v)
+    out = np.zeros((n0.size, d.size * v.shape[0]), dtype)
+    for lo in range(0, x.size, 32):
+        xb = np.asarray(x[lo:lo + 32], np.finfo(dtype).dtype)
+        vb = v[:, lo:lo + 32]
+        rhs = np.exp(1j * np.outer(xb, d))[:, :, None] * vb.T[:, None, :]
+        out += np.exp(1j * np.outer(n0, xb)) @ rhs.reshape(xb.size, -1)
+    return out.reshape(-1, v.shape[0])[:N].T
+
+
 @pytest.mark.parametrize("size", (64, 1024, 8192))
 def test_lattice_fft_matches_direct_product(size):
     # the real FFTs against the blocked product over the same lattice
@@ -301,11 +320,57 @@ def test_lattice_fft_matches_direct_product(size):
     profile = plateau_profile(0.25, math.pi, 0.5)
     _, (cells, xl, wl) = _table_nodes(profile, size)
     u = profile(xl) * wl
-    direct = _exp_sums(xl.ravel(), [u.ravel()], size)[0]
+    direct = _blocked_product(xl.ravel(), [u.ravel()], size)[0]
     n = np.arange(1, size + 1)
     bound = _EPS * (math.log2(2 * size) + n * math.pi / size
                     + u.size + n * xl.max()) * np.sum(np.abs(u))
     assert np.all(np.abs(_lattice_sums(u, cells, size) - direct) <= bound)
+
+
+def _check_gridding(x, v, size):
+    """Assert _grid_sums within _grid_error of the blocked product in long
+    double, whose own rounding term is added; return the bound per
+    sum |v| of its row."""
+    v = np.asarray(v)
+    exact = _blocked_product(x, v, size, np.clongdouble)
+    n = np.arange(1, size + 1)
+    mass = np.sum(np.abs(v), axis=1)[:, None]
+    ref_err = np.finfo(np.clongdouble).eps \
+        * (x.size + n * np.max(x, initial=0.0)) * mass
+    bound = _grid_error(x, v, size)
+    gap = np.abs(_grid_sums(x, v, size) - exact)
+    assert np.all(gap <= bound + ref_err), np.max(gap / bound)
+    return bound / mass
+
+
+@pytest.mark.parametrize("size", (64, 1024, 8192))
+def test_gridding_on_seed7_nodes_within_bound(monkeypatch, size):
+    # the kept direct nodes and the four rows of the benchmark's seed-7
+    # Robin pair
+    passes = _record_passes(monkeypatch)
+    _moment_tables((plateau_profile(0.19714982944994874, math.pi, 0.5),
+                    plateau_profile(0.2877122934811255, math.pi, 0.5)), size)
+    [(x, v, _)] = passes
+    assert np.all(_check_gridding(x, v, size) <= 1e-12)
+
+
+@pytest.mark.parametrize("size", (64, 8192))
+def test_gridding_at_the_ends_of_the_interval(size):
+    # x = 0 wraps its spread onto the end of the grid; 0 and pi are grid
+    # points, and half a grid step h = pi/(2N) off them is the farthest
+    # from one; rows of mixed sign
+    h = math.pi / (2 * size)
+    x = np.array([0.0, 0.5 * h, math.pi - 0.5 * h, math.pi])
+    _check_gridding(x, [[1.0, -0.5, 2.0, 0.25], [0.0, 3.0, 0.0, -1.0]],
+                    size)
+
+
+def test_gridding_of_no_nodes_is_zero():
+    empty = np.zeros((2, 0))
+    assert np.array_equal(_grid_sums(np.zeros(0), empty, 64),
+                          np.zeros((2, 64), complex))
+    assert np.array_equal(_grid_error(np.zeros(0), empty, 64),
+                          np.zeros((2, 64)))
 
 
 def test_fourier_moment_table_memory():
@@ -350,15 +415,15 @@ def test_fourier_moment_table_work_is_linear():
 
 
 def _record_passes(monkeypatch):
-    """Wrap heat1d._exp_sums; the list collects (x, v, sums) per pass."""
+    """Wrap heat1d._grid_sums; the list collects (x, v, sums) per pass."""
     passes = []
 
     def recorded(x, v, N):
-        sums = _exp_sums(x, v, N)
+        sums = _grid_sums(x, v, N)
         passes.append((x, np.asarray(v), sums))
         return sums
 
-    monkeypatch.setattr(heat1d, "_exp_sums", recorded)
+    monkeypatch.setattr(heat1d, "_grid_sums", recorded)
     return passes
 
 
@@ -371,8 +436,8 @@ def test_fused_pass_matches_single_profile_passes(monkeypatch):
     _moment_tables((phi, rho), 1024)
     [(x, v, sums)] = passes
     assert v.shape == (4, x.size)
-    assert np.array_equal(sums[:2], _exp_sums(x, v[:2], 1024))
-    assert np.array_equal(sums[2:], _exp_sums(x, v[2:], 1024))
+    assert np.array_equal(sums[:2], _grid_sums(x, v[:2], 1024))
+    assert np.array_equal(sums[2:], _grid_sums(x, v[2:], 1024))
 
 
 def test_pair_terms_on_different_pieces_match_per_profile_tables(
