@@ -13,11 +13,16 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import AdmissibilityError
-from .specfun import gamma_ratio
+from .specfun import _signs, gamma_ratio
 
 DEFAULT_DELTA = 1e-6
+
+#: distinct exponent pairs whose base terms a process keeps (`verify all`
+#: reads 606); the least recently used one goes first
+_BASE_TERMS_MEMO = 1024
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -66,16 +71,29 @@ def _base_eps(sign: int, a1: complex, a2: complex) -> complex:
     form is also evaluated at exponent pairs shifted upward, where the
     public admissibility constraint Re < 1 does not hold.
     """
+    pref, term1, term2 = _base_terms(a1, a2, _signs(a1) + _signs(a2))
+    return pref * (sign * term1 + term2)
+
+
+@lru_cache(maxsize=_BASE_TERMS_MEMO)
+def _base_terms(a1: complex, a2: complex, signs: tuple) -> tuple:
+    """(pref, T1, T2) with eps(sign, a1, a2) = pref (sign T1 + T2).
+
+    The two boundary conditions differ only in the sign of T1, so both
+    read one evaluation per pair and process.  signs, which is
+    _signs(a1) + _signs(a2), only keys the memo on the exact bits of the
+    pair, as in specfun.log_gamma.
+    """
     sigma = a1 + a2
     if _integer_distance(sigma) <= DEFAULT_DELTA:
         raise AdmissibilityError(
             f"alpha1 + alpha2 = {sigma} is within {DEFAULT_DELTA} of an integer")
     pref = cmath.exp(-sigma * math.log(2.0)) / _SQRT_PI
     half = 0.5 * (2.0 - sigma)
-    term1 = sign * gamma_ratio([half, 1.0 - a1, 1.0 - a2], [2.0 - sigma])
+    term1 = gamma_ratio([half, 1.0 - a1, 1.0 - a2], [2.0 - sigma])
     term2 = (gamma_ratio([half, sigma - 1.0, 1.0 - a1], [a2])
              + gamma_ratio([half, sigma - 1.0, 1.0 - a2], [a1]))
-    return pref * (term1 + term2)
+    return pref, term1, term2
 
 
 _DIRICHLET_KEYS = tuple(f"eps{k}" for k in range(15))

@@ -92,16 +92,19 @@ class PlateauCutoff(SmoothFunction):
 
     def derivatives(self, x, order: int) -> list:
         # map the ramp [r0/2, r0] to [0, 1]
-        u = (np.asarray(x, float) - 0.5 * self.r0) / (0.5 * self.r0)
-        v = np.minimum(np.maximum(u, 0.0), 1.0)
-        out = [1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)]
-        if order >= 1:
-            inside = (u > 0.0) & (u < 1.0)
+        u = np.asarray((np.asarray(x, float) - 0.5 * self.r0) / (0.5 * self.r0))
+        inside = (u > 0.0) & (u < 1.0)
+        v = u[inside]
+        # 1 up to r0/2 and 0 past r0 (a NaN is passed through); the
+        # smoothstep is evaluated on the ramp only
+        f = np.asarray(u <= 0.0, float)
+        np.copyto(f, u, where=np.isnan(u))
+        f[inside] = 1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)
+        out = [f[()]]  # a scalar for a scalar x
         for k in range(1, order + 1):
             d = np.zeros_like(u)
             if k <= 5:
-                d[inside] = (2.0 / self.r0) ** k \
-                    * polyval(u[inside], _RAMP_DERIVS[k])
+                d[inside] = (2.0 / self.r0) ** k * polyval(v, _RAMP_DERIVS[k])
             out.append(d)
         return out
 

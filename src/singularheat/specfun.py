@@ -4,7 +4,9 @@ The evaluator is a Lanczos approximation (g = 7, 9 coefficients) on the
 right half-plane combined with the reflection formula for Re(z) < 1/2.
 Ratio evaluation works in log space so that large individual gamma values
 cancel before exponentiation, and zeros coming from poles of a reciprocal
-gamma factor are handled exactly.
+gamma factor are handled exactly.  Each process evaluates a log-gamma once
+per distinct argument: the results are kept in a bounded memo keyed on
+the exact bits of the argument.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
+from functools import lru_cache
 
 from .errors import PoleError, RangeError
 
@@ -42,6 +45,18 @@ _LANCZOS_C = (
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
+#: distinct arguments whose log-gamma a process keeps (`verify all` reads
+#: 2,372); the least recently used one goes first
+_LOG_GAMMA_MEMO = 4096
+
+
+def _signs(z: complex) -> tuple:
+    """Signs of the parts of z.  Beside z they key a memo on its exact
+    bits: complex equality takes 0.0 == -0.0, but the two zeros pick
+    opposite sides of a branch cut (log_gamma(-0.7 + 0j) is ... + pi j,
+    log_gamma(-0.7 - 0j) is ... - pi j)."""
+    return math.copysign(1.0, z.real), math.copysign(1.0, z.imag)
+
 
 def _near_nonpositive_integer(z: complex) -> bool:
     if abs(z.imag) > POLE_TOL:
@@ -70,9 +85,20 @@ def log_gamma(z: complex) -> complex:
     Raises PoleError when z is within POLE_TOL of a non-positive integer,
     and RangeError when Re z < 1/2 and sin(pi z) overflows (|Im z| > 226).
     exp(log_gamma(z)) equals Gamma(z); for real positive z the result is
-    real.
+    real.  The results of the last _LOG_GAMMA_MEMO distinct arguments,
+    distinct to the last bit, are kept for the process; errors are not.
     """
     z = complex(z)
+    return _log_gamma(z, _signs(z))
+
+
+@lru_cache(maxsize=_LOG_GAMMA_MEMO)
+def _log_gamma(z: complex, signs: tuple) -> complex:
+    """log_gamma(z); signs, which is _signs(z), only keys the memo.
+
+    The pole check runs once per distinct argument; gamma_ratio, which
+    checks its arguments itself, repeats it only here, on a memo miss.
+    """
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise RangeError(f"non-finite argument {z!r}")
     if _near_nonpositive_integer(z):

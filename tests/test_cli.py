@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from singularheat import cli
+from singularheat import cli, coeff, specfun
 from singularheat.asymfit import fit
 from singularheat.cli import ProblemConfig, main
 from singularheat.heat1d import HeatContentSamples
@@ -357,6 +357,21 @@ def test_verify_recursions(capsys):
     report = json.loads(out.strip().splitlines()[-1])
     assert report["pass"] is True
     assert report["checks"]["recursions"]["residual"] <= 1e-10
+
+
+def test_verify_all_evaluates_each_gamma_quantity_once(monkeypatch, capsys):
+    # the suites read 2,372 distinct log-gamma arguments and 606 distinct
+    # exponent pairs (24,336 and 1,926 reads); each is evaluated once
+    lanczos = []
+    right = specfun._log_gamma_right
+    monkeypatch.setattr(specfun, "_log_gamma_right",
+                        lambda z: lanczos.append(z) or right(z))
+    coeff._base_terms.cache_clear()
+    specfun._log_gamma.cache_clear()
+    code, out, _ = run(capsys, ["verify", "all", "--seed", "2795742288"])
+    assert code == 0 and json.loads(out.strip().splitlines()[-1])["pass"]
+    assert len(lanczos) == 2372
+    assert coeff._base_terms.cache_info().misses == 606
 
 
 def test_verify_scaling_deterministic(capsys):

@@ -3,11 +3,12 @@
 import json
 import math
 import random
+import struct
 
 import mpmath
 import pytest
 
-from singularheat import coeff
+from singularheat import coeff, specfun
 from singularheat.coeff import (BoundaryConditionKind, DEFAULT_DELTA,
                                 ExponentPair, build_table,
                                 closed_form_crosscheck, recursion_check)
@@ -121,6 +122,37 @@ def test_build_table_evaluates_each_shifted_base_once(monkeypatch):
         calls.clear()
         build_table(bc, pair)
         assert len(calls) == want, bc
+
+
+def _table_bits(table):
+    return [struct.pack("dd", v.real, v.imag) for v in table.values.values()]
+
+
+def _clear_memos():
+    coeff._base_terms.cache_clear()
+    specfun._log_gamma.cache_clear()
+
+
+def test_base_terms_memo_is_transparent():
+    # tables built warm, after the other boundary condition and the other
+    # pairs were read, equal cold ones bit for bit.  The real pairs reach
+    # the reflection branch through Gamma(a1 - 2) and the like; the last
+    # pair equals the one before it but for the sign of a zero, which
+    # moves the tables' imaginary parts, so it keys its own entry
+    pairs = [ExponentPair(0.3 + 0.1j, -0.45), ExponentPair(0.3, -0.45),
+             ExponentPair(-0.7, 0.4), ExponentPair(complex(-0.7, -0.0), 0.4)]
+    cold = {}
+    for i, pair in enumerate(pairs):
+        for bc in (R, D):
+            _clear_memos()
+            cold[bc, i] = _table_bits(build_table(bc, pair))
+    assert cold[R, 2] != cold[R, 3] and cold[D, 2] != cold[D, 3]
+    for first, second in ((R, D), (D, R)):
+        _clear_memos()
+        for i in [0, 1, 2, 3, 3, 2, 1, 0]:
+            for bc in (first, second):
+                assert _table_bits(build_table(bc, pairs[i])) \
+                    == cold[bc, i], (bc, pairs[i])
 
 
 def _mp_base(sign, a1, a2):

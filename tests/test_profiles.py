@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from singularheat.errors import DomainError, RangeError
-from singularheat.profiles import (FromCallable, IntertwinedFactor,
-                                   OperatorApplied, PlateauCutoff, Polynomial,
-                                   Product, SingularProfile, SmoothFunction,
-                                   constant, plateau_profile)
+from singularheat.profiles import (_RAMP_DERIVS, FromCallable,
+                                   IntertwinedFactor, OperatorApplied,
+                                   PlateauCutoff, Polynomial, Product,
+                                   SingularProfile, SmoothFunction, constant,
+                                   plateau_profile)
 
 
 def _jets(smooth, order):
@@ -60,6 +62,46 @@ def test_plateau_cutoff_shape():
         assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
     with pytest.raises(DomainError):
         PlateauCutoff(-1.0)
+
+
+def _cutoff_everywhere(r0, x, order):
+    """PlateauCutoff.derivatives with the smoothstep evaluated at every
+    point, on the ramp coordinate clipped to [0, 1]: the reference for
+    the ramp-only evaluation."""
+    u = (np.asarray(x, float) - 0.5 * r0) / (0.5 * r0)
+    v = np.minimum(np.maximum(u, 0.0), 1.0)
+    out = [1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)]
+    inside = (u > 0.0) & (u < 1.0)
+    for k in range(1, order + 1):
+        d = np.zeros_like(u)
+        if k <= 5:
+            d[inside] = (2.0 / r0) ** k * polyval(u[inside], _RAMP_DERIVS[k])
+        out.append(d)
+    return out
+
+
+def test_plateau_cutoff_ramp_only_matches_everywhere_formula_bitwise():
+    grid = np.array([0.0, 0.1, 0.4, 0.45, 0.6, 0.79, 0.8, 1.2, np.nan])
+    cases = [(0.8, x, 6) for x in (0.0, 0.4, 0.6, 0.8, 1.2, np.nan)] \
+        + [(0.8, grid, 6), (0.8, grid.reshape(3, 3), 6)]
+    # where 0.5 r0 is subnormal it rounds: r0 itself maps into the ramp
+    # and a point past it to u = 1 exactly.  Only f is compared there; the
+    # derivative scale (2/r0)^k overflows in either form
+    for r0 in (1e-310, 3e-308):
+        x = r0 + np.arange(-4, 5) * np.spacing(r0)
+        assert np.any((x != r0) & ((x - 0.5 * r0) / (0.5 * r0) == 1.0))
+        cases.append((r0, x, 0))
+    for r0, x, top in cases:
+        cut = PlateauCutoff(r0)
+        for order in range(top + 1):
+            got, want = cut.derivatives(x, order), _cutoff_everywhere(r0, x, order)
+            assert len(got) == len(want) == order + 1
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert type(g) is type(w) and np.shape(g) == np.shape(w), \
+                    (r0, x, order, k)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), \
+                    (r0, x, order, k)
+    assert np.isnan(PlateauCutoff(0.8)(np.nan))
 
 
 def test_product_combines_taylor_and_breakpoints():

@@ -9,11 +9,13 @@ sum log(z+k), then evaluates log G(z+N) with the Stirling series at
 import cmath
 import math
 import random
+import struct
 
 import mpmath
 import pytest
 
 from singularheat.errors import PoleError, RangeError
+from singularheat import specfun
 from singularheat.specfun import gamma_ratio, log_gamma
 
 mpmath.mp.dps = 50
@@ -163,3 +165,35 @@ def test_beta_against_quadrature_oracle():
 
 def test_gamma_half():
     assert _rel(cmath.exp(log_gamma(0.5)), math.sqrt(math.pi)) < 1e-14
+
+
+def _bits(z):
+    return struct.pack("dd", z.real, z.imag)
+
+
+def test_log_gamma_memo_is_transparent():
+    # a warm read equals a cold evaluation bit for bit; the two signed
+    # zeros are separate entries, each call order reading its own branch
+    plus, minus = complex(-0.7, 0.0), complex(-0.7, -0.0)
+    zs = [0.5, 2.5 + 3j, -1.7 + 0.2j, -2.3, complex(-2.3, -0.0), plus, minus]
+    cold = []
+    for z in zs:
+        specfun._log_gamma.cache_clear()
+        cold.append(_bits(log_gamma(z)))
+    assert log_gamma(plus).imag == pytest.approx(math.pi)
+    assert log_gamma(minus).imag == pytest.approx(-math.pi)
+    for order in (range(len(zs)), range(len(zs) - 1, -1, -1)):
+        specfun._log_gamma.cache_clear()
+        for _ in range(2):
+            for i in order:
+                assert _bits(log_gamma(zs[i])) == cold[i], zs[i]
+    assert specfun._log_gamma.cache_info().currsize == len(zs)
+
+
+def test_log_gamma_memo_keeps_no_error():
+    specfun._log_gamma.cache_clear()
+    for z in (-3.0, complex(math.inf, 0.0), 0.3 + 300j):
+        for _ in range(2):
+            with pytest.raises((PoleError, RangeError)):
+                log_gamma(z)
+    assert specfun._log_gamma.cache_info().currsize == 0
