@@ -148,15 +148,8 @@ class ProblemConfig:
                       else v for k, v in obj.items()})
 
 
-def _time_grid(cfg: ProblemConfig) -> list:
-    if cfg.num == 1:
-        return [cfg.tmin]
-    return [float(v) for v in np.geomspace(cfg.tmin, cfg.tmax, cfg.num)]
-
-
 def simulate(cfg: ProblemConfig) -> HeatContentSamples:
     """Run the configured model problem over its geometric t-grid."""
-    ts = _time_grid(cfg)
     bc = BoundaryConditionKind(cfg.bc)
 
     def make_profile(alpha: float, L: float) -> SingularProfile:
@@ -185,6 +178,7 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
         def one(t):
             return circle_heat_content(phi_f, rho_f, t), 0.0
 
+    ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.num).tolist()
     entries = [(t, *one(t)) for t in ts]
     return HeatContentSamples(entries)
 

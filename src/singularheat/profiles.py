@@ -4,7 +4,7 @@ The smooth factors that appear in the model problems are plateau cutoffs
 (identically 1 near the boundary), polynomials, and combinations produced
 by applying first- and second-order operators.  Each class carries exact
 derivatives, its analytic breakpoints (so quadrature can split there),
-and, when available, exact Taylor data at 0 valid on an initial plateau
+and, when available, the degree of its exact Taylor polynomial at 0
 (which lets the regularized-integral collar be evaluated in closed form).
 
 derivatives(x, order) returns [f(x), f'(x), ..., f^(order)(x)] in one
@@ -12,8 +12,9 @@ pass, and it is the only way a smooth factor is read: f(x) is
 derivatives(x, 0)[0].  Every class defines it.  The composites (Product,
 OperatorApplied, IntertwinedFactor) ask their factors for one list and
 build every order from it, so an n-fold nested factor costs O(n) list
-passes rather than a Leibniz tree of size ~7^n.  Taylor data at 0 comes
-only from taylor0().
+passes rather than a Leibniz tree of size ~7^n.  taylor0() is the same
+pass at x = 0 up to taylor_degree(), entry k divided by k!; it is exact
+up to the first breakpoint.
 """
 
 from __future__ import annotations
@@ -41,13 +42,19 @@ class SmoothFunction:
         """[f(x), f'(x), ..., f^(order)(x)]; every subclass defines it."""
         raise NotImplementedError
 
-    def taylor0(self):
-        """Exact Taylor coefficients at 0, or None if not available."""
+    def taylor_degree(self) -> int | None:
+        """Degree of the exact Taylor polynomial at 0, or None without one."""
         return None
 
-    def taylor_radius(self) -> float:
-        """Radius on which taylor0() reproduces the function exactly."""
-        return 0.0
+    def taylor0(self):
+        """Exact Taylor coefficients at 0 (up to the first breakpoint), or
+        None if not available: one derivatives pass at 0."""
+        degree = self.taylor_degree()
+        if degree is None:
+            return None
+        d = self.derivatives(np.zeros(1), degree)
+        return tuple(float(d[k][0]) / math.factorial(k)
+                     for k in range(degree + 1))
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,11 @@ class Polynomial(SmoothFunction):
         x = np.asarray(x, float)
         return [polyval(x, polyder(self.coeffs, k)) for k in range(order + 1)]
 
+    def taylor_degree(self) -> int:
+        return len(self.coeffs) - 1
+
     def taylor0(self):
         return tuple(self.coeffs)
-
-    def taylor_radius(self) -> float:
-        return math.inf
 
 
 def constant() -> Polynomial:
@@ -103,16 +110,24 @@ class PlateauCutoff(SmoothFunction):
         out = [f[()]]  # a scalar for a scalar x
         for k in range(1, order + 1):
             d = np.zeros_like(u)
-            if k <= 5:
-                d[inside] = (2.0 / self.r0) ** k * polyval(v, _RAMP_DERIVS[k])
+            if k <= 5 and v.size:
+                # the chain-rule scale (2/r0)^k, or the ramp values it
+                # multiplies, may leave the doubles for a tiny r0; off the
+                # ramp (as for the Taylor data at 0) it is never formed
+                try:
+                    scale = (2.0 / self.r0) ** k
+                except OverflowError:
+                    scale = math.inf
+                with np.errstate(over="ignore", invalid="ignore"):
+                    d[inside] = scale * polyval(v, _RAMP_DERIVS[k])
+                if not np.isfinite(d).all():
+                    raise RangeError(f"cutoff derivative of order {k} "
+                                     f"overflows at radius {self.r0!r}")
             out.append(d)
         return out
 
-    def taylor0(self):
-        return (1.0,)
-
-    def taylor_radius(self) -> float:
-        return 0.5 * self.r0
+    def taylor_degree(self) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -135,18 +150,9 @@ class Product(SmoothFunction):
             out.append(total)
         return out
 
-    def taylor0(self):
-        a, b = self.left.taylor0(), self.right.taylor0()
-        if a is None or b is None:
-            return None
-        out = [0.0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return tuple(out)
-
-    def taylor_radius(self) -> float:
-        return min(self.left.taylor_radius(), self.right.taylor_radius())
+    def taylor_degree(self) -> int | None:
+        a, b = self.left.taylor_degree(), self.right.taylor_degree()
+        return None if a is None or b is None else a + b
 
 
 @dataclass(frozen=True)
@@ -239,19 +245,9 @@ class IntertwinedFactor(SmoothFunction):
             out.append(term)
         return out
 
-    def taylor0(self):
-        st = self.s.taylor0()
-        if st is None:
-            return None
-        out = []
-        for j in range(len(st) + 1):
-            sj = st[j] if j < len(st) else 0.0
-            sjm1 = st[j - 1] if 1 <= j <= len(st) else 0.0
-            out.append(self.sign * (self.a - j) * sj + self.c * sjm1)
-        return tuple(out)
-
-    def taylor_radius(self) -> float:
-        return self.s.taylor_radius()
+    def taylor_degree(self) -> int | None:
+        d = self.s.taylor_degree()
+        return None if d is None else d + 1
 
 
 @dataclass(frozen=True)
@@ -291,18 +287,6 @@ class OperatorApplied(SmoothFunction):
             out.append(g)
         return out
 
-    def taylor0(self):
-        st = self.s.taylor0()
-        if st is None:
-            return None
-        a, c2 = self.a, self.c2
-        out = []
-        for j in range(len(st) + 2):
-            sj = st[j] if j < len(st) else 0.0
-            sjm2 = st[j - 2] if 2 <= j < len(st) + 2 else 0.0
-            # -(a-j)(a-j+1) s_j from the power rule, plus c^2 shift by 2
-            out.append(-(a - j) * (a - j + 1) * sj + c2 * sjm2)
-        return tuple(out)
-
-    def taylor_radius(self) -> float:
-        return self.s.taylor_radius()
+    def taylor_degree(self) -> int | None:
+        d = self.s.taylor_degree()
+        return None if d is None else d + 2

@@ -32,14 +32,16 @@ def i_reg(sigma: complex, smooth: SmoothFunction, L: float,
           collar: float | None = None) -> complex:
     """Finite part of the integral of x^(-sigma) smooth(x) over [0, L].
 
-    sigma may be complex.  The collar width eps (default half the Taylor
-    radius, at most L) must lie in (0, taylor_radius], where taylor0() is
-    exact; otherwise, or without exact Taylor data, DomainError is
-    raised.  A closed-form term within DEFAULT_DELTA of a pole raises
-    PoleError.
+    sigma may be complex.  The Taylor data taylor0() is one derivatives
+    pass at 0 up to taylor_degree(), exact up to the Taylor radius, the
+    first breakpoint of smooth.  The collar width eps (default half that
+    radius, at most L) must lie in (0, radius]; otherwise, or without
+    exact Taylor data, DomainError is raised.  A closed-form term within
+    DEFAULT_DELTA of a pole raises PoleError.
     """
     sigma = complex(sigma)
-    taylor, radius = smooth.taylor0(), smooth.taylor_radius()
+    taylor = smooth.taylor0()
+    radius = min(smooth.breakpoints, default=math.inf)
     eps = min(0.5 * radius if collar is None else collar, L)
     if taylor is None or not 0.0 < eps <= radius:
         raise DomainError("need exact Taylor data on the collar [0, eps]")

@@ -1,6 +1,8 @@
 """Tests for singular profiles and the smooth-factor algebra."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from singularheat.profiles import (_RAMP_DERIVS, FromCallable,
                                    PlateauCutoff, Polynomial, Product,
                                    SingularProfile, SmoothFunction, constant,
                                    plateau_profile)
+from singularheat.regint import i_reg
 
 
 def _jets(smooth, order):
@@ -40,7 +43,12 @@ def test_polynomial_eval_and_deriv():
     assert p.derivatives(x, 1)[1] == pytest.approx(-2 + x + 9 * x ** 2)
     assert p.derivatives(x, 2)[2] == pytest.approx(1 + 18 * x)
     assert p.taylor0() == (1.0, -2.0, 0.5, 3.0)
-    assert p.taylor_radius() == math.inf
+    # no breakpoint: the Taylor data is exact on every collar, so a collar
+    # as wide as the domain (or wider) is the closed form alone
+    exact = sum(cj * 1.7 ** (j + 0.5) / (j + 0.5)
+                for j, cj in enumerate(p.coeffs))
+    for collar in (1.7, 5.0):
+        assert i_reg(0.5, p, 1.7, collar) == pytest.approx(exact, rel=1e-14)
 
 
 def test_plateau_cutoff_shape():
@@ -104,11 +112,36 @@ def test_plateau_cutoff_ramp_only_matches_everywhere_formula_bitwise():
     assert np.isnan(PlateauCutoff(0.8)(np.nan))
 
 
+def test_plateau_cutoff_rejects_an_overflowing_derivative_scale():
+    # where (2/r0)^k is not a finite double the k-th derivative on the
+    # ramp raises RangeError naming the order and the radius: no
+    # OverflowError, inf or nan.  The orders below it stay finite, and off
+    # the ramp (the Taylor data at 0) every derivative is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # at 2e-154, (2/r0)^2 is finite but its product with the ramp's
+        # second derivative is not
+        for r0, k in ((1e-310, 1), (3e-308, 2), (1e-150, 3), (2e-154, 2)):
+            cut = PlateauCutoff(r0)
+            for x in (0.6 * r0, np.array([0.0, 0.6 * r0, 0.75 * r0, 2 * r0])):
+                with pytest.raises(RangeError, match=rf"order {k}\b.*"
+                                   + re.escape(repr(r0))):
+                    cut.derivatives(x, k)
+                for d in cut.derivatives(x, k - 1):
+                    assert np.all(np.isfinite(d)), (r0, k)
+            off = cut.derivatives(np.array([0.0, 0.25 * r0, 2 * r0]), 6)
+            assert not np.any(off[1:]), r0
+            assert cut.taylor0() == (1.0,)
+
+
 def test_product_combines_taylor_and_breakpoints():
     p = Product(PlateauCutoff(0.8), Polynomial((2.0, 1.0)))
     assert p.breakpoints == (0.4, 0.8)
     assert p.taylor0() == pytest.approx((2.0, 1.0))
-    assert p.taylor_radius() == pytest.approx(0.4)
+    # the Taylor data is exact up to the first breakpoint, 0.4, only
+    i_reg(0.5, p, 3.0, 0.4)
+    with pytest.raises(DomainError):
+        i_reg(0.5, p, 3.0, 0.41)
     x = np.array([0.1, 0.6])
     assert p(x) == pytest.approx(PlateauCutoff(0.8)(x) * (2.0 + x))
     got = p.derivatives(np.array([0.6]), 2)[2][0]
@@ -288,6 +321,11 @@ def test_every_smooth_class_reads_one_protocol_bitwise():
           OperatorApplied(Product(cut, poly), 0.35, 0.49),
           IntertwinedFactor(Product(_sine(), cut), -0.3, 0.6, +1)]
     assert {type(f) for f in fs} == set(SmoothFunction.__subclasses__())
+    # Taylor data exists exactly when a degree is stated, one entry per order
+    for f in fs:
+        degree, taylor = f.taylor_degree(), f.taylor0()
+        assert (taylor is None) == (degree is None), f
+        assert taylor is None or len(taylor) == degree + 1, f
     for x in (np.array([0.0, 0.1, 0.37, 0.4, 0.45, 0.6, 0.79, 0.8, 1.2]),
               0.6, 0.2):
         for f in fs:

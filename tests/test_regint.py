@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from singularheat.errors import DomainError, PoleError, RangeError
-from singularheat.profiles import (FromCallable, OperatorApplied,
-                                   PlateauCutoff, Polynomial, Product,
-                                   SingularProfile, constant, plateau_profile)
+from singularheat.profiles import (FromCallable, IntertwinedFactor,
+                                   OperatorApplied, PlateauCutoff, Polynomial,
+                                   Product, SingularProfile, constant,
+                                   plateau_profile)
 from singularheat.quadrature import tanh_sinh_lanes
 from singularheat.regint import i_reg, interior_coefficients
 
@@ -135,26 +136,63 @@ def test_interior_coefficients_collar_independent():
         a += 2.0
 
 
+def _taylor_oracle(f):
+    """Exact Taylor data at 0 of a smooth factor, in mpmath, by the
+    symbolic rule of each class: independent of the derivative lists."""
+    if isinstance(f, Polynomial):
+        return [mpmath.mpf(v) for v in f.coeffs]
+    if isinstance(f, PlateauCutoff):
+        return [mpmath.mpf(1)]
+    if isinstance(f, Product):
+        # Cauchy product
+        a, b = _taylor_oracle(f.left), _taylor_oracle(f.right)
+        return [mpmath.fsum(a[i] * b[j - i] for i in range(len(a))
+                            if 0 <= j - i < len(b))
+                for j in range(len(a) + len(b) - 1)]
+    s = _taylor_oracle(f.s)
+    at = lambda j: s[j] if 0 <= j < len(s) else mpmath.mpf(0)
+    a = mpmath.mpf(f.a)
+    if isinstance(f, IntertwinedFactor):
+        # sign (a - j) s_j + c s_(j-1)
+        return [f.sign * (a - j) * at(j) + mpmath.mpf(f.c) * at(j - 1)
+                for j in range(len(s) + 1)]
+    # OperatorApplied: -(a - j)(a - j + 1) s_j + c^2 s_(j-2)
+    return [-(a - j) * (a - j + 1) * at(j) + mpmath.mpf(f.c2) * at(j - 2)
+            for j in range(len(s) + 2)]
+
+
 @pytest.mark.parametrize("a1, a2, c", [(0.3, 0.4, 0.5), (0.25, 0.45, 0.0),
                                        (-0.2, 0.1, 1.3)])
 def test_jets_match_exact_taylor_data(a1, a2, c):
-    # the jets of D^n phi * rho at 0 come from the derivative lists; on
-    # the plateau they must reproduce the exact symbolic Taylor data
+    # taylor0() of D^n phi * rho, and of intertwined factors times rho,
+    # is one derivatives pass at 0; on the plateau it must reproduce the
+    # symbolic Taylor data, and the derivatives past its degree vanish
     phi = plateau_profile(a1, math.pi, 0.5)
     rho = plateau_profile(a2, math.pi, 0.5)
     poly = Polynomial((1.0, -0.5, 0.3, 0.2))
+    factors = []
     for smooth in (phi.smooth, Product(poly, phi.smooth)):
         a = a1
         for n in range(7):
-            product = Product(smooth, rho.smooth)
-            exact = product.taylor0()
-            d = product.derivatives(np.array([0.0]), len(exact) + 1)
-            for j in range(len(exact) + 2):
-                h = d[j][0] / math.factorial(j)
-                want = exact[j] if j < len(exact) else 0.0
-                assert h == pytest.approx(want, rel=1e-12, abs=0.0), (n, j)
+            factors.append(smooth)
             smooth = OperatorApplied(smooth, a, c * c)
             a += 2.0
+    # A and A* chains up to three deep, with c != 0
+    smooth, a = Product(poly, phi.smooth), a1
+    for depth in range(3):
+        smooth = IntertwinedFactor(smooth, a, 0.6 + c, (-1) ** depth)
+        factors.append(smooth)
+        a += 1.0
+    for f in factors:
+        product = Product(f, rho.smooth)
+        got = product.taylor0()
+        with mpmath.workdps(30):
+            want = [float(v) for v in _taylor_oracle(product)]
+        assert len(got) == len(want) == product.taylor_degree() + 1
+        for j, (g, w) in enumerate(zip(got, want)):
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0), (f, j)
+        d = product.derivatives(np.array([0.0]), len(want) + 1)
+        assert d[-2][0] == 0.0 and d[-1][0] == 0.0, f
 
 
 #: ascending coefficients of the cutoff ramp 1 - 10u^3 + 15u^4 - 6u^5
@@ -189,13 +227,18 @@ def test_i_reg_matches_finite_part_oracle(sigma):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_interior_integrand_matches_finite_part_oracle(n):
+@pytest.mark.parametrize(
+    "a1, a2, n",
+    [pytest.param(0.3, 0.4, n, id=str(n)) for n in range(4)]
+    # sigma = 2n is an integer: a Taylor coefficient that should vanish
+    # but does not would land on the collar's pole
+    + [pytest.param(0.0, 0.0, n, id=f"alpha0-{n}") for n in range(4)])
+def test_interior_integrand_matches_finite_part_oracle(a1, a2, n):
     # D^n phi * rho for D = -d^2/dx^2 + c^2, phi = x^(-a1) chi and
     # rho = x^(-a2) chi with chi = PlateauCutoff(1): on the plateau
     # (-d^2)^k x^(-a1) = (-1)^k (a1)_(2k) x^(-a1 - 2k); on the ramp the
     # derivatives of phi come from Leibniz's rule
-    a1, a2, c, r0 = 0.3, 0.4, 0.5, 1.0
+    c, r0 = 0.5, 1.0
     p1 = plateau_profile(a1, math.pi, r0)
     a, smooth = a1, p1.smooth
     for _ in range(n):
