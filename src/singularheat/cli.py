@@ -179,7 +179,14 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
             return circle_heat_content(phi_f, rho_f, t), 0.0
 
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.num).tolist()
-    entries = [(t, *one(t)) for t in ts]
+    # a quadrature node that underflows to x = 0 makes x^(-alpha) inf; the
+    # sample it spoils is a numeric failure, not invalid input
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        entries = [(t, *one(t)) for t in ts]
+    for t, beta, err in entries:
+        if not (math.isfinite(beta) and math.isfinite(err)):
+            raise QuadratureError(
+                f"{cfg.problem} sample at t = {t!r} is not finite")
     return HeatContentSamples(entries)
 
 

@@ -2,8 +2,8 @@
 
 BoundaryPointData collects every scalar entering the boundary terms at a
 single boundary point; boundary_beta contracts it against a coefficient
-table.  modified_taylor_jets builds the phi/rho jets from the smooth
-factor's exact Taylor data at 0 (taylor0) and the connection algebra.
+table.  modified_taylor_jets builds the phi/rho jets from the exact
+Taylor coefficients of a smooth factor at 0 and the connection algebra.
 warped_invariants generates such data for the warped-product family of
 model metrics, where the boundary terms are known to be independent of
 the warping profile, and scaling_check verifies the weighted homogeneity
@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .coeff import BoundaryConditionKind, CoefficientTable, ExponentPair
-from .errors import DegenerateInputError, DomainError, RangeError
-from .profiles import Polynomial, SmoothFunction, constant
+from .errors import DegenerateInputError, RangeError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -65,18 +64,15 @@ class WarpedProfile:
             raise RangeError("need m - 1 warping entries")
 
 
-def modified_taylor_jets(smooth: SmoothFunction, omega_m: float,
+def modified_taylor_jets(taylor: tuple, omega_m: float,
                          omega_m_derivative: float = 0.0) -> list:
-    """Modified Taylor jets (1/l!) (d/dr + omega_m)^l smooth at r = 0, l <= 2.
+    """Modified Taylor jets (1/l!) (d/dr + omega_m)^l s at r = 0, l <= 2.
 
-    omega_m is the signed connection, modelled linearly in r through
+    taylor holds the exact Taylor coefficients (s(0), s'(0), s''(0)/2, ...)
+    of the smooth factor s at 0; they are padded to the 2-jet.  omega_m
+    is the signed connection, modelled linearly in r through
     omega_m_derivative: the dual side passes the negated connection.
-    The smooth factor's exact Taylor data at 0 is padded to the 2-jet;
-    a factor without it raises DomainError.
     """
-    taylor = smooth.taylor0()
-    if taylor is None:
-        raise DomainError("modified jets need exact Taylor data at 0")
     t = [complex(v) for v in (*taylor, 0.0, 0.0)[:3]]
     w, wp = omega_m, omega_m_derivative
     return [t[0], t[1] + w * t[0],
@@ -87,15 +83,15 @@ def warped_invariants(w: WarpedProfile, a: ExponentPair) -> BoundaryPointData:
     """Boundary data of the warped-product model metric at r = 0.
 
     Only the 2-jets of the warping functions enter, so the smooth factor
-    of rho (the product of e^{-f_a}) is represented by its exact
-    quadratic Taylor polynomial.
+    of rho (the product of e^{-f_a}) is given by its exact quadratic
+    Taylor coefficients, and that of phi is 1.
     """
     F = float(sum(w.fprime))
     G = float(sum(w.fsecond))
     sum_sq = float(sum(v * v for v in w.fprime))
-    rho_smooth = Polynomial((1.0, -F, 0.5 * (F * F - G)))
-    phi_jets = modified_taylor_jets(constant(), -0.5 * F, -0.5 * G)
-    rho_jets = modified_taylor_jets(rho_smooth, 0.5 * F, 0.5 * G)
+    phi_jets = modified_taylor_jets((1.0,), -0.5 * F, -0.5 * G)
+    rho_jets = modified_taylor_jets((1.0, -F, 0.5 * (F * F - G)), 0.5 * F,
+                                    0.5 * G)
     return BoundaryPointData(
         phi=tuple(phi_jets), rho=tuple(rho_jets),
         Laa=-F, LabLab=sum_sq, LaaLbb=F * F,

@@ -580,11 +580,10 @@ def apply_A(profile: SingularProfile, c: float,
     """(A phi) or (A* phi) for A = d/dx + c, A* = -d/dx + c.
 
     The singular exponent shifts by +1, so integrability of the result
-    requires alpha < 0 on input.
+    requires alpha < 0 on input; SingularProfile raises DomainError
+    otherwise.
     """
     a = profile.alpha
-    if a >= 0.0:
-        raise DomainError("apply_A needs alpha < 0 to stay integrable")
     smooth = IntertwinedFactor(profile.smooth, a, float(c),
                                sign=+1 if adjoint else -1)
     return SingularProfile(a + 1.0, smooth, profile.L, profile.cutoff_radius)

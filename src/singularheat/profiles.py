@@ -4,8 +4,9 @@ The smooth factors that appear in the model problems are plateau cutoffs
 (identically 1 near the boundary), polynomials, and combinations produced
 by applying first- and second-order operators.  Each class carries exact
 derivatives, its analytic breakpoints (so quadrature can split there),
-and, when available, the degree of its exact Taylor polynomial at 0
-(which lets the regularized-integral collar be evaluated in closed form).
+and the degree of its exact Taylor polynomial at 0 (which lets the
+regularized-integral collar be evaluated in closed form); a wrapped
+handle has none, and its taylor_degree() raises DomainError.
 
 derivatives(x, order) returns [f(x), f'(x), ..., f^(order)(x)] in one
 pass, and it is the only way a smooth factor is read: f(x) is
@@ -14,7 +15,9 @@ OperatorApplied, IntertwinedFactor) ask their factors for one list and
 build every order from it, so an n-fold nested factor costs O(n) list
 passes rather than a Leibniz tree of size ~7^n.  taylor0() is the same
 pass at x = 0 up to taylor_degree(), entry k divided by k!; it is exact
-up to the first breakpoint.
+up to the first breakpoint.  Those Taylor coefficients are what the
+boundary jets (geom.modified_taylor_jets) and the closed-form collar
+(regint.i_reg) take.
 """
 
 from __future__ import annotations
@@ -42,16 +45,15 @@ class SmoothFunction:
         """[f(x), f'(x), ..., f^(order)(x)]; every subclass defines it."""
         raise NotImplementedError
 
-    def taylor_degree(self) -> int | None:
-        """Degree of the exact Taylor polynomial at 0, or None without one."""
-        return None
+    def taylor_degree(self) -> int:
+        """Degree of the exact Taylor polynomial at 0; DomainError without
+        one."""
+        raise DomainError(f"{type(self).__name__} has no Taylor data at 0")
 
-    def taylor0(self):
-        """Exact Taylor coefficients at 0 (up to the first breakpoint), or
-        None if not available: one derivatives pass at 0."""
+    def taylor0(self) -> tuple:
+        """Exact Taylor coefficients at 0 (up to the first breakpoint):
+        one derivatives pass at 0."""
         degree = self.taylor_degree()
-        if degree is None:
-            return None
         d = self.derivatives(np.zeros(1), degree)
         return tuple(float(d[k][0]) / math.factorial(k)
                      for k in range(degree + 1))
@@ -69,9 +71,6 @@ class Polynomial(SmoothFunction):
 
     def taylor_degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def taylor0(self):
-        return tuple(self.coeffs)
 
 
 def constant() -> Polynomial:
@@ -150,9 +149,8 @@ class Product(SmoothFunction):
             out.append(total)
         return out
 
-    def taylor_degree(self) -> int | None:
-        a, b = self.left.taylor_degree(), self.right.taylor_degree()
-        return None if a is None or b is None else a + b
+    def taylor_degree(self) -> int:
+        return self.left.taylor_degree() + self.right.taylor_degree()
 
 
 @dataclass(frozen=True)
@@ -245,9 +243,8 @@ class IntertwinedFactor(SmoothFunction):
             out.append(term)
         return out
 
-    def taylor_degree(self) -> int | None:
-        d = self.s.taylor_degree()
-        return None if d is None else d + 1
+    def taylor_degree(self) -> int:
+        return self.s.taylor_degree() + 1
 
 
 @dataclass(frozen=True)
@@ -287,6 +284,5 @@ class OperatorApplied(SmoothFunction):
             out.append(g)
         return out
 
-    def taylor_degree(self) -> int | None:
-        d = self.s.taylor_degree()
-        return None if d is None else d + 2
+    def taylor_degree(self) -> int:
+        return self.s.taylor_degree() + 2

@@ -34,16 +34,16 @@ def i_reg(sigma: complex, smooth: SmoothFunction, L: float,
 
     sigma may be complex.  The Taylor data taylor0() is one derivatives
     pass at 0 up to taylor_degree(), exact up to the Taylor radius, the
-    first breakpoint of smooth.  The collar width eps (default half that
-    radius, at most L) must lie in (0, radius]; otherwise, or without
-    exact Taylor data, DomainError is raised.  A closed-form term within
-    DEFAULT_DELTA of a pole raises PoleError.
+    first breakpoint of smooth; a factor without it raises DomainError.
+    The collar width eps (default half that radius, at most L) must lie
+    in (0, radius]; otherwise DomainError is raised.  A closed-form term
+    within DEFAULT_DELTA of a pole raises PoleError.
     """
     sigma = complex(sigma)
     taylor = smooth.taylor0()
     radius = min(smooth.breakpoints, default=math.inf)
     eps = min(0.5 * radius if collar is None else collar, L)
-    if taylor is None or not 0.0 < eps <= radius:
+    if not 0.0 < eps <= radius:
         raise DomainError("need exact Taylor data on the collar [0, eps]")
 
     total = 0.0 + 0.0j

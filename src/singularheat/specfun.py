@@ -1,7 +1,8 @@
 """Complex log-gamma and stable gamma ratios.
 
-The evaluator is a Lanczos approximation (g = 7, 9 coefficients) on the
-right half-plane combined with the reflection formula for Re(z) < 1/2.
+The evaluator is a Lanczos approximation (g = 607/128, Godfrey's 15
+coefficients) on the right half-plane combined with the reflection
+formula for Re(z) < 1/2.
 Ratio evaluation works in log space so that large individual gamma values
 cancel before exponentiation, and zeros coming from poles of a reciprocal
 gamma factor are handled exactly.  Each process evaluates a log-gamma once

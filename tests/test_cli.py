@@ -220,14 +220,28 @@ def test_simulate_inadmissible_exponent(capsys, tmp_path):
 
 
 def test_simulate_truncation_failure_exits_3(capsys, tmp_path):
-    cfg = write_config(tmp_path, {
-        "problem": "interval", "bc": "dirichlet", "cutoff": None,
-        "tmin": 1e-12, "tmax": 1e-12, "num": 1,
-    })
-    code, _, err = run(capsys, ["simulate", cfg,
-                                "--out", str(tmp_path / "out.csv")])
-    assert code == 3
-    assert "error:" in err
+    underflow = {"alpha1": 0.3, "alpha2": 0.4, "cutoff": 1e-80,
+                 "tmin": 1e-4, "tmax": 1e-2, "num": 2}
+    cases = [
+        ({"problem": "interval", "bc": "dirichlet", "cutoff": None,
+          "tmin": 1e-12, "tmax": 1e-12, "num": 1}, "error:"),
+        # tanh-sinh head nodes underflow to x = 0 on a tiny cutoff, so
+        # x^(-alpha) is inf and the sample is not finite
+        ({"problem": "interval", "bc": "dirichlet", **underflow},
+         "interval sample at t = 0.0001 "),
+        ({"problem": "interval", "bc": "robin", "c": 0.5, **underflow},
+         "interval sample at t = 0.0001 "),
+        ({"problem": "halfline", "alpha1": 0.9, "alpha2": 0.9,
+          "cutoff": 1e-300, "tmin": 1e-4, "tmax": 1e-2, "num": 2},
+         "halfline sample at t = 0.0001 "),
+    ]
+    for obj, message in cases:
+        cfg = write_config(tmp_path, obj)
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, ["simulate", cfg, "--out", str(out)])
+        assert code == 3, obj
+        assert message in err and "Warning" not in err, err
+        assert not out.exists(), obj
 
 
 # ---------------------------------------------------------------------------

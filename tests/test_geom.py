@@ -3,23 +3,21 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from singularheat.cli import _suite_warped
 from singularheat.coeff import BoundaryConditionKind, ExponentPair, build_table
-from singularheat.errors import DomainError, RangeError
+from singularheat.errors import RangeError
 from singularheat.geom import (BoundaryPointData, WarpedProfile,
                                boundary_beta, flat_data, modified_taylor_jets,
                                rescale_data, scaling_check, warped_invariants)
-from singularheat.profiles import FromCallable, Polynomial, constant
 
 D = BoundaryConditionKind.DIRICHLET
 R = BoundaryConditionKind.ROBIN
 
 
 def test_jets_constant_profile():
-    jets = modified_taylor_jets(constant(), 0.0)
+    jets = modified_taylor_jets((1.0,), 0.0)
     assert jets == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
 
 
@@ -27,7 +25,7 @@ def test_jets_connection_only():
     # smooth factor 1, omega(r) = -F/2 - (F'/2) r on the temperature side:
     # expanding (1/2)(d/dr + omega)^2 gives (1, -F/2, F^2/8 - F'/4)
     F, Fp = 0.8, -0.3
-    jets = modified_taylor_jets(constant(), -0.5 * F,
+    jets = modified_taylor_jets((1.0,), -0.5 * F,
                                 omega_m_derivative=-0.5 * Fp)
     want = [1.0, -0.5 * F, 0.125 * F * F - 0.25 * Fp]
     assert jets == pytest.approx(want, abs=1e-15)
@@ -38,18 +36,11 @@ def test_jets_exponential_dual_side():
     # given by its exact 2-jet (1, -F, (F^2 - G)/2); omega = -u'/2, and
     # the dual connection d/dr - omega passes the negated connection
     F, G = 0.7, -0.4
-    two_jet = Polynomial((1.0, -F, 0.5 * (F * F - G)))
+    two_jet = (1.0, -F, 0.5 * (F * F - G))
     jets = modified_taylor_jets(two_jet, 0.5 * F, omega_m_derivative=0.5 * G)
     assert jets[0] == pytest.approx(1.0, abs=1e-15)
     assert jets[1] == pytest.approx(-0.5 * F, abs=1e-15)
     assert jets[2] == pytest.approx(0.125 * F * F - 0.25 * G, abs=1e-15)
-
-
-def test_jets_need_exact_taylor_data():
-    # a handle carries derivatives but no Taylor data at 0
-    s = FromCallable(np.exp, (np.exp, np.exp))
-    with pytest.raises(DomainError):
-        modified_taylor_jets(s, 0.0)
 
 
 def test_warped_invariants_fields():

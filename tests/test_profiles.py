@@ -156,7 +156,10 @@ def test_from_callable_guard():
     assert f.derivatives(x, 1)[1] == pytest.approx(np.cos(x))
     with pytest.raises(RangeError):
         f.derivatives(x, 2)
-    assert f.taylor0() is None
+    # a handle has no Taylor data, and says which class it is
+    for read in (f.taylor_degree, f.taylor0):
+        with pytest.raises(DomainError, match="FromCallable"):
+            read()
 
 
 def test_singular_profile_validation_and_pieces():
@@ -198,11 +201,8 @@ def test_intertwined_factor_matches_operator():
         want = central_diff(phi, x, 1, h=1e-4) + c * phi(x)
         got = x ** -(a + 1) * fac2(np.array([x]))[0]
         assert got == pytest.approx(want, rel=1e-9)
-    # Taylor data consistent with the derivatives at 0
-    t = fac.taylor0()
-    for k in range(len(t) - 1):
-        dk = fac.derivatives(np.array([0.0]), k)[k][0]
-        assert t[k] == pytest.approx(dk / math.factorial(k), rel=1e-12)
+    # Taylor data of g = (a s - x s') + c x s, expanded by hand
+    assert fac.taylor0() == pytest.approx((-0.4, 1.3, -0.9, 0.15), rel=1e-12)
 
 
 def test_operator_applied_matches_operator():
@@ -216,10 +216,10 @@ def test_operator_applied_matches_operator():
         want = -central_diff(phi, x, 2, h=1e-3) + c2 * phi(x)
         got = x ** -(a + 2) * fac(np.array([x]))[0]
         assert got == pytest.approx(want, rel=1e-5, abs=1e-8)
-    t = fac.taylor0()
-    for k in range(3):
-        dk = fac.derivatives(np.array([0.0]), k)[k][0]
-        assert t[k] == pytest.approx(dk / math.factorial(k), rel=1e-12, abs=1e-12)
+    # Taylor data of g = -a(a+1) s + 2a x s' - x^2 s'' + c^2 x^2 s,
+    # expanded by hand
+    assert fac.taylor0() == pytest.approx(
+        (-0.4725, 0.06825, 0.7045, -0.29025, -0.098, 0.049), rel=1e-12)
     # derivative oracle away from 0
     got = fac.derivatives(np.array([0.9]), 2)[2][0]
     want = central_diff(lambda x: fac(np.array([x]))[0], 0.9, 2, h=1e-3)
@@ -321,11 +321,14 @@ def test_every_smooth_class_reads_one_protocol_bitwise():
           OperatorApplied(Product(cut, poly), 0.35, 0.49),
           IntertwinedFactor(Product(_sine(), cut), -0.3, 0.6, +1)]
     assert {type(f) for f in fs} == set(SmoothFunction.__subclasses__())
-    # Taylor data exists exactly when a degree is stated, one entry per order
-    for f in fs:
-        degree, taylor = f.taylor_degree(), f.taylor0()
-        assert (taylor is None) == (degree is None), f
-        assert taylor is None or len(taylor) == degree + 1, f
+    # Taylor data has one entry per order up to the stated degree
+    for f in fs[:2] + fs[3:5]:
+        assert len(f.taylor0()) == f.taylor_degree() + 1, f
+    # a handle states none, and neither does a factor built on one
+    for f in (fs[2], fs[5]):
+        for read in (f.taylor_degree, f.taylor0):
+            with pytest.raises(DomainError, match="FromCallable"):
+                read()
     for x in (np.array([0.0, 0.1, 0.37, 0.4, 0.45, 0.6, 0.79, 0.8, 1.2]),
               0.6, 0.2):
         for f in fs:
