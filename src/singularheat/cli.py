@@ -1,9 +1,16 @@
 """Command-line interface: coefficient tables, simulations, fits, checks.
 
-Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
-failure (quadrature, truncation, conditioning), 4 verification failure.
-All randomized checks run from a fixed documented seed (3141592653,
-overridable with --seed) and outputs are byte-deterministic.
+Exit codes: 0 success, 1 uncaught internal error (with a traceback),
+2 invalid input or configuration, 3 numerical failure (quadrature,
+truncation, conditioning), 4 verification failure.  All randomized checks
+run from a fixed documented seed (3141592653, overridable with --seed) and
+outputs are byte-deterministic.
+
+Only the closed-form modules (coeff, errors, geom) are imported here at
+the top.  numpy and the simulator are imported inside the functions that
+run them (simulate, cmd_fit, the intertwine and regint suites), so coeffs,
+--help, a rejected config and the recursions, crosscheck, warped and
+scaling suites start without numpy.
 """
 
 from __future__ import annotations
@@ -12,12 +19,10 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 
-import numpy as np
-
-from .asymfit import fit
 from .coeff import (BoundaryConditionKind, ExponentPair,
                     build_table, closed_form_crosscheck, recursion_check)
 from .errors import (AdmissibilityError, DegenerateInputError, DomainError,
@@ -25,12 +30,6 @@ from .errors import (AdmissibilityError, DegenerateInputError, DomainError,
                      QuadratureError, RangeError, TruncationError)
 from .geom import (BoundaryPointData, WarpedProfile, boundary_beta,
                    flat_data, scaling_check, warped_invariants)
-from .heat1d import (HeatContentSamples, circle_heat_content,
-                     halfline_heat_content, intertwine_residual,
-                     interval_heat_content)
-from .profiles import (FromCallable, PlateauCutoff, SingularProfile,
-                       check_integrable, constant, plateau_profile)
-from .regint import i_reg, interior_coefficients
 
 DEFAULT_SEED = 3141592653
 
@@ -150,6 +149,12 @@ class ProblemConfig:
 
 def simulate(cfg: ProblemConfig) -> HeatContentSamples:
     """Run the configured model problem over its geometric t-grid."""
+    import numpy as np
+
+    from .heat1d import (HeatContentSamples, circle_heat_content,
+                         halfline_heat_content, interval_heat_content)
+    from .profiles import SingularProfile, constant, plateau_profile
+
     bc = BoundaryConditionKind(cfg.bc)
 
     def make_profile(alpha: float, L: float) -> SingularProfile:
@@ -211,6 +216,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .asymfit import fit
+    from .heat1d import HeatContentSamples
+    from .profiles import check_integrable, plateau_profile
+    from .regint import interior_coefficients
+
     with open(args.samples, "r", encoding="utf-8") as fh:
         samples = HeatContentSamples.from_csv_text(fh.read())
     n_terms = args.interior_terms
@@ -271,6 +281,9 @@ def _suite_crosscheck(seed: int) -> dict:
 
 
 def _suite_intertwine(seed: int) -> dict:
+    from .heat1d import intertwine_residual
+    from .profiles import FromCallable, SingularProfile
+
     smooth = FromCallable(lambda x: (math.pi - x) ** 1.5,
                           (lambda x: -1.5 * (math.pi - x) ** 0.5,))
     phi = SingularProfile(-1.5, smooth, L=math.pi)
@@ -326,6 +339,9 @@ def _suite_scaling(seed: int) -> dict:
 
 
 def _suite_regint(seed: int) -> dict:
+    from .profiles import PlateauCutoff
+    from .regint import i_reg
+
     vals = [complex(i_reg(1.4, PlateauCutoff(1.0), math.pi, wd)).real
             for wd in (0.1, 0.4)]
     collar = abs(vals[0] - vals[1]) / max(abs(vals[0]), 1e-300)
@@ -413,8 +429,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: options that take a number, and a value of theirs that argparse would
+#: read as a flag: '-1e-3' or '-2.5,0.3'
+_NUMBER_OPTIONS = ("--alpha1", "--alpha2", "--c", "--cutoff")
+_NEGATIVE = re.compile(r"-[\d.]")
+
+
+def _join_negative_values(argv: list) -> list:
+    """'--alpha1 -1e-3' -> '--alpha1=-1e-3', which argparse reads."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

@@ -77,6 +77,34 @@ def test_coeffs_integer_exponent_sum_rejected(capsys):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--alpha1", "-2.5,0.3", "--alpha2", "0.4"],
+    ["coeffs", "--alpha1", "-1e-3", "--alpha2", "0.4", "--bc", "robin"],
+    ["coeffs", "--alpha1", "0.3", "--alpha2", "-1.5e0,-0.2"],
+    ["fit", "{samples}", "--alpha1", "-1e-3", "--alpha2", "0.4"],
+    ["fit", "{samples}", "--alpha1", "0.3", "--alpha2", "0.4",
+     "--c", "-5e-1", "--subtract-interior"],
+])
+def test_negative_option_value_in_space_form(capsys, tmp_path, argv):
+    # argparse reads '-1e-3' and '-2.5,0.3' as flags unless they are joined
+    # to their option with '='; both forms must give the same output
+    argv = [a.replace("{samples}", str(_plateau_samples(tmp_path)))
+            for a in argv]
+    k = next(i for i, a in enumerate(argv)
+             if a.startswith("-") and not a.startswith("--"))
+    joined = argv[:k - 1] + [argv[k - 1] + "=" + argv[k]] + argv[k + 1:]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert (code, out, err) == run(capsys, joined)
+
+
+def test_option_flag_is_not_an_option_value(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["coeffs", "--alpha1", "--bc", "--alpha2", "0.4"])
+    assert exc_info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -4,9 +4,11 @@ The boundary terms are computed in closed form (specfun -> coeff -> geom)
 and checked against heat content simulated and fitted with numpy
 (profiles -> heat1d/regint -> asymfit).  The check means something only
 while the closed-form modules load neither numpy nor the simulator, so a
-fresh interpreter imports them and lists what came with them.
+fresh interpreter imports them, or runs the commands built on them alone,
+and lists what came with them.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -16,15 +18,52 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 _LIST_MODULES = """
 import sys
-import singularheat.specfun, singularheat.coeff, singularheat.geom
 print(" ".join(sorted(name for name in sys.modules if name == "numpy"
                       or name.startswith(("numpy.", "singularheat.")))))
 """
 
+_IMPORT_CLOSED_FORM = """
+import singularheat.specfun, singularheat.coeff, singularheat.geom
+"""
+
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from singularheat import cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(" ".join(map(str, codes)))
+"""
+
+CLOSED_FORM = ["singularheat.coeff", "singularheat.errors",
+               "singularheat.geom", "singularheat.specfun"]
+
+
+def _run(code: str, *args: str) -> list:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code + _LIST_MODULES,
+                           *args], env=env, capture_output=True, text=True,
+                          check=True).stdout.splitlines()
+
 
 def test_closed_form_route_loads_no_numpy_or_simulator():
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run([sys.executable, "-c", _LIST_MODULES], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["singularheat.coeff", "singularheat.errors",
-                           "singularheat.geom", "singularheat.specfun"]
+    assert _run(_IMPORT_CLOSED_FORM)[-1].split() == CLOSED_FORM
+
+
+def test_closed_form_commands_load_no_numpy_or_simulator(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"problem": "interval", "tmin": -1.0}),
+                      encoding="utf-8")
+    commands = [
+        ["coeffs", "--alpha1", "0.3", "--alpha2", "0.4"],
+        ["coeffs", "--alpha1", "0.3", "--alpha2", "0.4", "--bc", "robin"],
+        ["verify", "recursions"],
+        ["verify", "crosscheck"],
+        ["verify", "warped"],
+        ["verify", "scaling"],
+        ["simulate", str(config), "--out", str(tmp_path / "out.csv")],
+    ]
+    codes, modules = _run(_RUN_COMMANDS, json.dumps(commands))
+    assert codes.split() == ["0"] * 6 + ["2"]
+    assert modules.split() == sorted(CLOSED_FORM + ["singularheat.cli"])
+    assert not (tmp_path / "out.csv").exists()
