@@ -282,15 +282,16 @@ def _suite_crosscheck(seed: int) -> dict:
 
 def _suite_intertwine(seed: int) -> dict:
     from .heat1d import intertwine_residual
-    from .profiles import FromCallable, SingularProfile
+    from .profiles import Polynomial, SingularProfile
 
-    smooth = FromCallable(lambda x: (math.pi - x) ** 1.5,
-                          (lambda x: -1.5 * (math.pi - x) ** 0.5,))
+    # x^1.5 (pi - x)^2 vanishes at pi, so the dual identity has no
+    # boundary terms there
+    smooth = Polynomial((math.pi ** 2, -2.0 * math.pi, 1.0))
     phi = SingularProfile(-1.5, smooth, L=math.pi)
     return {
-        "intertwine": (intertwine_residual(phi, phi, 0.5, 0.05), 1e-6),
+        "intertwine": (intertwine_residual(phi, phi, 0.5, 0.05), 1e-12),
         "intertwine-dual": (
-            intertwine_residual(phi, phi, 0.5, 0.05, dual=True), 1e-6),
+            intertwine_residual(phi, phi, 0.5, 0.05, dual=True), 1e-12),
     }
 
 

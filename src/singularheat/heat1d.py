@@ -22,7 +22,8 @@ rounding) is bounded in err.  Only the spectral-sum terms of each
 moment integrates the profile's pieces as one lanes call.  apply_A /
 intertwine_residual realize the first-order operators A = d/dx + c and
 A* = -d/dx + c that exchange the Dirichlet and Robin flows, giving a
-simulator-level consistency check on both realizations.
+simulator-level consistency check on both realizations: the spectral
+sum weighted by lambda_n is the exact t-derivative of the heat content.
 """
 
 from __future__ import annotations
@@ -546,22 +547,36 @@ def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
 
 def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
                   bc: BoundaryConditionKind, c: float, t: float,
-                  base: float = 0.0):
-    """(base + sum_n e^{-t (n^2 + c^2)} gamma_n(phi) gamma_n(rho), err).
+                  base: float = 0.0, power: int = 0):
+    """(base + sum_n lambda_n^power e^{-t lambda_n} gamma_n(phi)
+    gamma_n(rho), err), lambda_n = n^2 + c^2, power 0 or 1.
 
-    N doubles from 64 under the truncation rule of interval_heat_content,
-    each N with its own cached _pair_terms; err is the tail bound plus the
-    propagated moment error plus the rounding of the n_max + 1 terms.
+    Power 1 is -d/dt of the power-0 sum.  N doubles from 64, each N with
+    its own cached _pair_terms, until the tail bound drops below 1e-13 of
+    the partial sum; err is the tail bound plus the propagated moment
+    error plus the rounding of the n_max + 1 terms, all under the weights
+    lambda_n^power e^{-t lambda_n}.  With B the uniform |gamma gamma|
+    bound and e^{-t c^2} <= 1 dropped, the tail is B times
+    - power 0: sum_{n>N} e^{-t n^2} <= e^{-t N^2} (1 + 1/(2tN));
+    - power 1: that times c^2, plus sum_{n>N} n^2 e^{-t n^2}
+      <= int_N^inf x^2 e^{-t x^2} dx <= e^{-t N^2} (N/(2t) + 1/(4 t^2 N)),
+      where the integral test needs x^2 e^{-t x^2} decreasing on
+      [N, inf), that is t N^2 >= 1, so the sum stops no earlier.
     """
     n_max = 64
     while True:
         gg, size, quad, bound = _pair_terms(phi, rho, bc, c, n_max)
         n = np.arange(1, n_max + 1, dtype=float)
-        weights = np.exp(-t * (n ** 2 + c ** 2))
+        lam = n ** 2 + c ** 2
+        weights = lam ** power * np.exp(-t * lam)
         partial = base + float(np.dot(weights, gg))
-        tail = math.exp(-t * n_max ** 2) * bound \
-            * (1.0 + 1.0 / (2.0 * t * n_max))
-        if tail < _TAIL_REL * max(abs(partial), 1e-300):
+        decay = 1.0 + 1.0 / (2.0 * t * n_max)
+        if power:
+            decay = n_max / (2.0 * t) + 1.0 / (4.0 * t * t * n_max) \
+                + c * c * decay
+        tail = math.exp(-t * n_max ** 2) * bound * decay
+        if tail < _TAIL_REL * max(abs(partial), 1e-300) \
+                and t * n_max ** 2 >= power:
             quad_err = float(np.dot(weights, quad))
             rounding = (n_max + 1) * _EPS \
                 * (float(np.dot(weights, size)) + abs(base))
@@ -595,21 +610,19 @@ def intertwine_residual(phi: SingularProfile, rho: SingularProfile,
 
     With dual=True the exchanged identity
     d/dt beta_D(phi, rho) = -beta_R(A phi, A rho) is tested instead.
-    The t-derivative is a central difference with step
-    dt = min(1e-4, t/100).
+    The t-derivative is exact in the spectral basis: -d/dt beta of the
+    flow is the power-1 _spectral_sum, where the Robin zero mode drops
+    out with its eigenvalue 0.
     """
     if phi.alpha >= -1.0 or rho.alpha >= -1.0:
         raise DomainError("intertwining identity needs alpha < -1")
-    dt = min(1e-4, t / 100.0)
     robin, dirichlet = (BoundaryConditionKind.ROBIN,
                         BoundaryConditionKind.DIRICHLET)
     flow, image = (dirichlet, robin) if dual else (robin, dirichlet)
-    hi, _ = interval_heat_content(phi, rho, flow, c, t + dt)
-    lo, _ = interval_heat_content(phi, rho, flow, c, t - dt)
+    rate, _ = _spectral_sum(phi, rho, flow, c, t, power=1)
     rhs, _ = interval_heat_content(apply_A(phi, c, not dual),
                                    apply_A(rho, c, not dual), image, c, t)
-    deriv = (hi - lo) / (2.0 * dt)
-    return abs(deriv + rhs) / max(abs(rhs), 1e-300)
+    return abs(rhs - rate) / max(abs(rhs), 1e-300)
 
 
 # ---------------------------------------------------------------------------

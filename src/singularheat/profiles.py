@@ -5,8 +5,8 @@ The smooth factors that appear in the model problems are plateau cutoffs
 by applying first- and second-order operators.  Each class carries exact
 derivatives, its analytic breakpoints (so quadrature can split there),
 and the degree of its exact Taylor polynomial at 0 (which lets the
-regularized-integral collar be evaluated in closed form); a wrapped
-handle has none, and its taylor_degree() raises DomainError.
+regularized-integral collar be evaluated in closed form).  A subclass
+without Taylor data inherits a taylor_degree() that raises DomainError.
 
 derivatives(x, order) returns [f(x), f'(x), ..., f^(order)(x)] in one
 pass, and it is the only way a smooth factor is read: f(x) is
@@ -151,21 +151,6 @@ class Product(SmoothFunction):
 
     def taylor_degree(self) -> int:
         return self.left.taylor_degree() + self.right.taylor_degree()
-
-
-@dataclass(frozen=True)
-class FromCallable(SmoothFunction):
-    """Wrap a plain handle; derivatives must be supplied explicitly."""
-
-    fn: object
-    derivs: tuple = ()
-
-    def derivatives(self, x, order: int) -> list:
-        if order > len(self.derivs):
-            raise RangeError(
-                f"derivative order {order} not provided for this handle")
-        x = np.asarray(x, float)
-        return [np.asarray(h(x)) for h in (self.fn,) + self.derivs[:order]]
 
 
 def check_integrable(alpha: float) -> None:

@@ -20,10 +20,12 @@ from singularheat.heat1d import (_EPS, HeatContentSamples, _TINY,
                                  circle_heat_content,
                                  halfline_heat_content, interval_heat_content,
                                  intertwine_residual)
-from singularheat.profiles import (FromCallable, PlateauCutoff, Product,
+from singularheat.profiles import (PlateauCutoff, Polynomial, Product,
                                    SingularProfile, constant,
                                    plateau_profile)
 from singularheat.quadrature import gauss_legendre, tanh_sinh_lanes
+
+from handles import FromCallable
 
 D = BoundaryConditionKind.DIRICHLET
 R = BoundaryConditionKind.ROBIN
@@ -579,6 +581,38 @@ def test_eigenmode_decay_rate():
     # with c the Dirichlet modes carry D = -d^2/dx^2 + c^2
     shifted, _ = interval_heat_content(phi, phi, D, 0.5, t)
     assert shifted == pytest.approx(math.exp(-4.25 * t), rel=1e-9)
+    # the power-1 sum is the exact rate -d/dt beta = lambda_2 e^{-t lambda_2}
+    for c in (0.0, 0.5):
+        lam = 4.0 + c * c
+        rate, _ = heat1d._spectral_sum(phi, phi, D, c, t, power=1)
+        assert rate == pytest.approx(lam * math.exp(-lam * t), rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_rate_sum_within_err_of_closed_form(monkeypatch, c):
+    # -d/dt beta(t) for phi = rho = 1, Dirichlet: the sum over odd n of
+    # (8/(pi n^2)) (n^2 + c^2) e^{-t (n^2 + c^2)}, here summed far past
+    # the truncation; its tail bound must hold with the extra factor
+    # lambda_n
+    sizes = []
+    pair_terms = heat1d._pair_terms
+
+    def recorded(*args):
+        sizes.append(args[-1])
+        return pair_terms(*args)
+
+    monkeypatch.setattr(heat1d, "_pair_terms", recorded)
+    one = SingularProfile(0.0, constant(), L=math.pi)
+    n = np.arange(1, 20001, 2, dtype=float)
+    lam = n ** 2 + c * c
+    for t in (1e-3, 1e-2, 0.1):
+        sizes.clear()
+        rate, err = heat1d._spectral_sum(one, one, D, c, t, power=1)
+        want = math.fsum((8.0 / (math.pi * n ** 2) * lam
+                          * np.exp(-t * lam)).tolist())
+        assert abs(rate - want) <= err, t
+        if t == 1e-3:
+            assert max(sizes) > 64
 
 
 # ---------------------------------------------------------------------------
@@ -617,16 +651,50 @@ def test_apply_a_matches_direct_derivative():
         assert float(out(x)) == pytest.approx(float(want), rel=1e-8)
 
 
-def test_intertwine_residual_robin():
-    phi = _cubic_halfpower_profile()
-    r = intertwine_residual(phi, phi, 0.5, 0.05)
-    assert r < 1e-6
+def _polynomial_profile():
+    # x^{1.5} (pi - x)^2, the datum of `verify intertwine`: it vanishes at
+    # pi, so the dual identity has no boundary terms there
+    return SingularProfile(
+        -1.5, Polynomial((math.pi ** 2, -2.0 * math.pi, 1.0)), L=math.pi)
 
 
-def test_intertwine_residual_dual():
-    phi = _cubic_halfpower_profile()
-    r = intertwine_residual(phi, phi, 0.5, 0.05, dual=True)
-    assert r < 1e-6
+_INTERTWINE_DATA = pytest.mark.parametrize(
+    "profile", [_polynomial_profile, _cubic_halfpower_profile],
+    ids=["polynomial", "handle"])
+
+
+def _check_intertwining(phi, dual):
+    """The exact rate against the image flow, a central difference and
+    the two sides' err."""
+    c, t, dt = 0.5, 0.05, 1e-4
+    flow, image = (D, R) if dual else (R, D)
+    assert intertwine_residual(phi, phi, c, t, dual=dual) <= 1e-12
+    rate, err_rate = heat1d._spectral_sum(phi, phi, flow, c, t, power=1)
+    hi, _ = interval_heat_content(phi, phi, flow, c, t + dt)
+    lo, _ = interval_heat_content(phi, phi, flow, c, t - dt)
+    assert rate == pytest.approx(-(hi - lo) / (2 * dt), rel=1e-6)
+    a_phi = apply_A(phi, c, not dual)
+    rhs, err_rhs = interval_heat_content(a_phi, a_phi, image, c, t)
+    assert abs(rhs - rate) <= err_rate + err_rhs
+
+
+@_INTERTWINE_DATA
+def test_intertwine_residual_robin(profile):
+    _check_intertwining(profile(), dual=False)
+
+
+@_INTERTWINE_DATA
+def test_intertwine_residual_dual(profile):
+    _check_intertwining(profile(), dual=True)
+
+
+def test_dual_zero_mode_of_a_phi_vanishes():
+    # int (phi' + c phi) e^{cx} = [phi e^{cx}]_0^pi, which is 0 when phi
+    # vanishes at both ends, so A phi has no Robin zero mode
+    c = 0.5
+    a_phi = apply_A(_polynomial_profile(), c, adjoint=False)
+    value, err = _exp_moment(a_phi, c)
+    assert abs(value) <= err
 
 
 def test_intertwine_guards():

@@ -9,12 +9,13 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from singularheat.errors import DomainError, RangeError
-from singularheat.profiles import (_RAMP_DERIVS, FromCallable,
-                                   IntertwinedFactor, OperatorApplied,
-                                   PlateauCutoff, Polynomial, Product,
-                                   SingularProfile, SmoothFunction, constant,
-                                   plateau_profile)
+from singularheat.profiles import (_RAMP_DERIVS, IntertwinedFactor,
+                                   OperatorApplied, PlateauCutoff,
+                                   Polynomial, Product, SingularProfile,
+                                   SmoothFunction, constant, plateau_profile)
 from singularheat.regint import i_reg
+
+from handles import FromCallable
 
 
 def _jets(smooth, order):

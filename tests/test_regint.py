@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from singularheat.errors import DomainError, PoleError, RangeError
-from singularheat.profiles import (FromCallable, IntertwinedFactor,
-                                   OperatorApplied, PlateauCutoff, Polynomial,
-                                   Product, SingularProfile, constant,
-                                   plateau_profile)
+from singularheat.profiles import (IntertwinedFactor, OperatorApplied,
+                                   PlateauCutoff, Polynomial, Product,
+                                   SingularProfile, constant, plateau_profile)
 from singularheat.quadrature import tanh_sinh_lanes
 from singularheat.regint import i_reg, interior_coefficients
+
+from handles import FromCallable
 
 
 def _unit():
