@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +25,15 @@ _COND_MAX = 1e10
 _WEIGHT_FLOOR = 1e-30
 
 
-@dataclass
 class AsymptoticModel:
     """Fitted finite power series sum_k c_k t^{gamma_k}."""
 
-    exponents: list
-    coefficients: list
-    fit_residual: float
-    condition_estimate: float
+    def __init__(self, exponents: list, coefficients: list,
+                 fit_residual: float, condition_estimate: float):
+        self.exponents = exponents
+        self.coefficients = coefficients
+        self.fit_residual = fit_residual
+        self.condition_estimate = condition_estimate
 
     def to_json(self) -> str:
         return json.dumps({

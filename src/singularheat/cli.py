@@ -10,18 +10,25 @@ Only the closed-form modules (coeff, errors, geom) are imported here at
 the top.  numpy and the simulator are imported inside the functions that
 run them (simulate, cmd_fit, the intertwine and regint suites), so coeffs,
 --help, a rejected config and the recursions, crosscheck, warped and
-scaling suites start without numpy.
+scaling suites start without numpy.  No class of the package is a
+dataclass, so an import compiles no generated methods, and these
+commands load neither dataclasses nor inspect.
+
+`python -m singularheat.cli` and the singular-heat script enter through
+run(), which freezes the garbage collector after main() so that the
+process does not walk every object it made at exit.  main(argv) is the
+in-process entry for tests and tools; it never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import random
 import re
 import sys
-from dataclasses import MISSING, dataclass, field, fields
 
 from .coeff import (BoundaryConditionKind, ExponentPair,
                     build_table, closed_form_crosscheck, recursion_check)
@@ -69,7 +76,7 @@ def _finite(v) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-#: ProblemConfig annotation -> (check on a JSON value, what it asks for)
+#: JSON type -> (check on a JSON value, what it asks for)
 _JSON_TYPES = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "float": (_finite, "a finite number"),
@@ -83,33 +90,52 @@ _JSON_TYPES = {
 }
 
 
-@dataclass
+#: each ProblemConfig field: its JSON type (a key of _JSON_TYPES) and its
+#: default (problem has none)
+_FIELDS = {
+    "problem": ("str", None),
+    "bc": ("str", "dirichlet"),
+    "alpha1": ("float", 0.0),
+    "alpha2": ("float", 0.0),
+    "c": ("float", 0.0),
+    "cutoff": ("float | None", 0.5),
+    "tmin": ("float", 1e-6),
+    "tmax": ("float", 1e-2),
+    "num": ("int", 40),
+    "phi_fourier": ("list", []),
+    "rho_fourier": ("list", []),
+    "tolerances": ("dict", {}),
+}
+
+
 class ProblemConfig:
-    """Validated simulation request (parsed from a JSON file)."""
+    """Validated simulation request (parsed from a JSON file).
 
-    problem: str
-    bc: str = "dirichlet"
-    alpha1: float = 0.0
-    alpha2: float = 0.0
-    c: float = 0.0
-    #: plateau-cutoff radius; None (interval only) means constant-1 data
-    cutoff: float | None = 0.5
-    tmin: float = 1e-6
-    tmax: float = 1e-2
-    num: int = 40
-    phi_fourier: list = field(default_factory=list)
-    rho_fourier: list = field(default_factory=list)
-    tolerances: dict = field(default_factory=dict)
+    cutoff is the plateau-cutoff radius; None (interval only) means
+    constant-1 data.  phi_fourier, rho_fourier and tolerances default to
+    a new empty list or dict.
+    """
 
-    def __post_init__(self):
+    def __init__(self, problem: str, bc: str = "dirichlet",
+                 alpha1: float = 0.0, alpha2: float = 0.0, c: float = 0.0,
+                 cutoff: float | None = 0.5, tmin: float = 1e-6,
+                 tmax: float = 1e-2, num: int = 40,
+                 phi_fourier: list | None = None,
+                 rho_fourier: list | None = None,
+                 tolerances: dict | None = None):
+        self.problem, self.bc, self.alpha1, self.alpha2 = \
+            problem, bc, alpha1, alpha2
+        self.c, self.cutoff, self.tmin, self.tmax, self.num = \
+            c, cutoff, tmin, tmax, num
+        self.phi_fourier = [] if phi_fourier is None else phi_fourier
+        self.rho_fourier = [] if rho_fourier is None else rho_fourier
+        self.tolerances = {} if tolerances is None else tolerances
         if self.problem not in _READS:
             raise RangeError(f"problem must be one of {tuple(_READS)}")
         reads = _READS[self.problem] + ("problem", "tmin", "tmax", "num")
-        for f in fields(self):
-            default = (f.default if f.default_factory is MISSING
-                       else f.default_factory())
-            if f.name not in reads and getattr(self, f.name) != default:
-                raise RangeError(f"{self.problem} does not read {f.name}")
+        for name, (_, default) in _FIELDS.items():
+            if name not in reads and getattr(self, name) != default:
+                raise RangeError(f"{self.problem} does not read {name}")
         if self.bc not in ("dirichlet", "robin"):
             raise RangeError("bc must be 'dirichlet' or 'robin'")
         if self.tmin <= 0 or self.tmax < self.tmin:
@@ -133,17 +159,16 @@ class ProblemConfig:
 
     @classmethod
     def from_json_dict(cls, obj) -> "ProblemConfig":
-        """Check each JSON value against the annotation of its field."""
+        """Check each JSON value against the JSON type of its field."""
         if not isinstance(obj, dict) or "problem" not in obj:
             raise RangeError("a config is a JSON object with a 'problem' key")
-        kinds = {f.name: f.type for f in fields(cls)}
         for name, value in obj.items():
-            if name not in kinds:
+            if name not in _FIELDS:
                 raise RangeError(f"unknown config key {name!r}")
-            check, want = _JSON_TYPES[kinds[name]]
+            check, want = _JSON_TYPES[_FIELDS[name][0]]
             if not check(value):
                 raise RangeError(f"{name} must be {want}")
-        return cls(**{k: float(v) if type(v) is int and kinds[k] != "int"
+        return cls(**{k: float(v) if type(v) is int and _FIELDS[k][0] != "int"
                       else v for k, v in obj.items()})
 
 
@@ -460,5 +485,20 @@ def main(argv=None) -> int:
         return _EXIT_INPUT
 
 
+def run() -> int:
+    """Program entry of `python -m singularheat.cli` and of the
+    singular-heat script: main() on sys.argv, then gc.freeze().
+
+    The freeze moves every live object into the collector's permanent
+    generation, so the collection at interpreter exit skips the objects
+    the command made, which the exit frees anyway.  The process ends
+    right after, so no later collection is lost; atexit handlers and the
+    flush of stdout and stderr still run.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -40,8 +39,35 @@ def _integer_distance(z: complex) -> float:
     return abs(z - round(z.real)) if abs(z.imag) < 1 else abs(z.imag)
 
 
-@dataclass(frozen=True)
-class ExponentPair:
+class Frozen:
+    """An immutable value: equal to another of its type with the same
+    fields, and hashed by them.
+
+    __init__ validates its arguments and hands them to _freeze, which
+    stores them and takes the hash once; the simulator's caches
+    (heat1d._pair_terms, _exp_moment) look these values up by hash.
+    """
+
+    def _freeze(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        values = tuple(fields.values())
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return self._hash
+
+
+class ExponentPair(Frozen):
     """Admissible pair of singularity exponents (alpha1, alpha2).
 
     Requires Re(alpha1) < 1, Re(alpha2) < 1, and alpha1 + alpha2 further
@@ -50,11 +76,8 @@ class ExponentPair:
     admissible automatically.
     """
 
-    alpha1: complex
-    alpha2: complex
-
-    def __post_init__(self):
-        a1, a2 = complex(self.alpha1), complex(self.alpha2)
+    def __init__(self, alpha1: complex, alpha2: complex):
+        a1, a2 = complex(alpha1), complex(alpha2)
         if not all(math.isfinite(v) for v in (a1.real, a1.imag, a2.real, a2.imag)):
             raise AdmissibilityError("exponents must be finite")
         if a1.real >= 1.0 or a2.real >= 1.0:
@@ -63,6 +86,8 @@ class ExponentPair:
         if _integer_distance(a1 + a2) <= DEFAULT_DELTA:
             raise AdmissibilityError(
                 f"alpha1 + alpha2 = {a1 + a2} is within {DEFAULT_DELTA} of an integer")
+        self._freeze(alpha1=alpha1, alpha2=alpha2)
+
 
 def _base_eps(sign: int, a1: complex, a2: complex) -> complex:
     """Closed form for the order-0 coefficient at an arbitrary pair.
@@ -100,7 +125,6 @@ _DIRICHLET_KEYS = tuple(f"eps{k}" for k in range(15))
 _ROBIN_KEYS = tuple(f"eps{k}" for k in range(20))
 
 
-@dataclass(frozen=True)
 class CoefficientTable:
     """Universal constants for the boundary terms of order j <= 2.
 
@@ -109,9 +133,11 @@ class CoefficientTable:
     Robin boundary operator).
     """
 
-    bc: BoundaryConditionKind
-    pair: ExponentPair
-    values: dict
+    def __init__(self, bc: BoundaryConditionKind, pair: ExponentPair,
+                 values: dict):
+        self.bc = bc
+        self.pair = pair
+        self.values = values
 
     def __getitem__(self, key: str) -> complex:
         return self.values[key]

@@ -13,7 +13,6 @@ of the terms under the parabolic rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .coeff import BoundaryConditionKind, CoefficientTable, ExponentPair
 from .errors import DegenerateInputError, RangeError
@@ -21,7 +20,6 @@ from .errors import DegenerateInputError, RangeError
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class BoundaryPointData:
     """All scalars of the boundary integrands at one boundary point.
 
@@ -30,38 +28,30 @@ class BoundaryPointData:
     point carries (e.g. (2 pi)^(m-1) for a torus cross-section).
     """
 
-    phi: tuple
-    rho: tuple
-    Laa: float = 0.0
-    LabLab: float = 0.0
-    LaaLbb: float = 0.0
-    Ricmm: float = 0.0
-    tau: float = 0.0
-    E: float = 0.0
-    SR: float = 0.0
-    grad_pair: complex = 0.0
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if len(self.phi) != 3 or len(self.rho) != 3:
+    def __init__(self, phi: tuple, rho: tuple, Laa: float = 0.0,
+                 LabLab: float = 0.0, LaaLbb: float = 0.0, Ricmm: float = 0.0,
+                 tau: float = 0.0, E: float = 0.0, SR: float = 0.0,
+                 grad_pair: complex = 0.0, weight: float = 1.0):
+        if len(phi) != 3 or len(rho) != 3:
             raise RangeError("phi and rho must carry jets of orders 0, 1, 2")
-        if not self.weight > 0:
+        if not weight > 0:
             raise DegenerateInputError("weight must be positive")
+        self.phi, self.rho = phi, rho
+        self.Laa, self.LabLab, self.LaaLbb = Laa, LabLab, LaaLbb
+        self.Ricmm, self.tau, self.E, self.SR = Ricmm, tau, E, SR
+        self.grad_pair, self.weight = grad_pair, weight
 
-@dataclass(frozen=True)
+
 class WarpedProfile:
     """Warping data of a product-torus model metric near the boundary."""
 
-    fprime: tuple
-    fsecond: tuple
-    SR0: float = 0.0
-    m: int = 2
-
-    def __post_init__(self):
-        if self.m < 2:
+    def __init__(self, fprime: tuple, fsecond: tuple, SR0: float = 0.0,
+                 m: int = 2):
+        if m < 2:
             raise RangeError("dimension m must be >= 2")
-        if len(self.fprime) != self.m - 1 or len(self.fsecond) != self.m - 1:
+        if len(fprime) != m - 1 or len(fsecond) != m - 1:
             raise RangeError("need m - 1 warping entries")
+        self.fprime, self.fsecond, self.SR0, self.m = fprime, fsecond, SR0, m
 
 
 def modified_taylor_jets(taylor: tuple, omega_m: float,
@@ -145,12 +135,13 @@ def rescale_data(data: BoundaryPointData, a: ExponentPair,
     a1, a2 = complex(a.alpha1), complex(a.alpha2)
     phi = tuple(c ** (a1 - l) * complex(v) for l, v in enumerate(data.phi))
     rho = tuple(c ** (a2 - l) * complex(v) for l, v in enumerate(data.rho))
-    return replace(
-        data, phi=phi, rho=rho,
+    return BoundaryPointData(
+        phi, rho,
         Laa=data.Laa / c, LabLab=data.LabLab / c ** 2,
         LaaLbb=data.LaaLbb / c ** 2, Ricmm=data.Ricmm / c ** 2,
         tau=data.tau / c ** 2, E=data.E / c ** 2, SR=data.SR / c,
         grad_pair=c ** (a1 + a2 - 2) * complex(data.grad_pair),
+        weight=data.weight,
     )
 
 

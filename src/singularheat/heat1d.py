@@ -29,7 +29,6 @@ sum weighted by lambda_n is the exact t-derivative of the heat content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,20 +60,18 @@ def _robin_zero_norm(c: float) -> float:
                          "stationary mode e^(cx)") from None
 
 
-@dataclass
 class HeatContentSamples:
     """beta(t) samples of one problem, serializable as t,beta,err CSV."""
 
-    entries: list
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for e in self.entries for v in e):
+    def __init__(self, entries: list):
+        if not all(math.isfinite(v) for e in entries for v in e):
             raise RangeError("t, beta and err must be finite")
-        ts = [e[0] for e in self.entries]
+        ts = [e[0] for e in entries]
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
             raise RangeError("sample times must be strictly increasing")
-        if any(e[0] <= 0 or e[2] < 0 for e in self.entries):
+        if any(e[0] <= 0 or e[2] < 0 for e in entries):
             raise RangeError("need t > 0 and err >= 0")
+        self.entries = entries
 
     def to_csv_text(self) -> str:
         lines = ["t,beta,err"]

@@ -18,21 +18,28 @@ pass at x = 0 up to taylor_degree(), entry k divided by k!; it is exact
 up to the first breakpoint.  Those Taylor coefficients are what the
 boundary jets (geom.modified_taylor_jets) and the closed-form collar
 (regint.i_reg) take.
+
+Every smooth factor and SingularProfile is an immutable value
+(coeff.Frozen): equal to another of its class with equal fields, and
+hashed by them once, when it is built.  heat1d caches its spectral-sum
+terms and Robin zero-mode moments per profile, so two profiles built
+from the same numbers share one cache entry, and a field cannot be
+assigned after construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
+from .coeff import Frozen
 from .errors import DomainError, RangeError
 from .quadrature import segments
 
 
-class SmoothFunction:
+class SmoothFunction(Frozen):
     """Base class: a piecewise-analytic function on [0, inf)."""
 
     #: interior points where the definition changes (quadrature splits here)
@@ -59,11 +66,11 @@ class SmoothFunction:
                      for k in range(degree + 1))
 
 
-@dataclass(frozen=True)
 class Polynomial(SmoothFunction):
     """Polynomial with ascending coefficients."""
 
-    coeffs: tuple
+    def __init__(self, coeffs: tuple):
+        self._freeze(coeffs=coeffs)
 
     def derivatives(self, x, order: int) -> list:
         x = np.asarray(x, float)
@@ -82,15 +89,13 @@ _RAMP_DERIVS = tuple(polyder((1.0, 0.0, 0.0, -10.0, 15.0, -6.0), k)
                      for k in range(6))
 
 
-@dataclass(frozen=True)
 class PlateauCutoff(SmoothFunction):
     """C^2 cutoff: 1 on [0, r0/2], quintic smoothstep down to 0 at r0."""
 
-    r0: float
-
-    def __post_init__(self):
-        if self.r0 <= 0:
+    def __init__(self, r0: float):
+        if not r0 > 0:
             raise DomainError("cutoff radius must be positive")
+        self._freeze(r0=r0)
 
     @property
     def breakpoints(self):
@@ -129,10 +134,9 @@ class PlateauCutoff(SmoothFunction):
         return 0
 
 
-@dataclass(frozen=True)
 class Product(SmoothFunction):
-    left: SmoothFunction
-    right: SmoothFunction
+    def __init__(self, left: SmoothFunction, right: SmoothFunction):
+        self._freeze(left=left, right=right)
 
     @property
     def breakpoints(self):
@@ -154,31 +158,30 @@ class Product(SmoothFunction):
 
 
 def check_integrable(alpha: float) -> None:
-    """Raise DomainError unless alpha is real and r^(-alpha) is integrable
-    at 0."""
+    """Raise DomainError unless alpha is real and finite and r^(-alpha) is
+    integrable at 0."""
     if isinstance(alpha, complex) or alpha >= 1.0:
         raise DomainError(f"need real alpha with Re(alpha) < 1, got {alpha}")
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
 
 
-@dataclass(frozen=True)
-class SingularProfile:
+class SingularProfile(Frozen):
     """phi(r) = r^(-alpha) * smooth(r) on [0, L].
 
     cutoff_radius records the support radius when the smooth factor
     vanishes identically beyond it (None when it does not vanish).
     """
 
-    alpha: float
-    smooth: SmoothFunction
-    L: float
-    cutoff_radius: float | None = None
-
-    def __post_init__(self):
-        check_integrable(self.alpha)
-        if self.L <= 0:
+    def __init__(self, alpha: float, smooth: SmoothFunction, L: float,
+                 cutoff_radius: float | None = None):
+        check_integrable(alpha)
+        if not L > 0:
             raise DomainError("domain length must be positive")
-        if self.cutoff_radius is not None and not 0 < self.cutoff_radius <= self.L:
+        if cutoff_radius is not None and not 0 < cutoff_radius <= L:
             raise DomainError("cutoff radius must lie in (0, L]")
+        self._freeze(alpha=alpha, smooth=smooth, L=L,
+                     cutoff_radius=cutoff_radius)
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -197,7 +200,6 @@ def plateau_profile(alpha: float, L: float, cutoff_radius: float) -> SingularPro
     return SingularProfile(alpha, PlateauCutoff(cutoff_radius), L, cutoff_radius)
 
 
-@dataclass(frozen=True)
 class IntertwinedFactor(SmoothFunction):
     """Smooth factor of (A phi) or (A* phi) for phi = x^(-a) s(x).
 
@@ -205,10 +207,8 @@ class IntertwinedFactor(SmoothFunction):
     the result is x^(-(a+1)) * g(x) with g = sign*(a s - x s') + c x s.
     """
 
-    s: SmoothFunction
-    a: float
-    c: float
-    sign: int
+    def __init__(self, s: SmoothFunction, a: float, c: float, sign: int):
+        self._freeze(s=s, a=a, c=c, sign=sign)
 
     @property
     def breakpoints(self):
@@ -232,7 +232,6 @@ class IntertwinedFactor(SmoothFunction):
         return self.s.taylor_degree() + 1
 
 
-@dataclass(frozen=True)
 class OperatorApplied(SmoothFunction):
     """Smooth factor of D phi for phi = x^(-a) s(x), D = -d^2/dx^2 + c^2.
 
@@ -240,9 +239,8 @@ class OperatorApplied(SmoothFunction):
     g = -(a)(a+1) s + 2 a x s' - x^2 s'' + c^2 x^2 s.
     """
 
-    s: SmoothFunction
-    a: float
-    c2: float
+    def __init__(self, s: SmoothFunction, a: float, c2: float):
+        self._freeze(s=s, a=a, c2=c2)
 
     @property
     def breakpoints(self):

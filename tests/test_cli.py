@@ -1,7 +1,13 @@
 """End-to-end tests of the singular-heat command line interface."""
 
+import ast
+import gc
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -435,3 +441,70 @@ def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["verify", "banach"])
     assert exc_info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# program entry
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _entry_names():
+    """The cli function that [project.scripts] singular-heat names, and
+    the one that the __main__ guard of cli passes to sys.exit.
+
+    pyproject.toml is read with a regular expression, not tomllib, which
+    Python 3.10 lacks.
+    """
+    toml = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", toml,
+                        re.M | re.S).group(1)
+    script = re.search(r'^singular-heat\s*=\s*"singularheat\.cli:(\w+)"$',
+                       scripts, re.M).group(1)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    guard, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    call, = [node for node in ast.walk(guard) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "sys.exit"]
+    return script, call.args[0].func.id
+
+
+def test_program_entry_matches_in_process_main(capsys, tmp_path):
+    script, guarded = _entry_names()
+    assert script == guarded
+    rejected = write_config(tmp_path, {"problem": "interval", "tmin": -1.0},
+                            "rejected.json")
+    # tanh-sinh head nodes underflow to x = 0 on a tiny cutoff
+    underflow = write_config(tmp_path, {
+        "problem": "interval", "bc": "dirichlet", "alpha1": 0.3,
+        "alpha2": 0.4, "cutoff": 1e-80, "tmin": 1e-4, "tmax": 1e-2,
+        "num": 2}, "underflow.json")
+    out_csv = str(tmp_path / "out.csv")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv, want in (
+            (["coeffs", "--alpha1", "0.3", "--alpha2", "0.4"], 0),
+            (["simulate", rejected, "--out", out_csv], 2),
+            (["simulate", underflow, "--out", out_csv], 3)):
+        proc = subprocess.run([sys.executable, "-m", "singularheat.cli",
+                               *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        code, out, _ = run(capsys, argv)
+        assert code == want, argv
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_only_the_program_entry_freezes_the_collector(capsys, monkeypatch):
+    script, _ = _entry_names()
+    argv = ["coeffs", "--alpha1", "0.3", "--alpha2", "0.4"]
+    assert gc.get_freeze_count() == 0
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["singular-heat", *argv])
+    try:
+        assert getattr(cli, script)() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["bc"] \
+        == "dirichlet"

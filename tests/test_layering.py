@@ -5,7 +5,10 @@ and checked against heat content simulated and fitted with numpy
 (profiles -> heat1d/regint -> asymfit).  The check means something only
 while the closed-form modules load neither numpy nor the simulator, so a
 fresh interpreter imports them, or runs the commands built on them alone,
-and lists what came with them.
+and lists what came with them.  Each command is a fresh process that
+pays for every import, so the package defines no dataclasses: the
+closed-form commands load neither dataclasses nor inspect (which
+dataclasses imports), and the simulator loads no dataclasses.
 """
 
 import json
@@ -18,7 +21,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 _LIST_MODULES = """
 import sys
-print(" ".join(sorted(name for name in sys.modules if name == "numpy"
+print(" ".join(sorted(name for name in sys.modules
+                      if name in ("dataclasses", "inspect", "numpy")
                       or name.startswith(("numpy.", "singularheat.")))))
 """
 
@@ -67,3 +71,15 @@ def test_closed_form_commands_load_no_numpy_or_simulator(tmp_path):
     assert codes.split() == ["0"] * 6 + ["2"]
     assert modules.split() == sorted(CLOSED_FORM + ["singularheat.cli"])
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_simulator_builds_no_dataclasses(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"problem": "interval", "bc": "robin",
+                                  "c": 0.5, "tmin": 1e-3, "tmax": 1e-2,
+                                  "num": 3}), encoding="utf-8")
+    commands = [["simulate", str(config), "--out", str(tmp_path / "o.csv")]]
+    codes, modules = _run(_RUN_COMMANDS, json.dumps(commands))
+    assert codes.split() == ["0"]
+    assert "singularheat.heat1d" in modules.split()
+    assert "dataclasses" not in modules.split()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+from singularheat.coeff import ExponentPair
 from singularheat.errors import DomainError, RangeError
 from singularheat.profiles import (_RAMP_DERIVS, IntertwinedFactor,
                                    OperatorApplied, PlateauCutoff,
@@ -69,8 +70,10 @@ def test_plateau_cutoff_shape():
         got = cut.derivatives(np.array([0.6]), k)[k][0]
         want = central_diff(lambda t: cut(np.array([t]))[0], 0.6, k, h=1e-4)
         assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
-    with pytest.raises(DomainError):
-        PlateauCutoff(-1.0)
+    # NaN fails r0 > 0 too
+    for r0 in (-1.0, 0.0, math.nan):
+        with pytest.raises(DomainError, match="cutoff radius"):
+            PlateauCutoff(r0)
 
 
 def _cutoff_everywhere(r0, x, order):
@@ -150,6 +153,27 @@ def test_product_combines_taylor_and_breakpoints():
     assert got == pytest.approx(want, rel=1e-6)
 
 
+def test_cache_keys_are_immutable_values():
+    """heat1d caches per profile pair, so equal fields mean equal keys."""
+    make = [lambda: plateau_profile(0.3, np.pi, 0.5),
+            lambda: Product(PlateauCutoff(0.5), Polynomial((1.0, 2.0))),
+            lambda: IntertwinedFactor(constant(), 0.3, 0.5, 1),
+            lambda: OperatorApplied(constant(), 0.3, 0.25),
+            lambda: ExponentPair(0.3, 0.4)]
+    for build in make:
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert plateau_profile(0.3, np.pi, 0.5) != plateau_profile(0.3, np.pi, 0.6)
+    # equal fields of another type are another value
+    assert Product(0.3, 0.4) != ExponentPair(0.3, 0.4)
+    for value, name in ((plateau_profile(0.3, np.pi, 0.5), "alpha"),
+                        (PlateauCutoff(0.5), "r0"),
+                        (ExponentPair(0.3, 0.4), "alpha1")):
+        with pytest.raises(AttributeError, match=name):
+            setattr(value, name, 0.2)
+
+
 def test_from_callable_guard():
     f = FromCallable(np.sin, (np.cos,))
     x = np.array([0.3])
@@ -175,6 +199,12 @@ def test_singular_profile_validation_and_pieces():
     assert _jets(full.smooth, 1) == pytest.approx([1.0, 2.0])
     with pytest.raises(DomainError):
         SingularProfile(1.2, constant(), L=1.0)
+    for alpha in (math.nan, -math.inf, math.inf):
+        with pytest.raises(DomainError, match="alpha"):
+            SingularProfile(alpha, constant(), L=1.0)
+    for L in (0.0, math.nan):
+        with pytest.raises(DomainError, match="domain length"):
+            SingularProfile(0.3, constant(), L=L)
     with pytest.raises(DomainError):
         plateau_profile(0.3, L=1.0, cutoff_radius=2.0)
     # a complex exponent is rejected when the profile is built

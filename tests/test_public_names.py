@@ -5,11 +5,12 @@ under src/singularheat names outside its own definition is API that only
 tests call.  Likewise a defaulted parameter of a top-level function or
 method that no call in the package passes, by keyword or by position, is
 an option only tests set; so is a defaulted dataclass field that no
-constructor call passes (a cls(...) call in the class's own methods
-counts as one).  Such a helper or option is deleted, not kept: tests
-check the code that the commands run.  A public method that the package
-reaches only as self.<name> is an internal hook of its class, not API:
-it is inlined or made private.
+constructor call passes.  A Cls(...) call, and a cls(...) call in the
+class's own methods, is a constructor call: it calls Cls.__init__ with
+self bound, or builds the dataclass Cls.  Such a helper or option is
+deleted, not kept: tests check the code that the commands run.  A public
+method that the package reaches only as self.<name> is an internal hook
+of its class, not API: it is inlined or made private.
 """
 
 import ast
@@ -149,14 +150,27 @@ def _passed(records, name, pos) -> bool:
                for n, keys, splat in records)
 
 
+def _constructor_calls(calls, cls) -> list:
+    """Call records of each Cls(...) call in the package and each
+    cls(...) call in the class's own methods."""
+    return calls.get(cls.name, []) + [
+        record for name, record in _call_records(cls) if name == "cls"]
+
+
 def unpassed_defaults(src: Path) -> list:
     trees = _trees(src)
     calls = _calls(trees)
     out = []
     for module, tree in trees.items():
+        classes = {node.name: node for node in tree.body
+                   if isinstance(node, ast.ClassDef)}
         for qualified, fn, bound in _functions(tree):
+            records = calls.get(fn.name, [])
+            if fn.name == "__init__":
+                records = records + _constructor_calls(
+                    calls, classes[qualified.split(".")[0]])
             for param, pos in _defaulted(fn, bound):
-                if not _passed(calls.get(fn.name, ()), param, pos):
+                if not _passed(records, param, pos):
                     out.append(f"{module}:{qualified}({param})")
     return [name for name in out if name not in ALLOWED_DEFAULTS]
 
@@ -196,8 +210,7 @@ def unpassed_fields(src: Path) -> list:
         for cls in tree.body:
             if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
                 continue
-            records = calls.get(cls.name, []) + [
-                record for name, record in _call_records(cls) if name == "cls"]
+            records = _constructor_calls(calls, cls)
             for field, pos in _defaulted_fields(cls):
                 if not _passed(records, field, pos):
                     out.append(f"{module}:{cls.name}.{field}")
@@ -250,3 +263,16 @@ def test_field_rule_counts_constructor_calls(tmp_path):
         "def build():\n"
         "    return A(1, 2)\n")
     assert unpassed_fields(tmp_path) == ["m:A.z"]
+
+
+def test_default_rule_counts_constructor_calls_of_plain_classes(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class A:\n"
+        "    def __init__(self, x, y=0, z=1, *, w=None):\n"
+        "        self.x, self.y, self.z, self.w = x, y, z, w\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls(1, w=[2])\n"
+        "def build():\n"
+        "    return A(1, 2)\n")
+    assert unpassed_defaults(tmp_path) == ["m:A.__init__(z)"]
