@@ -109,33 +109,31 @@ _FIELDS = {
 
 
 class ProblemConfig:
-    """Validated simulation request (parsed from a JSON file).
+    """Validated simulation request, from a parsed JSON config object.
 
-    cutoff is the plateau-cutoff radius; None (interval only) means
-    constant-1 data.  phi_fourier, rho_fourier and tolerances default to
-    a new empty list or dict.
+    Each JSON value is checked against the JSON type of its field, and a
+    missing field takes its default from _FIELDS.  cutoff is the
+    plateau-cutoff radius; None (interval only) means constant-1 data.
     """
 
-    def __init__(self, problem: str, bc: str = "dirichlet",
-                 alpha1: float = 0.0, alpha2: float = 0.0, c: float = 0.0,
-                 cutoff: float | None = 0.5, tmin: float = 1e-6,
-                 tmax: float = 1e-2, num: int = 40,
-                 phi_fourier: list | None = None,
-                 rho_fourier: list | None = None,
-                 tolerances: dict | None = None):
-        self.problem, self.bc, self.alpha1, self.alpha2 = \
-            problem, bc, alpha1, alpha2
-        self.c, self.cutoff, self.tmin, self.tmax, self.num = \
-            c, cutoff, tmin, tmax, num
-        self.phi_fourier = [] if phi_fourier is None else phi_fourier
-        self.rho_fourier = [] if rho_fourier is None else rho_fourier
-        self.tolerances = {} if tolerances is None else tolerances
-        if self.problem not in _READS:
+    def __init__(self, obj):
+        if not isinstance(obj, dict) or "problem" not in obj:
+            raise RangeError("a config is a JSON object with a 'problem' key")
+        for name, value in obj.items():
+            if name not in _FIELDS:
+                raise RangeError(f"unknown config key {name!r}")
+            check, want = _JSON_TYPES[_FIELDS[name][0]]
+            if not check(value):
+                raise RangeError(f"{name} must be {want}")
+        if obj["problem"] not in _READS:
             raise RangeError(f"problem must be one of {tuple(_READS)}")
-        reads = _READS[self.problem] + ("problem", "tmin", "tmax", "num")
-        for name, (_, default) in _FIELDS.items():
-            if name not in reads and getattr(self, name) != default:
-                raise RangeError(f"{self.problem} does not read {name}")
+        reads = _READS[obj["problem"]] + ("problem", "tmin", "tmax", "num")
+        for name, (kind, default) in _FIELDS.items():
+            value = obj.get(name, default)
+            if name not in reads and value != default:
+                raise RangeError(f"{obj['problem']} does not read {name}")
+            setattr(self, name, float(value)
+                    if type(value) is int and kind != "int" else value)
         if self.bc not in ("dirichlet", "robin"):
             raise RangeError("bc must be 'dirichlet' or 'robin'")
         if self.tmin <= 0 or self.tmax < self.tmin:
@@ -156,20 +154,6 @@ class ProblemConfig:
                 not self.phi_fourier or not self.rho_fourier):
             raise RangeError(
                 "circle-product needs phi_fourier and rho_fourier")
-
-    @classmethod
-    def from_json_dict(cls, obj) -> "ProblemConfig":
-        """Check each JSON value against the JSON type of its field."""
-        if not isinstance(obj, dict) or "problem" not in obj:
-            raise RangeError("a config is a JSON object with a 'problem' key")
-        for name, value in obj.items():
-            if name not in _FIELDS:
-                raise RangeError(f"unknown config key {name!r}")
-            check, want = _JSON_TYPES[_FIELDS[name][0]]
-            if not check(value):
-                raise RangeError(f"{name} must be {want}")
-        return cls(**{k: float(v) if type(v) is int and _FIELDS[k][0] != "int"
-                      else v for k, v in obj.items()})
 
 
 def simulate(cfg: ProblemConfig) -> HeatContentSamples:
@@ -233,7 +217,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = ProblemConfig.from_json_dict(json.load(fh))
+        cfg = ProblemConfig(json.load(fh))
     samples = simulate(cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(samples.to_csv_text())
@@ -252,6 +236,9 @@ def cmd_fit(args) -> int:
     j_terms = args.boundary_terms
     if min(n_terms, j_terms) < 0:
         raise RangeError("--interior-terms and --boundary-terms must be >= 0")
+    if args.subtract_interior and n_terms > 4:
+        raise RangeError("--subtract-interior takes at most 4 interior "
+                         "terms: C^2 plateau data define beta_n for n <= 3")
     if j_terms + (0 if args.subtract_interior else n_terms) < 1:
         raise RangeError("no model: need at least one term to fit")
     if not all(map(_finite, (args.alpha1, args.alpha2, args.c, args.cutoff))):
@@ -440,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--c", type=float, default=0.0)
     pf.add_argument("--cutoff", type=float, default=0.5)
     pf.add_argument("--interior-terms", type=int, default=2,
-                    help="number of integer-exponent terms")
+                    help="number of integer-exponent terms (at most 4 "
+                         "with --subtract-interior)")
     pf.add_argument("--boundary-terms", type=int, default=2,
                     help="number of boundary-family terms")
     pf.add_argument("--subtract-interior", action="store_true",

@@ -2,22 +2,25 @@
 
 The smooth factors that appear in the model problems are plateau cutoffs
 (identically 1 near the boundary), polynomials, and combinations produced
-by applying first- and second-order operators.  Each class carries exact
-derivatives, its analytic breakpoints (so quadrature can split there),
-and the degree of its exact Taylor polynomial at 0 (which lets the
-regularized-integral collar be evaluated in closed form).  A subclass
-without Taylor data inherits a taylor_degree() that raises DomainError.
+by applying the first-order operators A = d/dx + c and A* = -d/dx + c
+(IntertwinedFactor; with c = 0, A is the derivative, and
+D = -d^2/dx^2 + c^2 is A*A, two nested factors).
+Each class carries exact derivatives, its analytic breakpoints (so
+quadrature can split there), and the degree of its exact Taylor
+polynomial at 0 (which lets the regularized-integral collar be evaluated
+in closed form).  A subclass without Taylor data inherits a
+taylor_degree() that raises DomainError.
 
 derivatives(x, order) returns [f(x), f'(x), ..., f^(order)(x)] in one
 pass, and it is the only way a smooth factor is read: f(x) is
 derivatives(x, 0)[0].  Every class defines it.  The composites (Product,
-OperatorApplied, IntertwinedFactor) ask their factors for one list and
-build every order from it, so an n-fold nested factor costs O(n) list
-passes rather than a Leibniz tree of size ~7^n.  taylor0() is the same
-pass at x = 0 up to taylor_degree(), entry k divided by k!; it is exact
-up to the first breakpoint.  Those Taylor coefficients are what the
-boundary jets (geom.modified_taylor_jets) and the closed-form collar
-(regint.i_reg) take.
+IntertwinedFactor) ask their factors for one list and build every order
+from it, so an n-fold nested factor costs O(n) list passes rather than a
+Leibniz tree exponential in n.  taylor0() is the same pass at x = 0 up
+to taylor_degree(), entry k divided by k!; it is exact up to the first
+breakpoint.  Those Taylor coefficients are what the boundary jets
+(geom.modified_taylor_jets) and the closed-form collar (regint.i_reg)
+take.
 
 Every smooth factor and SingularProfile is an immutable value
 (coeff.Frozen): equal to another of its class with equal fields, and
@@ -230,42 +233,3 @@ class IntertwinedFactor(SmoothFunction):
 
     def taylor_degree(self) -> int:
         return self.s.taylor_degree() + 1
-
-
-class OperatorApplied(SmoothFunction):
-    """Smooth factor of D phi for phi = x^(-a) s(x), D = -d^2/dx^2 + c^2.
-
-    D phi = x^(-(a+2)) * g(x) with
-    g = -(a)(a+1) s + 2 a x s' - x^2 s'' + c^2 x^2 s.
-    """
-
-    def __init__(self, s: SmoothFunction, a: float, c2: float):
-        self._freeze(s=s, a=a, c2=c2)
-
-    @property
-    def breakpoints(self):
-        return self.s.breakpoints
-
-    def derivatives(self, x, order: int) -> list:
-        x = np.asarray(x, float)
-        s = self.s.derivatives(x, order + 2)
-        a, c2 = self.a, self.c2
-        out = []
-        for k in range(order + 1):
-            # Leibniz on each monomial-weighted term
-            g = -a * (a + 1) * s[k]
-            # 2 a x s': (x u)^(k) = x u^(k) + k u^(k-1), u = s'
-            g = g + 2 * a * (x * s[k + 1] + k * s[k])
-            # -x^2 s'': (x^2 u)^(k) = x^2 u^(k) + 2k x u^(k-1) + k(k-1) u^(k-2)
-            for coef, u_order in ((-1.0, 2), (c2, 0)):
-                term = x * x * s[k + u_order]
-                if k >= 1:
-                    term = term + 2 * k * x * s[k - 1 + u_order]
-                if k >= 2:
-                    term = term + k * (k - 1) * s[k - 2 + u_order]
-                g = g + coef * term
-            out.append(g)
-        return out
-
-    def taylor_degree(self) -> int:
-        return self.s.taylor_degree() + 2

@@ -9,6 +9,12 @@ sum_j s_j eps^(j + 1 - sigma) / (j + 1 - sigma); the rest [eps, L] is
 integrated numerically.  The result is independent of eps, has a simple
 pole at each sigma = j + 1 with s_j != 0, and reduces to the plain
 integral whenever that converges.
+
+The interior coefficients beta_n integrate D^n phi * rho by parts, for
+D = -d^2/dx^2 + c^2, until phi and rho carry at most n derivatives each,
+the first-order factor profiles.IntertwinedFactor with c = 0.  A C^2
+plateau cutoff thus gives beta_0..beta_3 exactly, where D^n phi * rho
+itself would hold a delta at each ramp junction.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .coeff import DEFAULT_DELTA
 from .errors import DomainError, PoleError, RangeError
-from .profiles import (OperatorApplied, Product, SingularProfile,
+from .profiles import (IntertwinedFactor, Product, SingularProfile,
                        SmoothFunction)
 from .quadrature import segments, tanh_sinh_lanes
 
@@ -68,27 +74,42 @@ def i_reg(sigma: complex, smooth: SmoothFunction, L: float,
 
 def interior_coefficients(phi: SingularProfile, rho: SingularProfile,
                           c: float = 0.0, n_max: int = 2) -> list:
-    """beta_n = (-1)^n / n! * i_reg(D^n phi * rho) for D = -d^2/dx^2 + c^2.
+    """beta_n = (-1)^n / n! * i_reg(D^n phi * rho) for D = -d^2/dx^2 + c^2,
+    with the derivatives split evenly between phi and rho:
 
-    D^n phi is formed symbolically on the (exponent, smooth factor)
-    representation, so no singular function is ever differenced.
+        beta_n = (-1)^n / n! * sum_m C(n, m) c^(2(n-m)) i_reg(phi^(m) rho^(m))
+
+    (D^n expanded binomially, each (-d^2/dx^2)^m integrated by parts m
+    times; for n = 2k the sum is i_reg(D^k phi * D^k rho)).  The parts add
+    no boundary term for data that vanish near L: at 0 each is a power of
+    the collar width, whose finite part is 0 unless i_reg meets a pole
+    there.  So C^m data, whose (m+1)-th derivative jumps, define beta_n
+    for n <= m + 1, where D^n phi * rho itself would hold a delta at each
+    jump.  The derivatives are IntertwinedFactors with c = 0 on the
+    (exponent, smooth factor) representation, so no singular function is
+    ever differenced, and their Taylor data stay exact: a coefficient
+    that vanishes is 0.0, not rounding noise on a collar pole.
     """
     if n_max < 0:
         raise RangeError("n_max must be nonnegative")
     if phi.L != rho.L:
         raise RangeError("profiles live on different domains")
-    out = []
-    a, smooth = phi.alpha, phi.smooth
+    c2 = c * c
+    out, parts = [], []
+    a, f, b, g = phi.alpha, phi.smooth, rho.alpha, rho.smooth
     for n in range(n_max + 1):
         # an overflow (inf, nan or OverflowError) is rejected, not returned
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                val = i_reg(a + rho.alpha, Product(smooth, rho.smooth), phi.L)
+                parts.append(i_reg(a + b, Product(f, g), phi.L))
+                val = sum(math.comb(n, m) * c2 ** (n - m) * parts[m]
+                          for m in range(n + 1))
             except OverflowError:
                 val = math.inf
         if not cmath.isfinite(val):
             raise RangeError(f"beta_{n} overflows for this c and these profiles")
         out.append((-1) ** n / math.factorial(n) * val)
-        smooth = OperatorApplied(smooth, a, c * c)
-        a = a + 2.0
+        f, g = (IntertwinedFactor(f, a, 0.0, -1),
+                IntertwinedFactor(g, b, 0.0, -1))
+        a, b = a + 1.0, b + 1.0
     return out

@@ -1,8 +1,9 @@
-"""Test-only smooth factor: a plain handle with explicit derivatives.
+"""Test-only smooth factors: a plain handle with explicit derivatives,
+and the second-order operator D = A*A as a chain of first-order factors.
 
-It has no Taylor data at 0, so it reaches the DomainError default of
-SmoothFunction.taylor_degree.  The name does not match test_*.py, so
-pytest imports it only through the tests that use it.
+FromCallable has no Taylor data at 0, so it reaches the DomainError
+default of SmoothFunction.taylor_degree.  The name does not match
+test_*.py, so pytest imports it only through the tests that use it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from singularheat.errors import RangeError
-from singularheat.profiles import SmoothFunction
+from singularheat.profiles import IntertwinedFactor, SmoothFunction
 
 
 @dataclass(frozen=True)
@@ -28,3 +29,9 @@ class FromCallable(SmoothFunction):
                 f"derivative order {order} not provided for this handle")
         x = np.asarray(x, float)
         return [np.asarray(h(x)) for h in (self.fn,) + self.derivs[:order]]
+
+
+def d_step(s: SmoothFunction, a: float, c: float) -> IntertwinedFactor:
+    """Smooth factor of D phi = A*(A phi) for phi = x^(-a) s(x), with
+    D = -d^2/dx^2 + c^2, A = d/dx + c and A* = -d/dx + c."""
+    return IntertwinedFactor(IntertwinedFactor(s, a, c, -1), a + 1.0, c, +1)

@@ -15,7 +15,7 @@ import numpy as np
 
 from singularheat import cli
 from singularheat.coeff import BoundaryConditionKind, ExponentPair, build_table
-from singularheat.geom import BoundaryPointData, boundary_beta, flat_data
+from singularheat.geom import BoundaryPointData, boundary_beta
 from singularheat.heat1d import (HeatContentSamples, halfline_heat_content,
                                  interval_heat_content)
 from singularheat.profiles import SingularProfile, constant, plateau_profile
@@ -119,10 +119,12 @@ def test_end_to_end_robin_coefficient_recovery():
     samples = HeatContentSamples([e for e in entries if e[0] >= 1e-6])
     model = fit(samples, (0.3, 0.4), j_max=3, known_interior=known)
     # data vanishes away from x = 0, so only that endpoint contributes;
-    # its inward Robin parameter is -c
+    # its inward Robin parameter is -c, and D = -d^2/dx^2 + c^2 has the
+    # potential E = -c^2, which the third term reads
     table = build_table(R, a)
-    data = flat_data(SR=-c)
-    for j, tol in ((0, 1e-2), (1, 5e-2)):
+    unit = (1.0 + 0.0j, 0.0j, 0.0j)
+    data = BoundaryPointData(phi=unit, rho=unit, SR=-c, E=-c * c)
+    for j, tol in ((0, 1e-6), (1, 1e-3), (2, 2e-2)):
         want = boundary_beta(table, data, j).real
         exponent = (1.0 + j - 0.7) / 2.0
         k = min(range(len(model.exponents)),

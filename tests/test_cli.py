@@ -228,7 +228,7 @@ def test_benchmark_configs_accepted(monkeypatch):
     for name in bench_workloads.WORKLOADS:
         for smoke in (False, True):
             for obj in bench_workloads.build(name, 7, smoke).inputs.values():
-                cfg = ProblemConfig.from_json_dict(json.loads(json.dumps(obj)))
+                cfg = ProblemConfig(json.loads(json.dumps(obj)))
                 shapes.add((cfg.problem, cfg.bc, cfg.cutoff is None,
                             bool(cfg.tolerances)))
     # half-line Dirichlet and Neumann, with and without the smoke
@@ -383,6 +383,34 @@ def test_fit_interior_overflow_exits_2(capsys, tmp_path):
         assert code == 2, extra
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_fit_subtracts_at_most_four_interior_terms(capsys, tmp_path):
+    # the C^2 plateau data define beta_n only for n <= 3
+    csv_path = _plateau_samples(tmp_path)
+    code, out, err = run(capsys, ["fit", str(csv_path), "--alpha1", "0.3",
+                                  "--alpha2", "0.4", "--subtract-interior",
+                                  "--interior-terms", "5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_fit_subtracts_four_interior_terms_at_alpha_zero(capsys, tmp_path):
+    # the Dirichlet endpoint of plateau data at alpha = (0, 0) gives the
+    # boundary term -2 t^(1/2) / sqrt(pi)
+    cfg = write_config(tmp_path, {"problem": "interval", "bc": "dirichlet",
+                                  "tmin": 1e-6, "tmax": 1e-4, "num": 40})
+    csv_path = tmp_path / "samples.csv"
+    code, _, _ = run(capsys, ["simulate", cfg, "--out", str(csv_path)])
+    assert code == 0
+    code, out, err = run(capsys, ["fit", str(csv_path), "--alpha1", "0",
+                                  "--alpha2", "0", "--interior-terms", "4",
+                                  "--subtract-interior"])
+    assert code == 0, err
+    model = json.loads(out)
+    assert model["exponents"][0] == 0.5
+    assert abs(model["coefficients"][0] + 2.0 / math.sqrt(math.pi)) <= 1e-6
 
 
 def test_fit_rejects_malformed_csv(capsys, tmp_path):

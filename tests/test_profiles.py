@@ -11,12 +11,12 @@ from numpy.polynomial.polynomial import polyval
 from singularheat.coeff import ExponentPair
 from singularheat.errors import DomainError, RangeError
 from singularheat.profiles import (_RAMP_DERIVS, IntertwinedFactor,
-                                   OperatorApplied, PlateauCutoff,
-                                   Polynomial, Product, SingularProfile,
-                                   SmoothFunction, constant, plateau_profile)
+                                   PlateauCutoff, Polynomial, Product,
+                                   SingularProfile, SmoothFunction, constant,
+                                   plateau_profile)
 from singularheat.regint import i_reg
 
-from handles import FromCallable
+from handles import FromCallable, d_step
 
 
 def _jets(smooth, order):
@@ -158,7 +158,7 @@ def test_cache_keys_are_immutable_values():
     make = [lambda: plateau_profile(0.3, np.pi, 0.5),
             lambda: Product(PlateauCutoff(0.5), Polynomial((1.0, 2.0))),
             lambda: IntertwinedFactor(constant(), 0.3, 0.5, 1),
-            lambda: OperatorApplied(constant(), 0.3, 0.25),
+            lambda: d_step(constant(), 0.3, 0.5),
             lambda: ExponentPair(0.3, 0.4)]
     for build in make:
         a, b = build(), build()
@@ -236,12 +236,13 @@ def test_intertwined_factor_matches_operator():
     assert fac.taylor0() == pytest.approx((-0.4, 1.3, -0.9, 0.15), rel=1e-12)
 
 
-def test_operator_applied_matches_operator():
-    # D phi for D = -d^2/dx^2 + c^2 applied to phi = x^(-a) s(x) must
-    # equal x^(-(a+2)) times this smooth factor
-    a, c2 = 0.35, 0.49
+def test_d_chain_matches_operator():
+    # D phi for D = A*A = -d^2/dx^2 + c^2 applied to phi = x^(-a) s(x)
+    # must equal x^(-(a+2)) times the smooth factor of the chain
+    a, c = 0.35, 0.7
+    c2 = c * c
     s = Polynomial((1.0, 0.3, -0.2, 0.1))
-    fac = OperatorApplied(s, a, c2)
+    fac = d_step(s, a, c)
     phi = lambda x: x ** -a * s(np.array([x]))[0]
     for x in (0.4, 1.1, 2.3):
         want = -central_diff(phi, x, 2, h=1e-3) + c2 * phi(x)
@@ -268,19 +269,6 @@ def _recursive_deriv(f, x, k):
         for i in range(k + 1):
             total = total + math.comb(k, i) * d(f.left, i) * d(f.right, k - i)
         return total
-    if isinstance(f, OperatorApplied):
-        x = np.asarray(x, float)
-        a, c2 = f.a, f.c2
-        out = -a * (a + 1) * d(f.s, k)
-        out = out + 2 * a * (x * d(f.s, k + 1) + k * d(f.s, k))
-        for coef, u in ((-1.0, 2), (c2, 0)):
-            term = x * x * d(f.s, k + u)
-            if k >= 1:
-                term = term + 2 * k * x * d(f.s, k - 1 + u)
-            if k >= 2:
-                term = term + k * (k - 1) * d(f.s, k - 2 + u)
-            out = out + coef * term
-        return out
     if isinstance(f, IntertwinedFactor):
         x = np.asarray(x, float)
         term = f.sign * (f.a * d(f.s, k) - (x * d(f.s, k + 1) + k * d(f.s, k)))
@@ -301,11 +289,11 @@ def test_derivatives_match_deriv_bitwise():
     nested = [
         cut, poly, _sine(),
         Product(cut, poly),
-        OperatorApplied(IntertwinedFactor(Product(cut, poly), -0.3, 0.6, +1),
-                        0.35, 0.49),
-        Product(IntertwinedFactor(OperatorApplied(_sine(), 0.2, 0.25),
+        d_step(IntertwinedFactor(Product(cut, poly), -0.3, 0.6, +1),
+               0.35, 0.7),
+        Product(IntertwinedFactor(d_step(_sine(), 0.2, 0.5),
                                   0.1, -0.4, -1), Product(poly, cut)),
-        IntertwinedFactor(Product(OperatorApplied(cut, 0.3, 0.0), _sine()),
+        IntertwinedFactor(Product(d_step(cut, 0.3, 0.0), _sine()),
                           0.15, 0.7, +1),
     ]
     x = np.array([0.0, 0.1, 0.37, 0.45, 0.6, 0.79, 1.2])
@@ -337,7 +325,7 @@ def test_nested_factor_calls_each_leaf_handle_once_per_order():
 
     f = Product(leaf("u", 0.5, 20), leaf("v", -0.3, 20))
     for _ in range(6):
-        f = OperatorApplied(f, 0.35, 0.25)
+        f = d_step(f, 0.35, 0.5)
     f = Product(f, leaf("w", 0.7, 8))
     f.derivatives(np.linspace(0.1, 1.0, 5), 8)
     assert len(calls) == 21 + 21 + 9
@@ -349,7 +337,7 @@ def test_every_smooth_class_reads_one_protocol_bitwise():
     # lower order one, for one instance of every class in the package
     cut, poly = PlateauCutoff(0.8), Polynomial((1.0, -0.5, 0.25, 0.1))
     fs = [cut, poly, _sine(), Product(cut, poly),
-          OperatorApplied(Product(cut, poly), 0.35, 0.49),
+          d_step(Product(cut, poly), 0.35, 0.7),
           IntertwinedFactor(Product(_sine(), cut), -0.3, 0.6, +1)]
     assert {type(f) for f in fs} == set(SmoothFunction.__subclasses__())
     # Taylor data has one entry per order up to the stated degree

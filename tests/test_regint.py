@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from singularheat.errors import DomainError, PoleError, RangeError
-from singularheat.profiles import (IntertwinedFactor, OperatorApplied,
-                                   PlateauCutoff, Polynomial, Product,
-                                   SingularProfile, constant, plateau_profile)
+from singularheat.profiles import (IntertwinedFactor, PlateauCutoff,
+                                   Polynomial, Product, SingularProfile,
+                                   constant, plateau_profile)
 from singularheat.quadrature import tanh_sinh_lanes
 from singularheat.regint import i_reg, interior_coefficients
 
-from handles import FromCallable
+from handles import FromCallable, d_step
 
 
 def _unit():
@@ -122,19 +122,28 @@ def test_interior_coefficients_n0_is_i_reg():
         complex(i_reg(*_integrand(p1, p2))), rel=1e-13)
 
 
+def test_interior_coefficients_read_c_through_c_squared():
+    p1 = plateau_profile(0.3, math.pi, 0.5)
+    p2 = plateau_profile(0.4, math.pi, 0.5)
+    for c in (0.5, 1.3):
+        assert interior_coefficients(p1, p2, -c, 3) \
+            == interior_coefficients(p1, p2, c, 3)
+
+
 def test_interior_coefficients_collar_independent():
-    # the integrands D^n phi * rho of beta_0..beta_2, c = 0.5, built as
+    # the integrands phi^(m) * rho^(m) of beta_0..beta_3, built as
     # interior_coefficients builds them
     p1 = plateau_profile(0.3, math.pi, 1.0)
     p2 = plateau_profile(0.4, math.pi, 1.0)
-    a, smooth = 0.3, p1.smooth
-    for n in range(3):
-        product = Product(smooth, p2.smooth)
-        x = i_reg(a + 0.4, product, math.pi, 0.1)
-        y = i_reg(a + 0.4, product, math.pi, 0.4)
-        assert complex(x) == pytest.approx(complex(y), rel=1e-10), n
-        smooth = OperatorApplied(smooth, a, 0.25)
-        a += 2.0
+    a, f, b, g = 0.3, p1.smooth, 0.4, p2.smooth
+    for m in range(4):
+        product = Product(f, g)
+        x = i_reg(a + b, product, math.pi, 0.1)
+        y = i_reg(a + b, product, math.pi, 0.4)
+        assert complex(x) == pytest.approx(complex(y), rel=1e-10), m
+        f, g = (IntertwinedFactor(f, a, 0.0, -1),
+                IntertwinedFactor(g, b, 0.0, -1))
+        a, b = a + 1.0, b + 1.0
 
 
 def _taylor_oracle(f):
@@ -150,42 +159,40 @@ def _taylor_oracle(f):
         return [mpmath.fsum(a[i] * b[j - i] for i in range(len(a))
                             if 0 <= j - i < len(b))
                 for j in range(len(a) + len(b) - 1)]
+    # IntertwinedFactor: sign (a - j) s_j + c s_(j-1)
     s = _taylor_oracle(f.s)
     at = lambda j: s[j] if 0 <= j < len(s) else mpmath.mpf(0)
     a = mpmath.mpf(f.a)
-    if isinstance(f, IntertwinedFactor):
-        # sign (a - j) s_j + c s_(j-1)
-        return [f.sign * (a - j) * at(j) + mpmath.mpf(f.c) * at(j - 1)
-                for j in range(len(s) + 1)]
-    # OperatorApplied: -(a - j)(a - j + 1) s_j + c^2 s_(j-2)
-    return [-(a - j) * (a - j + 1) * at(j) + mpmath.mpf(f.c2) * at(j - 2)
-            for j in range(len(s) + 2)]
+    return [f.sign * (a - j) * at(j) + mpmath.mpf(f.c) * at(j - 1)
+            for j in range(len(s) + 1)]
 
 
 @pytest.mark.parametrize("a1, a2, c", [(0.3, 0.4, 0.5), (0.25, 0.45, 0.0),
                                        (-0.2, 0.1, 1.3)])
 def test_jets_match_exact_taylor_data(a1, a2, c):
-    # taylor0() of D^n phi * rho, and of intertwined factors times rho,
-    # is one derivatives pass at 0; on the plateau it must reproduce the
+    # taylor0() of phi^(m) * rho^(m), the integrands of
+    # interior_coefficients, and of intertwined factors times rho, is one
+    # derivatives pass at 0; on the plateau it must reproduce the
     # symbolic Taylor data, and the derivatives past its degree vanish
     phi = plateau_profile(a1, math.pi, 0.5)
     rho = plateau_profile(a2, math.pi, 0.5)
     poly = Polynomial((1.0, -0.5, 0.3, 0.2))
-    factors = []
-    for smooth in (phi.smooth, Product(poly, phi.smooth)):
-        a = a1
-        for n in range(7):
-            factors.append(smooth)
-            smooth = OperatorApplied(smooth, a, c * c)
-            a += 2.0
+    pairs = []
+    for f in (phi.smooth, Product(poly, phi.smooth)):
+        a, g, b = a1, rho.smooth, a2
+        for m in range(7):
+            pairs.append((f, g))
+            f, g = (IntertwinedFactor(f, a, 0.0, -1),
+                    IntertwinedFactor(g, b, 0.0, -1))
+            a, b = a + 1.0, b + 1.0
     # A and A* chains up to three deep, with c != 0
     smooth, a = Product(poly, phi.smooth), a1
     for depth in range(3):
         smooth = IntertwinedFactor(smooth, a, 0.6 + c, (-1) ** depth)
-        factors.append(smooth)
+        pairs.append((smooth, rho.smooth))
         a += 1.0
-    for f in factors:
-        product = Product(f, rho.smooth)
+    for f, g in pairs:
+        product = Product(f, g)
         got = product.taylor0()
         with mpmath.workdps(30):
             want = [float(v) for v in _taylor_oracle(product)]
@@ -206,6 +213,16 @@ def _ramp_deriv(u, k):
     for _ in range(k):
         c = [i * ci for i, ci in enumerate(c)][1:]
     return mpmath.fsum(ci * u ** i for i, ci in enumerate(c))
+
+
+def _profile_deriv(a, x, m, r0):
+    """m-th derivative of x^(-a) chi(x), chi = PlateauCutoff(r0), at x on
+    the ramp [r0/2, r0], in mpmath by Leibniz's rule."""
+    u = 2 * x / r0 - 1
+    return mpmath.fsum(
+        math.comb(m, i) * mpmath.ff(-a, i) * x ** (-a - i)
+        * _ramp_deriv(u, m - i) * (2 / mpmath.mpf(r0)) ** (m - i)
+        for i in range(m + 1))
 
 
 def _finite_part_oracle(plateau, ramp, r0):
@@ -243,7 +260,7 @@ def test_interior_integrand_matches_finite_part_oracle(a1, a2, n):
     p1 = plateau_profile(a1, math.pi, r0)
     a, smooth = a1, p1.smooth
     for _ in range(n):
-        smooth = OperatorApplied(smooth, a, c * c)
+        smooth = d_step(smooth, a, c)
         a += 2.0
     got = i_reg(a + a2, Product(smooth, p1.smooth), math.pi)
     with mpmath.workdps(30):
@@ -253,17 +270,69 @@ def test_interior_integrand_matches_finite_part_oracle(a1, a2, n):
         plateau = [(w * (-1) ** k * mpmath.rf(A1, 2 * k), A1 + A2 + 2 * k)
                    for w, k in terms]
 
-        def phi_deriv(x, m):
-            u = 2 * x / r0 - 1
-            return mpmath.fsum(
-                math.comb(m, i) * mpmath.ff(-A1, i) * x ** (-A1 - i)
-                * _ramp_deriv(u, m - i) * (2 / mpmath.mpf(r0)) ** (m - i)
-                for i in range(m + 1))
-
         def ramp(x):
-            dn = mpmath.fsum(w * (-1) ** k * phi_deriv(x, 2 * k)
+            dn = mpmath.fsum(w * (-1) ** k * _profile_deriv(A1, x, 2 * k, r0)
                              for w, k in terms)
             return dn * x ** -A2 * _ramp_deriv(2 * x / r0 - 1, 0)
 
         want = _finite_part_oracle(plateau, ramp, r0)
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_pointwise_beta2_misses_the_junction_term(c):
+    # the third derivative of the C^2 cutoff jumps by -60 (2/r0)^3 at
+    # r0/2, so D^2 phi holds a delta there that the pointwise integral of
+    # D^2 phi * rho drops; rho vanishes at r0, the other junction
+    a1, a2, r0 = 0.3, 0.4, 0.5
+    phi = plateau_profile(a1, math.pi, r0)
+    rho = plateau_profile(a2, math.pi, r0)
+    d2 = d_step(d_step(phi.smooth, a1, c), a1 + 2.0, c)
+    pointwise = 0.5 * i_reg(a1 + 4.0 + a2, Product(d2, rho.smooth), math.pi)
+    split = interior_coefficients(phi, rho, c, 2)[2]
+    jump = 0.5 * 60 * (2 / r0) ** 3 * (r0 / 2) ** (-a1 - a2)
+    assert jump == pytest.approx(5066.91, abs=0.005)
+    assert complex(pointwise - split).real == pytest.approx(jump, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "a1, a2, c",
+    [pytest.param(0.3, 0.4, 0.5, id="c0.5"),
+     pytest.param(0.3, 0.4, 1.0, id="c1"),
+     # phi^(m) * rho^(m) is a square on the ramp, so it does not cancel
+     pytest.param(0.0, 0.0, 0.0, id="alpha0-c0"),
+     pytest.param(0.0, 0.0, 0.5, id="alpha0-c0.5"),
+     # sigma = 2m is an integer: a Taylor coefficient of phi^(m) * rho^(m)
+     # that should vanish but does not would land on the collar's pole
+     pytest.param(-0.9, 0.9, 0.5, id="sum0")])
+def test_beta2_beta3_match_finite_part_oracle(a1, a2, c):
+    # beta_2 = i_reg(D phi * D rho) / 2 and
+    # beta_3 = -(i_reg((D phi)' (D rho)') + c^2 i_reg(D phi * D rho)) / 6
+    # for D = -d^2/dx^2 + c^2: on the plateau (D phi)^(m) is
+    # -(-a1)_(m+2) x^(-a1-m-2) + c^2 (-a1)_m x^(-a1-m) (falling
+    # factorials), on the ramp -phi^(m+2) + c^2 phi^(m)
+    r0 = 0.5
+    phi = plateau_profile(a1, math.pi, r0)
+    rho = plateau_profile(a2, math.pi, r0)
+    got = interior_coefficients(phi, rho, c, 3)
+    assert len(got) == 4
+    with mpmath.workdps(30):
+        C2 = mpmath.mpf(c) ** 2
+
+        def d_jet(a, m):
+            a = mpmath.mpf(a)
+            plateau = [(-mpmath.ff(-a, m + 2), a + m + 2),
+                       (C2 * mpmath.ff(-a, m), a + m)]
+            return plateau, lambda x: (-_profile_deriv(a, x, m + 2, r0)
+                                       + C2 * _profile_deriv(a, x, m, r0))
+
+        def pairing(m):
+            (p1, f1), (p2, f2) = d_jet(a1, m), d_jet(a2, m)
+            return _finite_part_oracle(
+                [(h1 * h2, s1 + s2) for h1, s1 in p1 for h2, s2 in p2],
+                lambda x: f1(x) * f2(x), r0)
+
+        even, odd = pairing(0), pairing(1)
+        want = [even / 2, -(odd + float(C2) * even) / 6]
+    for n, w in ((2, want[0]), (3, want[1])):
+        assert abs(got[n] - w) <= 1e-12 * abs(w), (n, got[n], w)
