@@ -172,13 +172,11 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
         return plateau_profile(alpha, L, cfg.cutoff)
 
     if cfg.problem == "halfline":
-        L = max(4.0, 2.0 * cfg.cutoff)
-        phi = make_profile(cfg.alpha1, L)
-        rho = make_profile(cfg.alpha2, L)
-        tol = float(cfg.tolerances.get("halfline", 1e-9))
+        phi = make_profile(cfg.alpha1, cfg.cutoff)
+        rho = make_profile(cfg.alpha2, cfg.cutoff)
 
         def one(t):
-            return halfline_heat_content(phi, rho, bc, t, tol=tol)
+            return halfline_heat_content(phi, rho, bc, t)
     elif cfg.problem == "interval":
         phi = make_profile(cfg.alpha1, math.pi)
         rho = make_profile(cfg.alpha2, math.pi)
@@ -197,10 +195,15 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
     # sample it spoils is a numeric failure, not invalid input
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         entries = [(t, *one(t)) for t in ts]
+    rel_tol = cfg.tolerances.get("halfline", math.inf)
     for t, beta, err in entries:
         if not (math.isfinite(beta) and math.isfinite(err)):
             raise QuadratureError(
                 f"{cfg.problem} sample at t = {t!r} is not finite")
+        if err > rel_tol * abs(beta):
+            raise QuadratureError(
+                f"{cfg.problem} sample at t = {t!r} has err {err:.3g} "
+                f"above {rel_tol:g} |beta|")
     return HeatContentSamples(entries)
 
 

@@ -1,14 +1,12 @@
 """Heat content beta(t) for the 1-D model problems.
 
-Three independent routes are provided: the half-line with image-method
-Gaussian kernels, the interval [0, pi] with sums over the Dirichlet or
-Robin eigenmodes of D = -d^2/dx^2 + c^2, and the circle with Fourier
-modes.  The boundary condition of the first two is one
-BoundaryConditionKind.  Each half-line outer integral is one
-tanh_sinh_lanes call whose lanes are its geometric Gaussian panels, and
-the inner integrals F(d), H(s) take all nodes of one outer level of
-every panel at once, as lanes: each node's range is split into the same
-number of padded slots, one batch of tanh-sinh or Gauss lanes each.
+Two spectral routes are provided: the interval [0, pi] with sums over
+the Dirichlet or Robin eigenmodes of D = -d^2/dx^2 + c^2, and the circle
+with Fourier modes.  The half-line is the interval after a change of
+scale: plateau data see a far wall only through exponentially small
+images, so its heat content is a rescaled interval sum with the same
+BoundaryConditionKind at c = 0.
+
 The interval moments int phi e^{inx}, n = 1..N, use one node set per N
 and per pieces(): 8-node Gauss cells on the lattice x = k pi/N, summed by
 one length-2N real FFT per Gauss offset, and the tanh-sinh head and tail
@@ -35,17 +33,12 @@ import numpy as np
 
 from .coeff import BoundaryConditionKind
 from .errors import DomainError, RangeError, TruncationError
-from .profiles import IntertwinedFactor, SingularProfile
-from .quadrature import (gauss_legendre, gauss_rule, tanh_sinh_lanes,
-                         tanh_sinh_nodes)
+from .profiles import (IntertwinedFactor, PlateauCutoff, SingularProfile,
+                       plateau_profile)
+from .quadrature import gauss_rule, tanh_sinh_lanes, tanh_sinh_nodes
 
-#: kernel window: exp(-45^2/4) ~ 1e-220, far below any tolerance in use
-_WINDOW_SIGMAS = 45.0
 _SUM_CAP = 20000
 _TAIL_REL = 1e-13
-#: below this scale, x**(-alpha) node offsets can underflow to exact 0;
-#: the skipped mass is O(_TINY^(1 - sigma)) times an underflowing weight
-_TINY = 1e-60
 
 
 def _robin_zero_norm(c: float) -> float:
@@ -95,139 +88,47 @@ class HeatContentSamples:
 
 
 # ---------------------------------------------------------------------------
-# half-line with image kernels
-
-def _split_sum(fn, lo, hi, cuts, tol: float, err_box: list, total=0.0):
-    """total + int_lo^hi fn on every lane, each range split at its cuts.
-
-    lo, hi and the cuts are per-lane arrays or scalars; hi < lo is an
-    empty range.  Each lane's edges are lo, its cuts inside (lo, hi) in
-    ascending order, then copies of hi, so all lanes have the same number
-    of slots and a slot of zero width adds exactly 0.0.  The first slot
-    holds the singular or nearly singular end (fn ~ x^(-alpha) near a
-    small lo > 0) and uses tanh-sinh lanes, skipped from 0 below _TINY;
-    every later slot uses 40-point Gauss lanes.  fn(x, k) evaluates the
-    lanes k at nodes x of shape (len(k), m).
-    """
-    hi = np.maximum(hi, lo)
-    inner = [np.where((lo < c) & (c < hi), c, hi) for c in cuts]
-    edges = np.sort(np.column_stack(np.broadcast_arrays(lo, *inner, hi)),
-                    axis=1)
-    for slot, (a, b) in enumerate(zip(edges.T[:-1], edges.T[1:])):
-        val = np.zeros(a.shape)
-        live = b > np.where(a == 0.0, _TINY, a)
-        ts = np.flatnonzero(live & (slot == 0))
-        if ts.size:
-            val[ts], err = tanh_sinh_lanes(
-                lambda x, rows: fn(x, ts[rows]), a[ts], b[ts], tol=tol,
-                abs_tol=1e-3 * tol)
-            err_box[0] = max(err_box[0], err.max())
-        gl = np.flatnonzero(live & (slot > 0))
-        if gl.size:
-            val[gl] = gauss_legendre(lambda x: fn(x, gl), a[gl], b[gl], n=40)
-        total = total + val
-    return total
-
-
-def _cross_correlation(phi: SingularProfile, rho: SingularProfile,
-                       d, tol: float, err_box: list):
-    """F(d) = int rho(y) phi(y + d) dy for an array of d >= 0.
-
-    Only rho is singular on the integration range (the phi argument
-    stays >= d), so the singularity sits at the left endpoint of the
-    first segment where the tanh-sinh nodes cluster.
-    """
-    hi = np.minimum(rho.support_end(), phi.support_end() - d)
-    cuts = list(rho.smooth.breakpoints) \
-        + [b - d for b in phi.smooth.breakpoints]
-    return _split_sum(lambda y, k: rho(y) * phi(y + d[k, None]), 0.0, hi,
-                      cuts, tol, err_box)
-
-
-def _endpoint_convolution(phi: SingularProfile, rho: SingularProfile,
-                          s, tol: float, err_box: list):
-    """H(s) = int_0^s phi(x) rho(s - x) dx for an array of s, singular at
-    both ends.
-
-    Split at s/2 and reflect so each half carries its singularity at the
-    left endpoint only (full precision there).  H is 0 for s <= _TINY
-    (values scale like s^(1 - sigma): negligible below any tolerance) and
-    past both supports.
-    """
-    dead = (s <= _TINY) | (s >= phi.support_end() + rho.support_end())
-    total = 0.0
-    for f, g in ((phi, rho), (rho, phi)):
-        cuts = list(f.smooth.breakpoints) \
-            + [s - b for b in g.smooth.breakpoints]
-        lo = np.maximum(0.0, s - g.support_end())
-        hi = np.where(dead, lo, np.minimum(0.5 * s, f.support_end()))
-        total = _split_sum(lambda x, k: f(x) * g(s[k, None] - x), lo, hi,
-                           cuts, tol, err_box, total)
-    return total
-
+# half-line as a rescaled interval
 
 def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
-                          bc: BoundaryConditionKind, t: float,
-                          tol: float = 1e-9):
-    """beta(t) = integral of K(x, y; t) phi(x) rho(y) over the quadrant.
+                          bc: BoundaryConditionKind, t: float):
+    """beta(t) = integral of K(x, y; t) phi(x) rho(y) over the quadrant,
+    (beta, err), for plateau data; Robin means Neumann here.
 
-    In the difference/sum variables the double integral factors through
-    one-dimensional profiles of the data:
+    The data vanish past r0, the larger support end.  Put a far wall at
+    Lam = r0 + 14 sqrt(T), T the power of ten with T/10 < t <= T, and
+    map [0, Lam] onto [0, pi] with s = Lam/pi: x^(-a) times a plateau of
+    radius r becomes s^(-a) times the same on [0, pi] at radius r/s, and
+    the kernel scales as K(x, y; t) = K_pi(x/s, y/s; t/s^2)/s, so
 
-        direct = int_0^w G(d) [F_{phi,rho}(d) + F_{rho,phi}(d)] dd,
-        image  = int_0^w G(s) H(s) ds,
+        beta(t) = s^(1 - sigma) beta_[0, pi](t/s^2),  sigma = a1 + a2,
 
-    with G the 1-D Gaussian, F the cross-correlation and H the endpoint
-    convolution above; beta = direct + sign * image.  Both outer
-    integrands are singular exactly at 0, matching the quadrature.  err
-    adds the outer level differences and the largest inner tanh-sinh
-    error times the lengths of the two outer windows in d and s.
+    with the same boundary condition at both ends and c = 0; err scales
+    alike.  The wall enters only through the images reflected at Lam,
+    terms at most e^{-(Lam - r0)^2/t} <= e^{-196} relative, far below
+    the rounding in err.  One Lam per decade of t lets the samples of a
+    decade share the cached spectral-sum terms.  The interval's mode cap
+    then needs t >= 7.5e-8 s^2, about 7.6e-9 Lam^2.
     """
     if t <= 0:
         raise RangeError("need t > 0")
-    sign = bc.sign
-    w = _WINDOW_SIGMAS * math.sqrt(t)
-    norm = 1.0 / math.sqrt(4.0 * math.pi * t)
-    inner_err = [0.0]
-    inner_tol = 0.01 * tol
-
-    def direct_integrand(ds):
-        return (_cross_correlation(phi, rho, ds, inner_tol, inner_err)
-                + _cross_correlation(rho, phi, ds, inner_tol, inner_err)) \
-            * np.exp(-ds ** 2 / (4.0 * t))
-
-    def image_integrand(ss):
-        return _endpoint_convolution(phi, rho, ss, inner_tol, inner_err) \
-            * np.exp(-ss ** 2 / (4.0 * t))
-
-    def integrate(fn, hi: float) -> tuple:
-        # geometric panels keep the Gaussian roll-off resolved per panel;
-        # they are the lanes of one call, so one level of every panel
-        # shares one pass of the inner integrals
-        edges = [0.0]
-        e = 6.0 * math.sqrt(t)
-        while e < hi:
-            edges.append(e)
-            e *= 2.0
-        edges.append(hi)
-        vals, errs = tanh_sinh_lanes(
-            lambda x, rows: fn(x.ravel()).reshape(x.shape), edges[:-1],
-            edges[1:], tol=tol, abs_tol=1e-3 * tol)
-        return sum(vals.tolist()), sum(errs.tolist())
-
-    beta = 0.0
-    err = 0.0
-    d_hi = min(w, max(phi.support_end(), rho.support_end()))
-    if d_hi > 0.0:
-        val, e = integrate(direct_integrand, d_hi)
-        beta += val
-        err += e
-    s_hi = min(w, phi.support_end() + rho.support_end())
-    if s_hi > 0.0:
-        val, e = integrate(image_integrand, s_hi)
-        beta += sign * val
-        err += e
-    return norm * beta, norm * (err + inner_err[0] * (d_hi + s_hi))
+    if not all(isinstance(f.smooth, PlateauCutoff)
+               and f.smooth.r0 <= f.support_end() for f in (phi, rho)):
+        raise DomainError("half-line data must be whole plateau profiles")
+    decade = 10.0 ** math.ceil(math.log10(t))
+    if decade < t:
+        decade *= 10.0
+    s = (max(phi.support_end(), rho.support_end())
+         + 14.0 * math.sqrt(decade)) / math.pi
+    scaled = [plateau_profile(f.alpha, math.pi, f.smooth.r0 / s)
+              for f in (phi, rho)]
+    try:
+        beta, err = interval_heat_content(*scaled, bc, 0.0, t / (s * s))
+    except TruncationError:
+        raise TruncationError(
+            f"needed more than {_SUM_CAP} modes at t = {t:g}") from None
+    scale = s ** (1.0 - phi.alpha - rho.alpha)
+    return scale * beta, scale * err
 
 
 # ---------------------------------------------------------------------------

@@ -180,15 +180,6 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_legendre(f, a, b, n: int):
-    """Fixed-order Gauss-Legendre panel for smooth integrands; for
-    arrays a, b of K lanes, f gets nodes of shape (K, n)."""
-    nodes, weights = gauss_rule(n)
-    half = 0.5 * (np.asarray(b, float) - a)
-    x = half[..., None] * nodes + 0.5 * (np.asarray(a, float) + b)[..., None]
-    return half * _row_dots(f(x), weights)
-
-
 def segments(lo: float, hi: float, cuts) -> list:
     """Split [lo, hi] at the cut points strictly inside it."""
     inner = sorted(c for c in cuts if lo < c < hi)

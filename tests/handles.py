@@ -1,5 +1,6 @@
-"""Test-only smooth factors: a plain handle with explicit derivatives,
-and the second-order operator D = A*A as a chain of first-order factors.
+"""Test-only helpers: a plain handle with explicit derivatives, the
+second-order operator D = A*A as a chain of first-order factors, and a
+fixed Gauss-Legendre panel as a reference rule for smooth integrands.
 
 FromCallable has no Taylor data at 0, so it reaches the DomainError
 default of SmoothFunction.taylor_degree.  The name does not match
@@ -14,6 +15,7 @@ import numpy as np
 
 from singularheat.errors import RangeError
 from singularheat.profiles import IntertwinedFactor, SmoothFunction
+from singularheat.quadrature import gauss_rule
 
 
 @dataclass(frozen=True)
@@ -35,3 +37,10 @@ def d_step(s: SmoothFunction, a: float, c: float) -> IntertwinedFactor:
     """Smooth factor of D phi = A*(A phi) for phi = x^(-a) s(x), with
     D = -d^2/dx^2 + c^2, A = d/dx + c and A* = -d/dx + c."""
     return IntertwinedFactor(IntertwinedFactor(s, a, c, -1), a + 1.0, c, +1)
+
+
+def gauss_legendre(f, a: float, b: float, n: int) -> float:
+    """n-point Gauss-Legendre panel on [a, b] for a smooth integrand f."""
+    nodes, weights = gauss_rule(n)
+    half = 0.5 * (b - a)
+    return half * float(np.dot(f(half * nodes + 0.5 * (a + b)), weights))

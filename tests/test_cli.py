@@ -278,6 +278,48 @@ def test_simulate_truncation_failure_exits_3(capsys, tmp_path):
         assert not out.exists(), obj
 
 
+def test_simulate_halfline_limits_exit_3(capsys, tmp_path):
+    halfline = {"problem": "halfline", "alpha1": 0.3, "alpha2": 0.4,
+                "cutoff": 0.5}
+    cases = [
+        # tolerances.halfline bounds err/|beta| of every sample
+        ({**halfline, "tmin": 1e-4, "tmax": 1e-2, "num": 2,
+          "tolerances": {"halfline": 1e-20}},
+         "halfline sample at t = 0.0001 has err "),
+        # the interval's mode cap needs t >= 7.6e-9 wall^2, the wall at
+        # about the cutoff radius for such t; the message names the
+        # caller's t, not the rescaled one
+        ({**halfline, "bc": "robin", "tmin": 1.5e-9, "tmax": 1.5e-9,
+          "num": 1}, "needed more than 20000 modes at t = 1.5e-09"),
+    ]
+    for obj, message in cases:
+        cfg = write_config(tmp_path, obj)
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, ["simulate", cfg, "--out", str(out)])
+        assert code == 3, obj
+        assert message in err, err
+        assert not out.exists(), obj
+    # just above the limit the sample runs
+    cfg = write_config(tmp_path, {**halfline, "tmin": 2e-9, "tmax": 2e-9,
+                                  "num": 1})
+    code, _, _ = run(capsys, ["simulate", cfg, "--out", str(out)])
+    assert code == 0
+
+
+def test_simulate_halfline_over_eight_decades(capsys, tmp_path):
+    # one far wall per decade of t keeps every sample within the mode cap
+    cfg = write_config(tmp_path, {
+        "problem": "halfline", "bc": "dirichlet", "alpha1": 0.3,
+        "alpha2": 0.4, "cutoff": 0.5, "tmin": 1e-6, "tmax": 1e2,
+        "num": 40})
+    out = tmp_path / "samples.csv"
+    code, _, _ = run(capsys, ["simulate", cfg, "--out", str(out)])
+    assert code == 0
+    entries = HeatContentSamples.from_csv_text(out.read_text()).entries
+    assert len(entries) == 40
+    assert all(0.0 < err < 1e-11 * beta for _, beta, err in entries)
+
+
 # ---------------------------------------------------------------------------
 # fit
 

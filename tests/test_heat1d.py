@@ -11,8 +11,7 @@ import pytest
 from singularheat.coeff import BoundaryConditionKind
 from singularheat.errors import (DomainError, RangeError, TruncationError)
 from singularheat import heat1d
-from singularheat.heat1d import (_EPS, HeatContentSamples, _TINY,
-                                 _cross_correlation, _endpoint_convolution,
+from singularheat.heat1d import (_EPS, HeatContentSamples,
                                  _exp_moment, _gammas, _grid_error,
                                  _grid_sums, _lattice_sums, _moment_tables,
                                  _pair_terms, _robin_zero_norm, _table_nodes,
@@ -23,9 +22,9 @@ from singularheat.heat1d import (_EPS, HeatContentSamples, _TINY,
 from singularheat.profiles import (PlateauCutoff, Polynomial, Product,
                                    SingularProfile, constant,
                                    plateau_profile)
-from singularheat.quadrature import gauss_legendre, tanh_sinh_lanes
+from singularheat.quadrature import tanh_sinh_lanes
 
-from handles import FromCallable
+from handles import FromCallable, gauss_legendre
 
 D = BoundaryConditionKind.DIRICHLET
 R = BoundaryConditionKind.ROBIN
@@ -70,63 +69,51 @@ def _plateau_mp(alpha, r):
     return f
 
 
-def _quad_mp(fn, lo, hi, cuts):
-    edges = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
-    return mpmath.quad(fn, edges) if hi > lo else mpmath.mpf(0)
+def test_halfline_matches_mpmath_double_integral_near_2e_2():
+    # Dirichlet, seed-7 exponents, cutoff 0.5: the reference is the
+    # double integral of (G(x - y) - G(x + y)) phi(x) rho(y) over the
+    # quadrant, each range split at the breakpoints r0/2, r0 and the inner
+    # one also at x; at dps 15 it reads 0.31467997504497864
+    a1, a2, r0, t = 0.19714982944994874, 0.2877122934811255, 0.5, 2.031e-2
+    beta, err = halfline_heat_content(plateau_profile(a1, r0, r0),
+                                      plateau_profile(a2, r0, r0), D, t)
+    with mpmath.workdps(15):
+        pm, rm = _plateau_mp(a1, r0), _plateau_mp(a2, r0)
+        tm = mpmath.mpf(t)
+
+        def kernel(z):
+            return mpmath.exp(-z * z / (4 * tm))
+
+        def inner(x):
+            return mpmath.quad(lambda y: (kernel(x - y) - kernel(x + y))
+                               * rm(y), sorted({0, r0 / 2, r0, x}))
+
+        ref = float(mpmath.quad(lambda x: pm(x) * inner(x), [0, r0 / 2, r0])
+                    / mpmath.sqrt(4 * mpmath.pi * tm))
+    assert abs(beta - ref) <= err
+    assert err <= 1e-12 * abs(beta)
 
 
-def test_halfline_inner_integrals_at_edge_cases():
-    # F(d) and H(s) on whole arrays of outer nodes: d at a breakpoint and
-    # past the support; s <= _TINY, past one support (the first piece
-    # starts at lo > 0) and past both supports.  Unit data without cutoff
-    # at s = L + 1e-6 puts lo = 1e-6 next to the x^(-alpha) singularity.
-    phi = plateau_profile(0.3, 4.0, 0.5)
-    rho = plateau_profile(0.4, 4.0, 0.5)
-    pm, rm = _plateau_mp(0.3, 0.5), _plateau_mp(0.4, 0.5)
-    cuts = (0.25, 0.5)
-    d = np.array([0.1, 0.25, 0.4, 0.5, 0.7])
-    s = np.array([0.5 * _TINY, 0.3, 0.5, 0.6, 0.9, 1.0, 1.2])
-    unit = [SingularProfile(a, constant(), 4.0) for a in (0.3, 0.4)]
-    unit_mp = [lambda x, a=a: x ** -a if 0 < x < 4 else mpmath.mpf(0)
-               for a in (0.3, 0.4)]
-    tol = 1e-11
-    with mpmath.workdps(30):
-        for f, g, fm, gm in ((phi, rho, pm, rm), (rho, phi, rm, pm)):
-            box = [0.0]
-            F = _cross_correlation(f, g, d, tol, box)
-            assert np.all(F[d >= 0.5] == 0.0)
-            for dk, Fk in zip(d, F):
-                ref = _quad_mp(lambda y: gm(y) * fm(y + dk), 0.0, 0.5,
-                               cuts + tuple(c - dk for c in cuts))
-                assert abs(Fk - ref) <= box[0], (dk, Fk, ref)
-        for (f, g), (fm, gm), ss, cc in (((phi, rho), (pm, rm), s, cuts),
-                                         (unit, unit_mp,
-                                          np.array([4.0 + 1e-6]), (4.0,))):
-            box = [0.0]
-            H = _endpoint_convolution(f, g, ss, tol, box)
-            dead = (ss <= _TINY) | (ss >= f.support_end() + g.support_end())
-            assert np.all(H[dead] == 0.0)
-            for sk, Hk in zip(ss, H):
-                ref = _quad_mp(lambda x: fm(x) * gm(sk - x), 0.0, sk,
-                               (sk / 2,) + cc + tuple(sk - c for c in cc))
-                assert abs(Hk - ref) <= box[0], (sk, Hk, ref)
+def _rescaled_by_hand(phi, rho, bc, t, wall):
+    """s^(1 - sigma) beta_[0, pi](t/s^2) with the far wall at wall."""
+    s = wall / math.pi
+    scaled = [plateau_profile(f.alpha, math.pi, f.smooth.r0 / s)
+              for f in (phi, rho)]
+    beta, _ = interval_heat_content(*scaled, bc, 0.0, t / (s * s))
+    return s ** (1.0 - phi.alpha - rho.alpha) * beta
 
 
-def test_halfline_profile_calls_are_batched(monkeypatch):
-    # the inner integrals of one outer level share one profile call per
-    # segment slot instead of one per outer node and segment
-    calls = [0]
-    call = SingularProfile.__call__
-
-    def counted(self, x):
-        calls[0] += 1
-        return call(self, x)
-
-    monkeypatch.setattr(SingularProfile, "__call__", counted)
-    phi = plateau_profile(0.3, 4.0, 0.5)
-    rho = plateau_profile(0.4, 4.0, 0.5)
-    halfline_heat_content(phi, rho, D, 1e-6)
-    assert 0 < calls[0] <= 400
+def test_halfline_independent_of_far_wall():
+    # the far wall enters only through images e^{-(wall - r0)^2/t}, so
+    # walls at 5 and 8 give the value of the per-decade wall
+    phi = plateau_profile(0.3, 0.5, 0.5)
+    rho = plateau_profile(0.2, 0.5, 0.5)
+    for bc in (D, N):
+        for t in (1e-4, 1e-2, 1e-1):
+            beta, _ = halfline_heat_content(phi, rho, bc, t)
+            for wall in (5.0, 8.0):
+                assert _rescaled_by_hand(phi, rho, bc, t, wall) \
+                    == pytest.approx(beta, rel=1e-14), (bc, t, wall)
 
 
 def test_halfline_neumann_total_mass_limit():
@@ -140,10 +127,11 @@ def test_halfline_neumann_total_mass_limit():
 
 
 def test_kernel_neumann_conserves_mass():
-    # the Neumann image kernel integrates to 1 in x: against unit rho on
-    # [0, 4], beta_N(t) = int phi once the data stays clear of x = 4
+    # the Neumann image kernel integrates to 1 in x: against rho = 1 on
+    # [0, 4] (a plateau of radius 8), beta_N(t) = int phi once the data
+    # stays clear of x = 4
     phi = plateau_profile(0.3, 4.0, 0.5)
-    one = SingularProfile(0.0, constant(), 4.0)
+    one = plateau_profile(0.0, 8.0, 8.0)
     mass = sum(tanh_sinh_lanes(lambda x, rows: phi(x), a, b, tol=1e-13)[0][0]
                for a, b in phi.pieces())
     for t in (1e-4, 1e-2):
@@ -163,6 +151,10 @@ def test_halfline_guards():
     phi = plateau_profile(0.3, 4.0, 0.5)
     with pytest.raises(RangeError):
         halfline_heat_content(phi, phi, D, 0.0)
+    # only plateau data rescale onto the interval
+    with pytest.raises(DomainError):
+        halfline_heat_content(phi, SingularProfile(0.0, constant(), 4.0),
+                              D, 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +184,6 @@ def test_interval_large_t_single_mode():
     # gamma_1 = sqrt(2/pi) * 2, higher modes are e^{-9t} suppressed
     want = math.exp(-t) * (2.0 * math.sqrt(2.0 / math.pi)) ** 2
     assert beta == pytest.approx(want, rel=1e-6)
-
-
-def test_interval_matches_halfline_when_localized():
-    # data supported in [0, 1/2] on [0, pi]: for small t the boundary at
-    # pi is invisible and the interval Dirichlet/Robin(c=0 -> Neumann)
-    # content matches the half-line one to exponential accuracy.
-    phi = plateau_profile(0.3, math.pi, 0.5)
-    rho = plateau_profile(0.2, math.pi, 0.5)
-    for t in (0.001, 0.01):
-        bi, _ = interval_heat_content(phi, rho, D, 0.0, t)
-        bh, _ = halfline_heat_content(phi, rho, D, t)
-        assert bi == pytest.approx(bh, rel=1e-7)
-        bi_n, _ = interval_heat_content(phi, rho, R, 0.0, t)
-        bh_n, _ = halfline_heat_content(phi, rho, N, t)
-        assert bi_n == pytest.approx(bh_n, rel=1e-7)
 
 
 def test_interval_err_bounds_exact_dirichlet_series():
