@@ -90,6 +90,10 @@ _JSON_TYPES = {
 }
 
 
+#: the most samples one simulate run takes; a larger num is rejected
+#: before any grid is allocated
+_MAX_NUM = 10 ** 6
+
 #: each ProblemConfig field: its JSON type (a key of _JSON_TYPES) and its
 #: default (problem has none)
 _FIELDS = {
@@ -142,8 +146,8 @@ class ProblemConfig:
             raise RangeError("a multi-point grid needs tmin < tmax")
         if self.num == 1 and self.tmax != self.tmin:
             raise RangeError("a single sample needs tmin == tmax")
-        if self.num < 1:
-            raise RangeError("need at least one sample")
+        if not 1 <= self.num <= _MAX_NUM:
+            raise RangeError(f"num must be in [1, {_MAX_NUM}]")
         if self.problem == "interval" and self.bc == "dirichlet" \
                 and self.c != 0.0:
             raise RangeError("nonzero c requires the Robin interval kind")

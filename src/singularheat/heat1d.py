@@ -15,9 +15,10 @@ difference by Gaussian gridding onto a 4N-point grid and one real FFT
 per row (Greengard and Lee, SIAM Rev. 46, 2004), one pass per node set
 with the rows of phi and rho side by side and the nodes that carry no
 weight dropped; the gridding error (Gaussian truncation, aliasing and
-rounding) is bounded in err.  Only the spectral-sum terms of each
-(phi, rho, bc, c, N) are cached, not the moments.  The Robin zero-mode
-moment integrates the profile's pieces as one lanes call.  apply_A /
+rounding) is bounded in err, and so is the mass below the head grid's
+smallest node.  Only the spectral-sum terms of each (phi, rho, bc, c, N)
+are cached, not the moments.  The Robin zero-mode moment integrates the
+profile's pieces with one tanh_sinh call each.  apply_A /
 intertwine_residual realize the first-order operators A = d/dx + c and
 A* = -d/dx + c that exchange the Dirichlet and Robin flows, giving a
 simulator-level consistency check on both realizations: the spectral
@@ -35,7 +36,7 @@ from .coeff import BoundaryConditionKind
 from .errors import DomainError, RangeError, TruncationError
 from .profiles import (IntertwinedFactor, PlateauCutoff, SingularProfile,
                        plateau_profile)
-from .quadrature import gauss_rule, tanh_sinh_lanes, tanh_sinh_nodes
+from .quadrature import gauss_rule, tanh_sinh, tanh_sinh_nodes
 
 _SUM_CAP = 20000
 _TAIL_REL = 1e-13
@@ -134,7 +135,6 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
 # ---------------------------------------------------------------------------
 # interval [0, pi]: spectral sums with cached Fourier moments
 
-_HEAD_LEVEL = 6        # tanh-sinh level of the head and tail grids
 _PANEL_NODES = 8       # Gauss nodes per lattice cell of width pi / N
 _HEAD_PERIODS = 10.0   # head and tail cover 10 / N
 _SPREAD = 14           # a gridded node spreads to 2 * 14 grid points
@@ -169,11 +169,11 @@ def _table_nodes(profile: SingularProfile, N: int):
     for a, b in pieces:
         if a == 0.0:
             head = min(b, reach)
-            parts.append(tanh_sinh_nodes(0.0, head, _HEAD_LEVEL))
+            parts.append(tanh_sinh_nodes(0.0, head))
             a = head
         if b == support_end and b > a:
             tail = max(a, b - reach)
-            parts.append(tanh_sinh_nodes(tail, b, _HEAD_LEVEL))
+            parts.append(tanh_sinh_nodes(tail, b))
             b = tail
         lo, hi = math.ceil(a / h), math.floor(b / h)
         if lo > hi:  # [a, b] inside one cell
@@ -321,6 +321,21 @@ def _direct_sums(profiles: tuple, x, w, w_coarse, N: int):
     return sums[::2].copy(), err
 
 
+def _head_mass(profile: SingularProfile, x) -> float:
+    """2 |s(0)| x0^(1-a)/(1-a) for phi = x^(-a) s(x): twice the integral
+    of |phi| over [0, x0] for s near s(0), a bound on it times a weight
+    of modulus about 1 (e^{inx} or e^{cx}).  x0 is the smallest positive
+    node in x, which holds a tanh-sinh grid on [0, b]; that grid drops
+    the nodes below about 7e-254 b, and no rule counts the mass there.
+    For a <= 0.5 it is below 1e-120 b^(1-a), but it grows without bound
+    as a -> 1.
+    """
+    a = profile.alpha
+    x0 = float(np.min(x[x > 0.0]))
+    s0 = abs(float(profile.smooth(np.zeros(1))[0]))
+    return 2.0 * s0 * x0 ** (1.0 - a) / (1.0 - a)
+
+
 def _moment_tables(profiles: tuple, N: int) -> list:
     """[(S, C, err)] per profile: S_n = int phi sin(nx), C_n = int phi cos(nx).
 
@@ -336,7 +351,8 @@ def _moment_tables(profiles: tuple, N: int) -> list:
     Gaussian amplifies by up to e^{(pi n/4N)^2/c}, about 39 at n = N, and
     the rounding of the grid coordinate, 3 u n sum |v| x), plus
     eps (log2(2N) + n h) sum |u| over the lattice nodes, u = wl phi
-    (rounding of the FFT and of the offset phase).
+    (rounding of the FFT and of the offset phase), plus the _head_mass
+    below the head grid's smallest node.
     """
     (x, w, w_coarse), (cells, xl, wl) = _table_nodes(profiles[0], N)
     sums, direct_err = _direct_sums(profiles, x, w, w_coarse, N)
@@ -347,7 +363,7 @@ def _moment_tables(profiles: tuple, N: int) -> list:
         mom = sums[k] + _lattice_sums(u, cells, N)
         rounding = _EPS * (math.log2(2 * N) + n * math.pi / N) \
             * float(np.sum(np.abs(u)))
-        err = direct_err[k] + rounding
+        err = direct_err[k] + rounding + _head_mass(profile, x)
         tables.append((mom.imag, mom.real, err))
     return tables
 
@@ -356,17 +372,17 @@ def _moment_tables(profiles: tuple, N: int) -> list:
 def _exp_moment(profile: SingularProfile, c: float) -> tuple:
     """(int phi(x) e^{cx} dx over the support, err) for the Robin zero mode.
 
-    err adds, per piece [a, b], the tanh-sinh error (which carries the
-    rounding of the sum) and the rounding eps |c| b |value| of the
-    exponent c x.
+    One tanh_sinh call per piece [a, b]; err is the _head_mass below the
+    first piece's smallest node plus, per piece, the call's error (which
+    carries the rounding of the sum) and the rounding eps |c| b |value|
+    of the exponent c x.
     """
-    a, b = np.array(profile.pieces()).T
-    vals, errs = tanh_sinh_lanes(lambda x, rows: profile(x) * np.exp(c * x),
-                                 a, b, abs_tol=1e-13)
-    total = err = 0.0
-    for val, e, hi in zip(vals.tolist(), errs.tolist(), b.tolist()):
-        total += val
-        err += e + _EPS * abs(c) * hi * abs(val)
+    pieces = profile.pieces()
+    total, err = 0.0, _head_mass(profile, tanh_sinh_nodes(*pieces[0])[0])
+    for a, b in pieces:
+        val, e = tanh_sinh(lambda x: profile(x) * np.exp(c * x), a, b)
+        total += float(val)
+        err += float(e) + _EPS * abs(c) * b * abs(float(val))
     return total, err
 
 
@@ -460,6 +476,9 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
       <= int_N^inf x^2 e^{-t x^2} dx <= e^{-t N^2} (N/(2t) + 1/(4 t^2 N)),
       where the integral test needs x^2 e^{-t x^2} decreasing on
       [N, inf), that is t N^2 >= 1, so the sum stops no earlier.
+    A sum that is not finite, say from a moment whose quadrature met
+    x^(-alpha) = inf at a node that underflowed to 0, is returned at once
+    with err inf.
     """
     n_max = 64
     while True:
@@ -468,6 +487,8 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
         lam = n ** 2 + c ** 2
         weights = lam ** power * np.exp(-t * lam)
         partial = base + float(np.dot(weights, gg))
+        if not math.isfinite(partial):
+            return partial, math.inf
         decay = 1.0 + 1.0 / (2.0 * t * n_max)
         if power:
             decay = n_max / (2.0 * t) + 1.0 / (4.0 * t * t * n_max) \

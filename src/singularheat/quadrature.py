@@ -3,13 +3,15 @@
 The transform x = m + r*tanh((pi/2)*sinh(u)) pushes endpoint singularities
 to |u| -> inf where the weights decay doubly exponentially, so integrands
 like x**(-0.9) * smooth(x) converge at machine precision with a few
-hundred nodes.  Node positions are stored as offsets from the nearest
-endpoint so that points exponentially close to an endpoint keep full
-relative precision (essential when the singular endpoint is 0).
+hundred nodes (Takahasi and Mori, Publ. RIMS 9, 1974).  Node positions
+are stored as offsets from the nearest endpoint so that points
+exponentially close to an endpoint keep full relative precision
+(essential when the singular endpoint is 0).
 
-tanh_sinh_lanes runs K integrals ("lanes") through one adaptive loop,
-one integrand call per level for all running lanes, so a caller with a
-list of intervals integrates them all in one call.
+There is one grid, step _H0 / 2**_LEVEL, and its error estimate is the
+difference from the rule of twice the step on the same nodes (Bailey,
+Jeyabalan and Li, Exp. Math. 14, 2005): tanh_sinh_nodes returns the grid
+for batch integration, tanh_sinh integrates one function on it.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import numpy as np
 from .errors import QuadratureError
 
 _H0 = 0.5
+_LEVEL = 6           # step _H0 / 2**6 = 1/128
 _UMAX = 6.1          # (pi/2)*sinh(6.1) ~ 350: past this, weights underflow
 _WFRAC_MIN = 1e-250  # drop nodes whose weight fraction underflows
 _EPS = np.finfo(float).eps
-_MAX_LEVEL = 12      # finest refinement level: h = _H0 / 2**12
-_FAIL_FACTOR = 1e4   # a capped lane fails if its last move exceeds this * tol
+_FAIL_REL = 1e-9     # largest level difference, relative to sum |w f|
 
 
 def _point(u: float) -> tuple[float, float]:
@@ -38,13 +40,12 @@ def _point(u: float) -> tuple[float, float]:
     return delta, wfrac
 
 
-@lru_cache(maxsize=64)
 def _level_points(level: int) -> tuple[np.ndarray, np.ndarray]:
     """New (delta, wfrac) pairs introduced at this refinement level.
 
     Level 0 holds all integer multiples of _H0 (u > 0 side); level k > 0
     holds the odd multiples of _H0 / 2**k.  The u = 0 midpoint is handled
-    separately by the integrators.
+    separately.
     """
     h = _H0 / 2 ** level
     if level == 0:
@@ -60,115 +61,69 @@ def _level_points(level: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(deltas), np.asarray(wfracs)
 
 
-def _row_dots(vals, w):
-    """np.dot(w, row) for each row: a stacked matmul runs the same dot
-    kernel per row, so a lane's bits do not depend on the other lanes."""
-    return (np.asarray(vals)[..., None, :] @ w[:, None])[..., 0, 0]
-
-
-def tanh_sinh_lanes(f, a, b, tol: float = 1e-12, abs_tol: float = 0.0):
-    """Adaptive tanh-sinh integration over K intervals [a_k, b_k] at once.
-
-    f(x, rows) gets the nodes x, shape (len(rows), m), of the running
-    lanes rows and returns real or complex values of that shape.  A lane
-    stops at the first level >= 2 whose estimate moved by at most
-    max(tol * |value|, abs_tol).  Returns (values, errors), arrays of
-    length K; with K = 0 both are empty and f is never called.  A lane's
-    error is that last move plus the rounding floor eps * nodes *
-    sum |w f| of its sum, so it stays above 0 once two levels agree
-    bitwise.  Raises QuadratureError on an empty interval, or when a lane
-    ends at level _MAX_LEVEL with a move above _FAIL_FACTOR * tol
-    relative to its value (and above abs_tol).
-    """
-    a = np.atleast_1d(np.asarray(a, float))
-    b = np.atleast_1d(np.asarray(b, float))
-    if a.size == 0:
-        return np.empty(0), np.empty(0)
-    empty = np.flatnonzero(~(b > a))
-    if empty.size:
-        k = empty[0]
-        raise QuadratureError(f"empty interval [{a[k]}, {b[k]}]")
-    rows = np.arange(a.size)
-    lo, hi, width = a[:, None], b[:, None], (b - a)[:, None]
-    mid = np.asarray(f(0.5 * (lo + hi), rows))[:, 0]
-    total = _point(0.0)[1] * mid
-    mass = _point(0.0)[1] * np.abs(mid)  # sum of |w f|, unscaled
-    nodes = 1
-    value = np.empty_like(total)
-    error = np.empty(a.size)
-    prev, err = None, np.full(a.size, math.inf)
-    for level in range(0, _MAX_LEVEL + 1):
-        deltas, wfracs = _level_points(level)
-        if deltas.size:
-            wd = width * deltas
-            fx = f(np.concatenate([lo + wd, hi - wd], 1), rows)
-            w = np.concatenate([wfracs, wfracs])
-            total = total + _row_dots(fx, w)
-            mass = mass + _row_dots(np.abs(fx), w)
-            nodes += w.size
-        h = _H0 / 2 ** level
-        cur = h * width[:, 0] * total
-        if level >= 2:
-            err = np.abs(cur - prev)
-            bound = err + _EPS * nodes * h * width[:, 0] * mass
-            done = err <= np.maximum(tol * np.maximum(np.abs(cur), 1e-300),
-                                     abs_tol)
-            if done.any():
-                value[rows[done]] = cur[done]
-                error[rows[done]] = bound[done]
-                if done.all():
-                    return value, error
-                running = (rows, lo, hi, width, total, mass, cur, err, bound)
-                rows, lo, hi, width, total, mass, cur, err, bound = [
-                    v[~done] for v in running]
-        prev = cur
-    scale = np.maximum(np.abs(prev), 1e-300)
-    bad = np.flatnonzero(err > np.maximum(_FAIL_FACTOR * tol * scale,
-                                          abs_tol))
-    if bad.size:
-        k = bad[0]
-        raise QuadratureError(
-            f"tanh_sinh did not converge on [{lo[k, 0]}, {hi[k, 0]}]: "
-            f"estimate {err[k]:.3e} vs tolerance {tol:.3e} * {scale[k]:.3e}")
-    value[rows] = prev
-    error[rows] = bound
-    return value, error
-
-
-@lru_cache(maxsize=32)
-def _reference_grid(level: int):
-    """All (delta, wfrac, is_new) up to a level, plus the u = 0 node."""
+@lru_cache(maxsize=1)
+def _reference_grid():
+    """All (delta, wfrac, is_new, side) up to _LEVEL, plus the u = 0 node."""
     deltas = [np.array([0.5])]
     wfracs = [np.array([_point(0.0)[1]])]
     newflag = [np.array([False])]
     sides = [np.array([0])]  # 0: measured from a; 1: measured from b
-    for lev in range(0, level + 1):
+    for lev in range(0, _LEVEL + 1):
         d, w = _level_points(lev)
         for side in (0, 1):
             deltas.append(d)
             wfracs.append(w)
-            newflag.append(np.full(d.shape, lev == level))
+            newflag.append(np.full(d.shape, lev == _LEVEL))
             sides.append(np.full(d.shape, side, dtype=int))
     return (np.concatenate(deltas), np.concatenate(wfracs),
             np.concatenate(newflag), np.concatenate(sides))
 
 
-def tanh_sinh_nodes(a: float, b: float, level: int):
+def tanh_sinh_nodes(a: float, b: float):
     """Fixed tanh-sinh grid on [a, b] for vectorized batch integration.
 
-    Returns (x, w, w_coarse): nodes, weights at this level, and weights
-    realizing the level-1-coarser rule on the same node set (zeros at the
-    nodes the coarser rule does not use).  Integrating with both weight
-    vectors gives a practically free error estimate.
+    Returns (x, w, w_coarse): nodes, weights, and weights realizing the
+    rule of twice the step on the same node set (zeros at the nodes the
+    coarser rule does not use).  Integrating with both weight vectors
+    gives a practically free error estimate.  The smallest offset from
+    an endpoint is about 7e-254 (b - a): nodes closer carry a weight
+    fraction below _WFRAC_MIN and are dropped.
     """
-    deltas, wfracs, is_new, sides = _reference_grid(level)
+    deltas, wfracs, is_new, sides = _reference_grid()
     width = b - a
     x = np.where(sides == 0, a + width * deltas, b - width * deltas)
     # the u = 0 node (delta 0.5, side 0) is exactly the midpoint
-    h = _H0 / 2 ** level
+    h = _H0 / 2 ** _LEVEL
     w = h * width * wfracs
     w_coarse = np.where(is_new, 0.0, 2.0 * h * width * wfracs)
     return x, w, w_coarse
+
+
+def tanh_sinh(f, a: float, b: float):
+    """(value, err) of the integral of f over [a, b] on the fixed grid.
+
+    f is called once, with the array of tanh_sinh_nodes(a, b), and
+    returns real or complex values of that shape.  It must be analytic
+    inside (a, b), so callers split at breakpoints; endpoint
+    singularities are what the rule is for.  err is the level difference
+    |sum (w - w_coarse) f| plus the rounding floor eps * nodes * sum |w f|,
+    so it stays above 0 when the two rules agree bitwise.  Raises
+    QuadratureError on an empty interval, or when the level difference
+    exceeds _FAIL_REL * sum |w f|; measured against that mass, a value
+    that cancels to near 0 needs no absolute floor.
+    """
+    if not b > a:
+        raise QuadratureError(f"empty interval [{a}, {b}]")
+    x, w, w_coarse = tanh_sinh_nodes(a, b)
+    fx = f(x)
+    value = np.dot(w, fx)
+    diff = abs(np.dot(w - w_coarse, fx))
+    mass = np.dot(w, np.abs(fx))
+    if diff > _FAIL_REL * mass:
+        raise QuadratureError(
+            f"tanh_sinh did not converge on [{a}, {b}]: level difference "
+            f"{diff:.3e} vs {_FAIL_REL:g} * {mass:.3e}")
+    return value, diff + _EPS * x.size * mass
 
 
 @lru_cache(maxsize=16)

@@ -28,10 +28,7 @@ from .coeff import DEFAULT_DELTA
 from .errors import DomainError, PoleError, RangeError
 from .profiles import (IntertwinedFactor, Product, SingularProfile,
                        SmoothFunction)
-from .quadrature import segments, tanh_sinh_lanes
-
-#: relative tolerance of the quadrature on [eps, L]
-_TOL = 1e-13
+from .quadrature import segments, tanh_sinh
 
 
 def i_reg(sigma: complex, smooth: SmoothFunction, L: float,
@@ -63,12 +60,10 @@ def i_reg(sigma: complex, smooth: SmoothFunction, L: float,
                 f"regularized integral has a pole at sigma = {j + 1}")
         total += s * eps ** (j + 1 - sigma) / (j + 1 - sigma)
 
-    # the plain integrand away from the collar, one lane per segment
-    a, b = np.array(segments(eps, L, smooth.breakpoints)).reshape(-1, 2).T
-    vals, _ = tanh_sinh_lanes(lambda x, rows: x ** (-sigma) * smooth(x), a, b,
-                              tol=_TOL, abs_tol=1e-16)
-    for val in vals.tolist():
-        total += val
+    # the plain integrand away from the collar, one call per segment
+    for a, b in segments(eps, L, smooth.breakpoints):
+        total += complex(tanh_sinh(lambda x: x ** (-sigma) * smooth(x),
+                                   a, b)[0])
     return total
 
 

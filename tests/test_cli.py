@@ -198,6 +198,9 @@ def test_simulate_invalid_config(capsys, tmp_path):
                 # values that do not fit the field's type
                 {**interval, "tmax": 1e-2, "num": 2.7},
                 {**interval, "num": True},
+                # more samples than the documented cap of 10^6
+                {**interval, "tmax": 1e-2, "num": 2 ** 62},
+                {**interval, "tmax": 1e-2, "num": 10 ** 400},
                 {**interval, "alpha1": "0.3"},
                 {**interval, "alpha1": None},
                 {**interval, "alpha1": False},
@@ -276,6 +279,29 @@ def test_simulate_truncation_failure_exits_3(capsys, tmp_path):
         assert code == 3, obj
         assert message in err and "Warning" not in err, err
         assert not out.exists(), obj
+
+
+@pytest.mark.parametrize("alpha", (0.95, 0.97))
+def test_simulate_neumann_interval_conserves_mass_near_alpha_one(
+        capsys, tmp_path, alpha):
+    # against rho = 1 the Neumann flow conserves int phi = pi^(1-a)/(1-a);
+    # as alpha -> 1 the mass below the smallest tanh-sinh node grows, and
+    # a run must then cover it with err or exit 3, never report a smaller
+    # err and exit 0 (at alpha 0.97 the value is 9e-7 off)
+    obj = {"problem": "interval", "bc": "robin", "c": 0.0, "alpha1": alpha,
+           "alpha2": 0.0, "cutoff": None, "tmin": 1e-4, "tmax": 1e-1,
+           "num": 4}
+    out = tmp_path / "out.csv"
+    code, _, err = run(capsys, ["simulate", write_config(tmp_path, obj),
+                                "--out", str(out)])
+    if code == 3:
+        assert err.startswith("error:") and not out.exists(), err
+        return
+    assert code == 0, err
+    mass = math.pi ** (1.0 - alpha) / (1.0 - alpha)
+    for t, beta, e in HeatContentSamples.from_csv_text(
+            out.read_text()).entries:
+        assert abs(beta - mass) <= e, t
 
 
 def test_simulate_halfline_limits_exit_3(capsys, tmp_path):

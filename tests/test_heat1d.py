@@ -22,7 +22,7 @@ from singularheat.heat1d import (_EPS, HeatContentSamples,
 from singularheat.profiles import (PlateauCutoff, Polynomial, Product,
                                    SingularProfile, constant,
                                    plateau_profile)
-from singularheat.quadrature import tanh_sinh_lanes
+from singularheat.quadrature import tanh_sinh
 
 from handles import FromCallable, gauss_legendre
 
@@ -121,8 +121,8 @@ def test_halfline_neumann_total_mass_limit():
     # from where the reflected mass is retained.
     phi = plateau_profile(0.0, 4.0, 1.0)
     bn, _ = halfline_heat_content(phi, phi, N, 1e-4)
-    (exact,), _ = tanh_sinh_lanes(lambda x, rows: phi(x) ** 2, 0.0, 1.0,
-                                  tol=1e-12)
+    exact = sum(tanh_sinh(lambda x: phi(x) ** 2, a, b)[0]
+                for a, b in phi.pieces())
     assert bn == pytest.approx(exact, rel=1e-3)
 
 
@@ -132,8 +132,7 @@ def test_kernel_neumann_conserves_mass():
     # stays clear of x = 4
     phi = plateau_profile(0.3, 4.0, 0.5)
     one = plateau_profile(0.0, 8.0, 8.0)
-    mass = sum(tanh_sinh_lanes(lambda x, rows: phi(x), a, b, tol=1e-13)[0][0]
-               for a, b in phi.pieces())
+    mass = sum(tanh_sinh(phi, a, b)[0] for a, b in phi.pieces())
     for t in (1e-4, 1e-2):
         bn, en = halfline_heat_content(phi, one, N, t)
         assert abs(bn - mass) <= en, t
@@ -216,6 +215,24 @@ def test_fourier_moments_within_err_of_closed_form(alpha):
         for n in (n for n in modes if n <= size):
             assert abs(S[n - 1] - exact[n].imag) <= err[n - 1], (size, n)
             assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
+
+
+@pytest.mark.parametrize("alpha", (0.95, 0.97))
+def test_fourier_moments_bound_the_mass_below_the_head_grid(alpha):
+    # the head grid's smallest node is about 7e-254 * 10/N, and the mass
+    # below it, about x0^(1-alpha)/(1-alpha), reaches 7e-7 at alpha 0.97;
+    # cos(nx) - 1 removes the singularity for the mpmath reference
+    profile = SingularProfile(alpha, constant(), math.pi)
+    S, C, err = _moment_tables((profile,), 1024)[0]
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        for n in (1, 2, 64):
+            edges = mpmath.linspace(0, mpmath.pi, 2 + n // 4)
+            cos = mpmath.quad(lambda x: x ** -a * (mpmath.cos(n * x) - 1),
+                              edges) + mpmath.pi ** (1 - a) / (1 - a)
+            sin = mpmath.quad(lambda x: x ** -a * mpmath.sin(n * x), edges)
+            assert abs(C[n - 1] - cos) <= err[n - 1], n
+            assert abs(S[n - 1] - sin) <= err[n - 1], n
 
 
 def _check_plateau_moments(alpha, r, sizes, modes):
