@@ -16,9 +16,10 @@ per row (Greengard and Lee, SIAM Rev. 46, 2004), one pass per node set
 with the rows of phi and rho side by side and the nodes that carry no
 weight dropped; the gridding error (Gaussian truncation, aliasing and
 rounding) is bounded in err, and so is the mass below the head grid's
-smallest node.  Only the spectral-sum terms of each (phi, rho, bc, c, N)
-are cached, not the moments.  The Robin zero-mode moment integrates the
-profile's pieces with one tanh_sinh call each.  apply_A /
+smallest node.  The Robin stationary mode is row n = 0 of the same
+table, summed directly on the same nodes, and the spectral sum runs over
+n = 0..N with lambda_0 = 0.  Only the spectral-sum terms of each
+(phi, rho, bc, c, N) are cached, not the moments.  apply_A /
 intertwine_residual realize the first-order operators A = d/dx + c and
 A* = -d/dx + c that exchange the Dirichlet and Robin flows, giving a
 simulator-level consistency check on both realizations: the spectral
@@ -36,22 +37,21 @@ from .coeff import BoundaryConditionKind
 from .errors import DomainError, RangeError, TruncationError
 from .profiles import (IntertwinedFactor, PlateauCutoff, SingularProfile,
                        plateau_profile)
-from .quadrature import gauss_rule, tanh_sinh, tanh_sinh_nodes
+from .quadrature import _EPS, gauss_rule, tanh_sinh_nodes
 
 _SUM_CAP = 20000
 _TAIL_REL = 1e-13
 
 
-def _robin_zero_norm(c: float) -> float:
-    """1 / ||e^{cx}||_{L^2(0, pi)}."""
-    if abs(c) < 1e-8:
-        # expand (e^{2 pi c} - 1)/(2c) = pi (1 + pi c + ...) to avoid 0/0
-        return 1.0 / math.sqrt(math.pi * (1.0 + math.pi * c))
-    try:
-        return math.sqrt(2.0 * c / math.expm1(2.0 * math.pi * c))
-    except OverflowError:
-        raise RangeError(f"Robin parameter c = {c:g} overflows the "
-                         "stationary mode e^(cx)") from None
+def _robin_zero_mode(c: float, x):
+    """psi_0(x) = z e^{cx - pi max(c, 0)}, the normalized stationary mode
+    of the Robin interval, z = sqrt(2|c| / (1 - e^{-2 pi |c|})); at most
+    z on [0, pi], so it is finite for every c."""
+    a = abs(c)
+    # (1 - e^{-2 pi a})/(2a) = pi (1 - pi a + ...) avoids 0/0
+    z = 1.0 / math.sqrt(math.pi * (1.0 - math.pi * a)) if a < 1e-8 \
+        else math.sqrt(2.0 * a / -math.expm1(-2.0 * math.pi * a))
+    return z * np.exp(c * x - math.pi * max(c, 0.0))
 
 
 class HeatContentSamples:
@@ -142,7 +142,6 @@ _SPREAD_CHUNK = 64     # nodes per bincount of the spread
 #: Gaussian e^{-c t^2} in grid steps, c = pi (R - 1/2) / (R _SPREAD) at
 #: oversampling R = 2 (4N grid points for the 2N modes -N..N)
 _GAUSS = 0.75 * math.pi / _SPREAD
-_EPS = np.finfo(float).eps
 
 
 def _table_nodes(profile: SingularProfile, N: int):
@@ -277,7 +276,7 @@ def _grid_error(x, v, N: int):
 
 
 def _lattice_sums(u, cells, N: int):
-    """sum_ji u_ji e^{i n xl_ji} for n = 1..N on the lattice of _table_nodes.
+    """sum_ji u_ji e^{i n xl_ji} for n = 0..N on the lattice of _table_nodes.
 
     For each Gauss offset g_j the sum over cells k is
     e^{i n h (1 + g_j)/2} sum_k u_jk e^{i pi n k / N}, the conjugate of one
@@ -286,19 +285,19 @@ def _lattice_sums(u, cells, N: int):
     exactly, so only the offset phase rounds with n.
     """
     h = math.pi / N
-    n = np.arange(1, N + 1)
+    n = np.arange(N + 1)
     row = np.zeros(2 * N)
-    total = np.zeros(N, complex)
+    total = np.zeros(N + 1, complex)
     for g, uj in zip(gauss_rule(_PANEL_NODES)[0], u):
         row[cells] = uj
-        total += np.exp(0.5j * h * (1.0 + g) * n) \
-            * np.fft.rfft(row)[1:].conj()
+        total += np.exp(0.5j * h * (1.0 + g) * n) * np.fft.rfft(row).conj()
     return total
 
 
-def _direct_sums(profiles: tuple, x, w, w_coarse, N: int):
+def _direct_sums(values: list, x, w, w_coarse, N: int):
     """(sums, err), one row per profile, over the direct nodes x of
-    _table_nodes: sums_n = sum w phi e^{inx} and its error bound err_n.
+    _table_nodes: sums_n = sum w phi e^{inx} and its error bound err_n,
+    from the values phi(x) of each profile.
 
     The pass sums the rows w phi and (w - w_coarse) phi of each profile,
     side by side, in one _grid_sums call.  A node is dropped when its
@@ -309,7 +308,6 @@ def _direct_sums(profiles: tuple, x, w, w_coarse, N: int):
     (linear in |v|, so that of their sum |v|), plus their mass
     sum_dropped |v| on the dropped nodes.
     """
-    values = [profile(x) for profile in profiles]
     v = np.array([r for f in values for r in (w * f, (w - w_coarse) * f)])
     size = np.abs(v)
     keep = np.max(size, axis=0) \
@@ -324,11 +322,11 @@ def _direct_sums(profiles: tuple, x, w, w_coarse, N: int):
 def _head_mass(profile: SingularProfile, x) -> float:
     """2 |s(0)| x0^(1-a)/(1-a) for phi = x^(-a) s(x): twice the integral
     of |phi| over [0, x0] for s near s(0), a bound on it times a weight
-    of modulus about 1 (e^{inx} or e^{cx}).  x0 is the smallest positive
-    node in x, which holds a tanh-sinh grid on [0, b]; that grid drops
-    the nodes below about 7e-254 b, and no rule counts the mass there.
-    For a <= 0.5 it is below 1e-120 b^(1-a), but it grows without bound
-    as a -> 1.
+    of modulus about 1 (e^{inx}; the stationary mode's weight psi_0(0) is
+    applied by the caller).  x0 is the smallest positive node in x, which
+    holds a tanh-sinh grid on [0, b]; that grid drops the nodes below
+    about 7e-254 b, and no rule counts the mass there.  For a <= 0.5 it
+    is below 1e-120 b^(1-a), but it grows without bound as a -> 1.
     """
     a = profile.alpha
     x0 = float(np.min(x[x > 0.0]))
@@ -336,91 +334,102 @@ def _head_mass(profile: SingularProfile, x) -> float:
     return 2.0 * s0 * x0 ** (1.0 - a) / (1.0 - a)
 
 
-def _moment_tables(profiles: tuple, N: int) -> list:
-    """[(S, C, err)] per profile: S_n = int phi sin(nx), C_n = int phi cos(nx).
+def _moment_tables(profiles: tuple, N: int, c: float | None) -> list:
+    """[(S, C, err)] per profile, n = 0..N: S_n = int phi sin(nx),
+    C_n = int phi cos(nx) for n >= 1, and S_0 = 0, C_0 = int phi psi_0
+    with the Robin stationary mode psi_0 = _robin_zero_mode(c); c None
+    (Dirichlet, no stationary mode) leaves C_0 = err_0 = 0.
 
     The profiles share one pieces(), hence one node set.  The whole
     lattice cells are summed by _lattice_sums, eight real FFTs of length
     2N per profile; the direct nodes (head and tail grids and cut cells)
-    by _direct_sums, one gridding pass for all profiles.  err_n, a
-    conservative estimate of |S_n - exact| and |C_n - exact| that the
-    tests check as a bound, is the head and tail coarse-rule difference,
-    plus the mass sum_dropped |v| of both rows on the dropped nodes, plus
-    the _grid_error of both rows (Gaussian truncation and aliasing, the
-    rounding of the spread, the FFT and the scaling, which undoing the
-    Gaussian amplifies by up to e^{(pi n/4N)^2/c}, about 39 at n = N, and
-    the rounding of the grid coordinate, 3 u n sum |v| x), plus
+    by _direct_sums, one gridding pass for all profiles; C_0, in place of
+    the lattice's n = 0 term, by dot products over the same nodes.
+    err_n, a conservative estimate of |S_n - exact| and |C_n - exact|
+    that the tests check as a bound, is the head and tail coarse-rule
+    difference, plus the mass sum_dropped |v| of both rows on the dropped
+    nodes, plus the _grid_error of both rows (Gaussian truncation and
+    aliasing, the rounding of the spread, the FFT and the scaling, which
+    undoing the Gaussian amplifies by up to e^{(pi n/4N)^2/c}, about 39 at
+    n = N, and the rounding of the grid coordinate, 3 u n sum |v| x), plus
     eps (log2(2N) + n h) sum |u| over the lattice nodes, u = wl phi
     (rounding of the FFT and of the offset phase), plus the _head_mass
-    below the head grid's smallest node.
+    below the head grid's smallest node.  err_0 has the same parts: the
+    coarse-rule difference; the rounding, in units of eps/2 times the mass
+    sum |w phi psi_0| + sum |u psi_0|, of the sums of K terms, K - 1 in
+    any order, of the exponent cx - pi max(c, 0), 4 pi |c|, and of exp,
+    z and the products, 11; and the _head_mass times psi_0(0).
     """
     (x, w, w_coarse), (cells, xl, wl) = _table_nodes(profiles[0], N)
-    sums, direct_err = _direct_sums(profiles, x, w, w_coarse, N)
+    values = [profile(x) for profile in profiles]
+    sums, direct_err = _direct_sums(values, x, w, w_coarse, N)
     n = np.arange(1, N + 1, dtype=float)
     tables = []
-    for k, profile in enumerate(profiles):
+    for k, (profile, f) in enumerate(zip(profiles, values)):
         u = profile(xl) * wl
-        mom = sums[k] + _lattice_sums(u, cells, N)
+        head = _head_mass(profile, x)
+        zero = zero_err = 0.0
+        if c is not None:
+            # psi_0 > 0 at every node; its arrays are freed before the
+            # lattice FFTs, where the memory peaks
+            mode, mode_l = _robin_zero_mode(c, x), _robin_zero_mode(c, xl)
+            zero = np.dot(w * f, mode) + np.vdot(u, mode_l)
+            mass = np.dot(np.abs(w * f), mode) + np.vdot(np.abs(u), mode_l)
+            floor = 0.5 * _EPS * (x.size + u.size + 4 * math.pi * abs(c) + 11)
+            zero_err = abs(np.dot((w - w_coarse) * f, mode)) + floor * mass \
+                + head * _robin_zero_mode(c, 0.0)
+            del mode, mode_l
+        mom = _lattice_sums(u, cells, N)
+        mom[1:] += sums[k]
         rounding = _EPS * (math.log2(2 * N) + n * math.pi / N) \
             * float(np.sum(np.abs(u)))
-        err = direct_err[k] + rounding + _head_mass(profile, x)
+        err = np.empty(N + 1)
+        np.add(direct_err[k] + rounding, head, out=err[1:])
+        mom[0], err[0] = zero, zero_err
         tables.append((mom.imag, mom.real, err))
     return tables
 
 
-@lru_cache(maxsize=32)
-def _exp_moment(profile: SingularProfile, c: float) -> tuple:
-    """(int phi(x) e^{cx} dx over the support, err) for the Robin zero mode.
-
-    One tanh_sinh call per piece [a, b]; err is the _head_mass below the
-    first piece's smallest node plus, per piece, the call's error (which
-    carries the rounding of the sum) and the rounding eps |c| b |value|
-    of the exponent c x.
-    """
-    pieces = profile.pieces()
-    total, err = 0.0, _head_mass(profile, tanh_sinh_nodes(*pieces[0])[0])
-    for a, b in pieces:
-        val, e = tanh_sinh(lambda x: profile(x) * np.exp(c * x), a, b)
-        total += float(val)
-        err += float(e) + _EPS * abs(c) * b * abs(float(val))
-    return total, err
-
-
 def _gammas(table: tuple, bc: BoundaryConditionKind, c: float):
-    """(gamma_n, err_n), n = 1..N, of interval_heat_content from one
-    (S, C, err) moment table."""
+    """(gamma_n, err_n), n = 0..N, of interval_heat_content from one
+    (S, C, err) moment table: gamma_0 = C_0 for Robin, 0 for Dirichlet."""
     S, C, err = table
     root = math.sqrt(2.0 / math.pi)
     if bc is BoundaryConditionKind.DIRICHLET:
         return root * S, root * err
-    n = np.arange(1, S.size + 1, dtype=float)
+    n = np.arange(1, S.size, dtype=float)
     lam_half = np.sqrt(n ** 2 + c ** 2)
-    return (root * (n * C + c * S) / lam_half,
-            root * (n + abs(c)) * err / lam_half)
+    gamma, gamma_err = np.empty(S.size), np.empty(S.size)
+    gamma[0], gamma_err[0] = C[0], err[0]
+    gamma[1:] = root * (n * C[1:] + c * S[1:]) / lam_half
+    gamma_err[1:] = root * (n + abs(c)) * err[1:] / lam_half
+    return gamma, gamma_err
 
 
 @lru_cache(maxsize=32)
 def _pair_terms(phi: SingularProfile, rho: SingularProfile,
                 bc: BoundaryConditionKind, c: float, N: int) -> tuple:
-    """(gp gr, |gp gr|, |gp| er + |gr| ep, tail bound) for n = 1..N.
+    """(gp gr, |gp gr|, |gp| er + |gr| ep + ep er, tail bound), n = 0..N.
 
-    gp, ep are the (gamma_n, err_n) of phi and gr, er those of rho; the
-    tail bound is 2 max |gp gr| over the upper half of the modes.  A pair
-    phi == rho is one profile, and profiles with the same pieces() are
-    tabulated together; other pairs take one pass per profile.  Only
-    these terms are kept, not the moment tables behind them.
+    gp, ep are the (gamma_n, err_n) of phi and gr, er those of rho, so
+    the third term bounds |gp gr - exact| for every n; the tail bound is
+    2 max |gp gr| over the modes n >= N/2 + 1.  A pair phi == rho is one
+    profile, and profiles with the same pieces() are tabulated together;
+    other pairs take one pass per profile.  Only these terms are kept,
+    not the moment tables behind them.
     """
+    c0 = None if bc is BoundaryConditionKind.DIRICHLET else c
     if phi == rho:
-        tables = _moment_tables((phi,), N) * 2
+        tables = _moment_tables((phi,), N, c0) * 2
     elif phi.pieces() == rho.pieces():
-        tables = _moment_tables((phi, rho), N)
+        tables = _moment_tables((phi, rho), N, c0)
     else:
-        tables = _moment_tables((phi,), N) + _moment_tables((rho,), N)
+        tables = _moment_tables((phi,), N, c0) + _moment_tables((rho,), N, c0)
     (gp, ep), (gr, er) = (_gammas(table, bc, c) for table in tables)
     gg = gp * gr
     size = np.abs(gg)
-    terms = (gg, size, np.abs(gp) * er + np.abs(gr) * ep,
-             2.0 * float(np.max(size[N // 2:])))
+    terms = (gg, size, np.abs(gp) * er + np.abs(gr) * ep + ep * er,
+             2.0 * float(np.max(size[N // 2 + 1:])))
     for a in terms[:3]:
         a.setflags(write=False)  # shared by every caller of the cache
     return terms
@@ -428,21 +437,17 @@ def _pair_terms(phi: SingularProfile, rho: SingularProfile,
 
 def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
                           bc: BoundaryConditionKind, c: float, t: float):
-    """Sum_n e^{-t lambda_n} gamma_n(phi) gamma_n(rho) on [0, pi].
+    """Sum_n e^{-t lambda_n} gamma_n(phi) gamma_n(rho) on [0, pi], (beta, err).
 
-    The modes are the eigenfunctions of D = -d^2/dx^2 + c^2 at
-    lambda_n = n^2 + c^2.  Dirichlet: sqrt(2/pi) sin(nx), n >= 1.  Robin
-    (boundary operator (phi' - c phi)(0), (-phi' + c phi)(pi)): the
-    normalized images A sqrt(2/pi) sin(nx), A = d/dx + c, for n >= 1, plus
-    the stationary mode e^{cx} at eigenvalue 0, which A* = -d/dx + c
-    annihilates, so it is orthogonal to every A sin(nx) and satisfies
-    both Robin conditions.
-
-    The truncation N grows until the Gaussian tail bound
-    e^{-t N^2} * (uniform |gamma gamma| bound) * (1 + 1/(2tN)) drops
-    below 1e-13 of the partial sum, hard-capped at 20000 modes.  For
-    Robin data err adds the propagated quadrature error of the zero-mode
-    moments int phi e^{cx}.
+    The modes are the eigenfunctions of D = -d^2/dx^2 + c^2.  Dirichlet:
+    sqrt(2/pi) sin(nx), n >= 1, at lambda_n = n^2 + c^2.  Robin (boundary
+    operator (phi' - c phi)(0), (-phi' + c phi)(pi)): the normalized
+    images A sqrt(2/pi) sin(nx), A = d/dx + c, at n^2 + c^2 for n >= 1,
+    and the n = 0 term, the stationary mode psi_0 ~ e^{cx} at
+    lambda_0 = 0, which A* = -d/dx + c annihilates, so it is orthogonal
+    to every A sin(nx) and satisfies both Robin conditions.  The sum is
+    one _spectral_sum over n = 0..N; err bounds the truncated tail, the
+    propagated moment error and the rounding.
     """
     if t <= 0:
         raise RangeError("need t > 0")
@@ -450,27 +455,23 @@ def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
         # e^{-t N^2} cannot reach the 1e-13 tail target within the cap
         raise TruncationError(
             f"needed more than {_SUM_CAP} modes at t = {t:g}")
-    if bc is BoundaryConditionKind.DIRICHLET:
-        return _spectral_sum(phi, rho, bc, c, t)
-    z = _robin_zero_norm(c)
-    mp, ep = _exp_moment(phi, c)
-    mr, er = _exp_moment(rho, c)
-    beta, err = _spectral_sum(phi, rho, bc, c, t, (z * mp) * (z * mr))
-    return beta, err + z * z * (abs(mr) * ep + abs(mp) * er + ep * er)
+    return _spectral_sum(phi, rho, bc, c, t)
 
 
 def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
                   bc: BoundaryConditionKind, c: float, t: float,
-                  base: float = 0.0, power: int = 0):
-    """(base + sum_n lambda_n^power e^{-t lambda_n} gamma_n(phi)
-    gamma_n(rho), err), lambda_n = n^2 + c^2, power 0 or 1.
+                  power: int = 0):
+    """(sum_{n=0..N} lambda_n^power e^{-t lambda_n} gamma_n(phi)
+    gamma_n(rho), err), lambda_0 = 0 and lambda_n = n^2 + c^2 for n >= 1,
+    power 0 or 1.
 
-    Power 1 is -d/dt of the power-0 sum.  N doubles from 64, each N with
-    its own cached _pair_terms, until the tail bound drops below 1e-13 of
-    the partial sum; err is the tail bound plus the propagated moment
-    error plus the rounding of the n_max + 1 terms, all under the weights
+    Power 1 is -d/dt of the power-0 sum; the stationary mode n = 0 drops
+    out of it exactly.  N doubles from 64, each N with its own cached
+    _pair_terms, until the tail bound drops below 1e-13 of the partial
+    sum; err is the tail bound plus the propagated moment error plus the
+    rounding of the N + 1 terms, all under the weights
     lambda_n^power e^{-t lambda_n}.  With B the uniform |gamma gamma|
-    bound and e^{-t c^2} <= 1 dropped, the tail is B times
+    bound, the tail is B e^{-t c^2} times
     - power 0: sum_{n>N} e^{-t n^2} <= e^{-t N^2} (1 + 1/(2tN));
     - power 1: that times c^2, plus sum_{n>N} n^2 e^{-t n^2}
       <= int_N^inf x^2 e^{-t x^2} dx <= e^{-t N^2} (N/(2t) + 1/(4 t^2 N)),
@@ -483,22 +484,22 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     n_max = 64
     while True:
         gg, size, quad, bound = _pair_terms(phi, rho, bc, c, n_max)
-        n = np.arange(1, n_max + 1, dtype=float)
+        n = np.arange(n_max + 1, dtype=float)
         lam = n ** 2 + c ** 2
+        lam[0] = 0.0
         weights = lam ** power * np.exp(-t * lam)
-        partial = base + float(np.dot(weights, gg))
+        partial = float(np.dot(weights, gg))
         if not math.isfinite(partial):
             return partial, math.inf
         decay = 1.0 + 1.0 / (2.0 * t * n_max)
         if power:
             decay = n_max / (2.0 * t) + 1.0 / (4.0 * t * t * n_max) \
                 + c * c * decay
-        tail = math.exp(-t * n_max ** 2) * bound * decay
+        tail = math.exp(-t * (n_max ** 2 + c * c)) * bound * decay
         if tail < _TAIL_REL * max(abs(partial), 1e-300) \
                 and t * n_max ** 2 >= power:
             quad_err = float(np.dot(weights, quad))
-            rounding = (n_max + 1) * _EPS \
-                * (float(np.dot(weights, size)) + abs(base))
+            rounding = (n_max + 1) * _EPS * float(np.dot(weights, size))
             return partial, tail + quad_err + rounding
         if n_max >= _SUM_CAP:
             raise TruncationError(
@@ -530,8 +531,8 @@ def intertwine_residual(phi: SingularProfile, rho: SingularProfile,
     With dual=True the exchanged identity
     d/dt beta_D(phi, rho) = -beta_R(A phi, A rho) is tested instead.
     The t-derivative is exact in the spectral basis: -d/dt beta of the
-    flow is the power-1 _spectral_sum, where the Robin zero mode drops
-    out with its eigenvalue 0.
+    flow is the power-1 _spectral_sum, where the Robin stationary mode
+    n = 0 drops out with its eigenvalue 0.
     """
     if phi.alpha >= -1.0 or rho.alpha >= -1.0:
         raise DomainError("intertwining identity needs alpha < -1")

@@ -11,10 +11,9 @@ import pytest
 from singularheat.coeff import BoundaryConditionKind
 from singularheat.errors import (DomainError, RangeError, TruncationError)
 from singularheat import heat1d
-from singularheat.heat1d import (_EPS, HeatContentSamples,
-                                 _exp_moment, _gammas, _grid_error,
+from singularheat.heat1d import (HeatContentSamples, _gammas, _grid_error,
                                  _grid_sums, _lattice_sums, _moment_tables,
-                                 _pair_terms, _robin_zero_norm, _table_nodes,
+                                 _pair_terms, _table_nodes,
                                  apply_A,
                                  circle_heat_content,
                                  halfline_heat_content, interval_heat_content,
@@ -22,7 +21,7 @@ from singularheat.heat1d import (_EPS, HeatContentSamples,
 from singularheat.profiles import (PlateauCutoff, Polynomial, Product,
                                    SingularProfile, constant,
                                    plateau_profile)
-from singularheat.quadrature import tanh_sinh
+from singularheat.quadrature import _EPS, tanh_sinh
 
 from handles import FromCallable, gauss_legendre
 
@@ -211,10 +210,10 @@ def test_fourier_moments_within_err_of_closed_form(alpha):
                                               mpmath.mpc(0, -n) * mpmath.pi))
                  for n in modes}
     for size in (64, 1024, 8192):
-        S, C, err = _moment_tables((profile,), size)[0]
+        S, C, err = _moment_tables((profile,), size, None)[0]
         for n in (n for n in modes if n <= size):
-            assert abs(S[n - 1] - exact[n].imag) <= err[n - 1], (size, n)
-            assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
+            assert abs(S[n] - exact[n].imag) <= err[n], (size, n)
+            assert abs(C[n] - exact[n].real) <= err[n], (size, n)
 
 
 @pytest.mark.parametrize("alpha", (0.95, 0.97))
@@ -223,7 +222,7 @@ def test_fourier_moments_bound_the_mass_below_the_head_grid(alpha):
     # below it, about x0^(1-alpha)/(1-alpha), reaches 7e-7 at alpha 0.97;
     # cos(nx) - 1 removes the singularity for the mpmath reference
     profile = SingularProfile(alpha, constant(), math.pi)
-    S, C, err = _moment_tables((profile,), 1024)[0]
+    S, C, err = _moment_tables((profile,), 1024, None)[0]
     with mpmath.workdps(30):
         a = mpmath.mpf(alpha)
         for n in (1, 2, 64):
@@ -231,8 +230,8 @@ def test_fourier_moments_bound_the_mass_below_the_head_grid(alpha):
             cos = mpmath.quad(lambda x: x ** -a * (mpmath.cos(n * x) - 1),
                               edges) + mpmath.pi ** (1 - a) / (1 - a)
             sin = mpmath.quad(lambda x: x ** -a * mpmath.sin(n * x), edges)
-            assert abs(C[n - 1] - cos) <= err[n - 1], n
-            assert abs(S[n - 1] - sin) <= err[n - 1], n
+            assert abs(C[n] - cos) <= err[n], n
+            assert abs(S[n] - sin) <= err[n], n
 
 
 def _check_plateau_moments(alpha, r, sizes, modes):
@@ -258,11 +257,11 @@ def _check_plateau_moments(alpha, r, sizes, modes):
     # a different node-dropping threshold)
     partner = plateau_profile(0.5, math.pi, r)
     for size in sizes:
-        for S, C, err in (_moment_tables((profile,), size)[0],
-                          _moment_tables((profile, partner), size)[0]):
+        for S, C, err in (_moment_tables((profile,), size, None)[0],
+                          _moment_tables((profile, partner), size, None)[0]):
             for n in (n for n in modes if n <= size):
-                assert abs(S[n - 1] - exact[n].imag) <= err[n - 1], (size, n)
-                assert abs(C[n - 1] - exact[n].real) <= err[n - 1], (size, n)
+                assert abs(S[n] - exact[n].imag) <= err[n], (size, n)
+                assert abs(C[n] - exact[n].real) <= err[n], (size, n)
 
 
 @pytest.mark.parametrize("alpha", (0.25, 0.9))
@@ -285,7 +284,7 @@ def test_fourier_moments_at_edge_geometry():
         _check_plateau_moments(0.25, r, sizes,
                                (1, 2, 63, 64, 65, 1000, 8191, 8192))
     with pytest.raises(DomainError):
-        _moment_tables((SingularProfile(0.25, constant(), 4.0),), 64)
+        _moment_tables((SingularProfile(0.25, constant(), 4.0),), 64, None)
 
 
 def _blocked_product(x, v, N, dtype=complex):
@@ -320,7 +319,8 @@ def test_lattice_fft_matches_direct_product(size):
     n = np.arange(1, size + 1)
     bound = _EPS * (math.log2(2 * size) + n * math.pi / size
                     + u.size + n * xl.max()) * np.sum(np.abs(u))
-    assert np.all(np.abs(_lattice_sums(u, cells, size) - direct) <= bound)
+    assert np.all(np.abs(_lattice_sums(u, cells, size)[1:] - direct)
+                  <= bound)
 
 
 def _check_gridding(x, v, size):
@@ -345,7 +345,8 @@ def test_gridding_on_seed7_nodes_within_bound(monkeypatch, size):
     # Robin pair
     passes = _record_passes(monkeypatch)
     _moment_tables((plateau_profile(0.19714982944994874, math.pi, 0.5),
-                    plateau_profile(0.2877122934811255, math.pi, 0.5)), size)
+                    plateau_profile(0.2877122934811255, math.pi, 0.5)), size,
+                   0.5)
     [(x, v, _)] = passes
     assert np.all(_check_gridding(x, v, size) <= 1e-12)
 
@@ -385,14 +386,22 @@ def test_fourier_moment_table_memory():
     assert peak <= 2e6
 
 
-@pytest.mark.parametrize("c", (0.5, 2.0))
+@pytest.mark.parametrize("c", (0.5, 2.0, -1.5))
 def test_robin_zero_mode_moment_within_err(c):
-    # int_0^pi e^{cx} dx = (e^{c pi} - 1)/c; two tanh-sinh levels agree
-    # bitwise here, so err is the rounding floor of the sum and of c x
-    value, err = _exp_moment(SingularProfile(0.0, constant(), math.pi), c)
+    # row 0 of the table is int psi_0 for constant data, psi_0 =
+    # z e^{cx - pi max(c, 0)} with z = sqrt(2|c|/(1 - e^{-2 pi |c|})), so
+    # z (1 - e^{-|c| pi})/|c|; the head and tail rules agree to rounding
+    # here, so err is mostly the rounding floor of the sums and of c x
+    a = abs(c)
     with mpmath.workdps(30):
-        exact = (mpmath.exp(c * mpmath.pi) - 1) / c
-        assert abs(value - exact) <= err
+        z = mpmath.sqrt(2 * a / (1 - mpmath.exp(-2 * a * mpmath.pi)))
+        exact = z * (1 - mpmath.exp(-a * mpmath.pi)) / a
+    for size in (64, 8192):
+        S, C, err = _moment_tables(
+            (SingularProfile(0.0, constant(), math.pi),), size, c)[0]
+        assert S[0] == 0.0
+        assert abs(C[0] - exact) <= err[0], size
+        assert err[0] <= 1e-11 * C[0], size
 
 
 def test_fourier_moment_table_work_is_linear():
@@ -406,7 +415,7 @@ def test_fourier_moment_table_work_is_linear():
 
     smooth = Product(PlateauCutoff(0.5), FromCallable(counted))
     profile = SingularProfile(0.25, smooth, math.pi, 0.5)
-    _moment_tables((profile,), 8192)
+    _moment_tables((profile,), 8192, 0.5)
     assert 0 < points[0] <= 50000
 
 
@@ -429,7 +438,7 @@ def test_fused_pass_matches_single_profile_passes(monkeypatch):
     passes = _record_passes(monkeypatch)
     phi = plateau_profile(0.25, math.pi, 0.5)
     rho = plateau_profile(0.9, math.pi, 0.5)
-    _moment_tables((phi, rho), 1024)
+    _moment_tables((phi, rho), 1024, None)
     [(x, v, sums)] = passes
     assert v.shape == (4, x.size)
     assert np.array_equal(sums[:2], _grid_sums(x, v[:2], 1024))
@@ -444,12 +453,12 @@ def test_pair_terms_on_different_pieces_match_per_profile_tables(
     size = 1024
     gg, mag, quad, bound = _pair_terms.__wrapped__(phi, rho, R, 0.5, size)
     assert [v.shape[0] for _, v, _ in passes] == [2, 2]
-    gp, ep = _gammas(_moment_tables((phi,), size)[0], R, 0.5)
-    gr, er = _gammas(_moment_tables((rho,), size)[0], R, 0.5)
+    gp, ep = _gammas(_moment_tables((phi,), size, 0.5)[0], R, 0.5)
+    gr, er = _gammas(_moment_tables((rho,), size, 0.5)[0], R, 0.5)
     assert np.array_equal(gg, gp * gr)
     assert np.array_equal(mag, np.abs(gp * gr))
-    assert np.array_equal(quad, np.abs(gp) * er + np.abs(gr) * ep)
-    assert bound == 2.0 * float(np.max(np.abs(gp * gr)[size // 2:]))
+    assert np.array_equal(quad, np.abs(gp) * er + np.abs(gr) * ep + ep * er)
+    assert bound == 2.0 * float(np.max(np.abs(gp * gr)[size // 2 + 1:]))
 
 
 def test_self_pair_uses_two_rows(monkeypatch):
@@ -486,7 +495,7 @@ def test_dropped_direct_nodes_are_bounded_and_counted(monkeypatch, size):
     passes = _record_passes(monkeypatch)
     profiles = (plateau_profile(0.25, math.pi, 0.5),
                 plateau_profile(0.9, math.pi, 0.5))
-    tables = _moment_tables(profiles, size)
+    tables = _moment_tables(profiles, size, None)
     [(kept, v_kept, _)] = passes
     (x, w, w_coarse), _ = _table_nodes(profiles[0], size)
     rows = []
@@ -504,7 +513,7 @@ def test_dropped_direct_nodes_are_bounded_and_counted(monkeypatch, size):
     for k, (_, _, err) in enumerate(tables):
         mass = np.sum(gone[:, 1 + 2 * k:3 + 2 * k], axis=0)
         assert np.all(mass <= _EPS * np.sum(np.abs(rows[2 * k]))), mass
-        assert np.all(err >= np.sum(mass))
+        assert np.all(err[1:] >= np.sum(mass))
 
 
 def test_interval_truncation_error_at_tiny_t():
@@ -517,15 +526,13 @@ def test_interval_truncation_error_at_tiny_t():
 # interval modes
 
 def _parseval_defect(f, bc, c, n_max):
-    """(|zero-mode part + sum gamma_n^2 - ||f||^2|, zero-mode part, ||f||^2)
-    for f on [0, pi], from the moments the spectral sum uses."""
+    """(|sum_{n>=0} gamma_n^2 - ||f||^2|, gamma_0^2, ||f||^2) for f on
+    [0, pi], from the moments the spectral sum uses."""
     profile = SingularProfile(0.0, FromCallable(f), L=math.pi)
-    g, _ = _gammas(_moment_tables((profile,), n_max)[0], bc, c)
-    zero = 0.0
-    if bc is R:
-        zero = (_robin_zero_norm(c) * _exp_moment(profile, c)[0]) ** 2
+    zero = None if bc is D else c
+    g, _ = _gammas(_moment_tables((profile,), n_max, zero)[0], bc, c)
     norm2 = gauss_legendre(lambda x: f(x) ** 2, 0.0, math.pi, n=400)
-    return abs(zero + float(np.dot(g, g)) - norm2), zero, norm2
+    return abs(float(np.dot(g, g)) - norm2), g[0] ** 2, norm2
 
 
 def test_interval_modes_satisfy_parseval():
@@ -687,8 +694,8 @@ def test_dual_zero_mode_of_a_phi_vanishes():
     # vanishes at both ends, so A phi has no Robin zero mode
     c = 0.5
     a_phi = apply_A(_polynomial_profile(), c, adjoint=False)
-    value, err = _exp_moment(a_phi, c)
-    assert abs(value) <= err
+    _, C, err = _moment_tables((a_phi,), 64, c)[0]
+    assert abs(C[0]) <= err[0]
 
 
 def test_intertwine_guards():
