@@ -17,13 +17,15 @@ with the rows of phi and rho side by side and the nodes that carry no
 weight dropped; the gridding error (Gaussian truncation, aliasing and
 rounding) is bounded in err, and so is the mass below the head grid's
 smallest node.  The Robin stationary mode is row n = 0 of the same
-table, summed directly on the same nodes, and the spectral sum runs over
-n = 0..N with lambda_0 = 0.  Only the spectral-sum terms of each
-(phi, rho, bc, c, N) are cached, not the moments.  apply_A /
-intertwine_residual realize the first-order operators A = d/dx + c and
-A* = -d/dx + c that exchange the Dirichlet and Robin flows, giving a
-simulator-level consistency check on both realizations: the spectral
-sum weighted by lambda_n is the exact t-derivative of the heat content.
+table, summed directly on the same nodes by numpy reductions, which call
+no BLAS routine and so round alike under any thread count, and the
+spectral sum runs over n = 0..N with lambda_0 = 0.  Only the
+spectral-sum terms of each (phi, rho, bc, c, N) are cached, not the
+moments.  apply_A / intertwine_residual realize the first-order
+operators A = d/dx + c and A* = -d/dx + c that exchange the Dirichlet
+and Robin flows, giving a simulator-level consistency check on both
+realizations: the spectral sum weighted by lambda_n is the exact
+t-derivative of the heat content.
 """
 
 from __future__ import annotations
@@ -344,7 +346,9 @@ def _moment_tables(profiles: tuple, N: int, c: float | None) -> list:
     lattice cells are summed by _lattice_sums, eight real FFTs of length
     2N per profile; the direct nodes (head and tail grids and cut cells)
     by _direct_sums, one gridding pass for all profiles; C_0, in place of
-    the lattice's n = 0 term, by dot products over the same nodes.
+    the lattice's n = 0 term, by numpy reductions over the same nodes
+    (np.sum, not a BLAS dot, whose rounding depends on the thread count
+    once it has more than about 10,000 terms).
     err_n, a conservative estimate of |S_n - exact| and |C_n - exact|
     that the tests check as a bound, is the head and tail coarse-rule
     difference, plus the mass sum_dropped |v| of both rows on the dropped
@@ -373,10 +377,10 @@ def _moment_tables(profiles: tuple, N: int, c: float | None) -> list:
             # psi_0 > 0 at every node; its arrays are freed before the
             # lattice FFTs, where the memory peaks
             mode, mode_l = _robin_zero_mode(c, x), _robin_zero_mode(c, xl)
-            zero = np.dot(w * f, mode) + np.vdot(u, mode_l)
-            mass = np.dot(np.abs(w * f), mode) + np.vdot(np.abs(u), mode_l)
+            zero = np.sum(w * f * mode) + np.sum(u * mode_l)
+            mass = np.sum(np.abs(w * f) * mode) + np.sum(np.abs(u) * mode_l)
             floor = 0.5 * _EPS * (x.size + u.size + 4 * math.pi * abs(c) + 11)
-            zero_err = abs(np.dot((w - w_coarse) * f, mode)) + floor * mass \
+            zero_err = abs(np.sum((w - w_coarse) * f * mode)) + floor * mass \
                 + head * _robin_zero_mode(c, 0.0)
             del mode, mode_l
         mom = _lattice_sums(u, cells, N)
@@ -466,9 +470,18 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     power 0 or 1.
 
     Power 1 is -d/dt of the power-0 sum; the stationary mode n = 0 drops
-    out of it exactly.  N doubles from 64, each N with its own cached
-    _pair_terms, until the tail bound drops below 1e-13 of the partial
-    sum; err is the tail bound plus the propagated moment error plus the
+    out of it exactly.  N starts at the smallest power of two >= 64 with
+    t (N^2 + c^2) >= 16, at most _SUM_CAP, and doubles, each N with its
+    own cached _pair_terms, until the tail bound drops below 1e-13 of
+    the partial sum.  The table of a smaller N would only be thrown
+    away: with e^{-t (N^2 + c^2)} > e^{-16} and the factors below at
+    least 1, such an N stops only if 2 max |gamma gamma| over its modes
+    n > N/2 is below 8.9e-7 of the partial sum, and singular data, whose
+    gamma_n gamma_n fall off only as a power of n, stay above that there
+    (the seed-7 benchmark grids stop at t N^2 >= 21.9).  Data whose high
+    modes vanish, such as Neumann against rho = 1, can stop earlier; for
+    them the sum takes more modes and beta moves at rounding level.
+    err is the tail bound plus the propagated moment error plus the
     rounding of the N + 1 terms, all under the weights
     lambda_n^power e^{-t lambda_n}.  With B the uniform |gamma gamma|
     bound, the tail is B e^{-t c^2} times
@@ -482,6 +495,8 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     with err inf.
     """
     n_max = 64
+    while t * (n_max * n_max + c * c) < 16.0 and n_max < _SUM_CAP:
+        n_max = min(2 * n_max, _SUM_CAP)
     while True:
         gg, size, quad, bound = _pair_terms(phi, rho, bc, c, n_max)
         n = np.arange(n_max + 1, dtype=float)

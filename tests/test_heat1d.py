@@ -471,21 +471,33 @@ def test_self_pair_uses_two_rows(monkeypatch):
 
 def test_spectral_sums_build_each_pair_table_once(monkeypatch):
     passes = _record_passes(monkeypatch)
-    # the benchmark's seed-7 Robin grid: one fused pass per size 64..8192
-    phi = plateau_profile(0.19714982944994874, math.pi, 0.5)
-    rho = plateau_profile(0.2877122934811255, math.pi, 0.5)
+    # the benchmark's seed-7 Robin grid: a sum starts at the first size
+    # with t (N^2 + c^2) >= 16, so the sizes are 512 (t = 1e-4) ..8192,
+    # each once
+    a1, a2 = 0.19714982944994874, 0.2877122934811255
+    phi = plateau_profile(a1, math.pi, 0.5)
+    rho = plateau_profile(a2, math.pi, 0.5)
     _pair_terms.cache_clear()
     for t in np.geomspace(1e-6, 1e-4, 40):
         interval_heat_content(phi, rho, R, 0.5, float(t))
-    assert [s.shape for _, _, s in passes] \
-        == [(4, 64 << k) for k in range(8)]
+    assert sorted(s.shape for _, _, s in passes) \
+        == [(4, 512 << k) for k in range(5)]
     # the Dirichlet sweep of constant data: each size 64..512 once
     del passes[:]
     one = SingularProfile(0.0, constant(), math.pi)
     for t in np.geomspace(1e-4, 1e-1, 2000):
         interval_heat_content(one, one, D, 0.0, float(t))
-    assert [s.shape for _, _, s in passes] \
+    assert sorted(s.shape for _, _, s in passes) \
         == [(2, 64 << k) for k in range(4)]
+    # the benchmark's seed-7 half-line: per boundary condition one table
+    # at t = 1e-6 and two at t = 5e-4
+    for bc in (D, N):
+        del passes[:]
+        _pair_terms.cache_clear()
+        for t in (1e-6, 5e-4):
+            halfline_heat_content(plateau_profile(a1, 0.5, 0.5),
+                                  plateau_profile(a2, 0.5, 0.5), bc, t)
+        assert len(passes) == 3, bc
 
 
 @pytest.mark.parametrize("size", (64, 8192))
