@@ -45,7 +45,8 @@ class Frozen:
 
     __init__ validates its arguments and hands them to _freeze, which
     stores them and takes the hash once; the simulator's caches
-    (heat1d._pair_terms) look these values up by hash.
+    (heat1d._pair_terms, and the table it holds per pair of profiles)
+    look these values up by hash.
     """
 
     def _freeze(self, **fields) -> None:

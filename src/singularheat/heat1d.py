@@ -19,9 +19,11 @@ rounding) is bounded in err, and so is the mass below the head grid's
 smallest node.  The Robin stationary mode is row n = 0 of the same
 table, summed directly on the same nodes by numpy reductions, which call
 no BLAS routine and so round alike under any thread count, and the
-spectral sum runs over n = 0..N with lambda_0 = 0.  Only the
-spectral-sum terms of each (phi, rho, bc, c, N) are cached, not the
-moments.  apply_A / intertwine_residual realize the first-order
+spectral sum runs over n = 0..N with lambda_0 = 0.  It starts at the
+first N where e^{-t lambda_N} alone meets its tail target.  Only the
+spectral-sum terms are cached, not the moments: each (phi, rho, bc, c)
+holds those of the largest N built so far, and every smaller N sums a
+slice of them.  apply_A / intertwine_residual realize the first-order
 operators A = d/dx + c and A* = -d/dx + c that exchange the Dirichlet
 and Robin flows, giving a simulator-level consistency check on both
 realizations: the spectral sum weighted by lambda_n is the exact
@@ -39,10 +41,12 @@ from .coeff import BoundaryConditionKind
 from .errors import DomainError, RangeError, TruncationError
 from .profiles import (IntertwinedFactor, PlateauCutoff, SingularProfile,
                        plateau_profile)
-from .quadrature import _EPS, gauss_rule, tanh_sinh_nodes
+from .quadrature import _EPS, GAUSS8, tanh_sinh_nodes
 
 _SUM_CAP = 20000
 _TAIL_REL = 1e-13
+#: t lambda_N at which e^{-t lambda_N} alone meets the tail target
+_TAIL_EXP = math.log(1.0 / _TAIL_REL)
 
 
 def _robin_zero_mode(c: float, x):
@@ -137,7 +141,6 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
 # ---------------------------------------------------------------------------
 # interval [0, pi]: spectral sums with cached Fourier moments
 
-_PANEL_NODES = 8       # Gauss nodes per lattice cell of width pi / N
 _HEAD_PERIODS = 10.0   # head and tail cover 10 / N
 _SPREAD = 14           # a gridded node spreads to 2 * 14 grid points
 _SPREAD_CHUNK = 64     # nodes per bincount of the spread
@@ -165,7 +168,7 @@ def _table_nodes(profile: SingularProfile, N: int):
         raise DomainError("interval data must vanish beyond pi")
     reach = _HEAD_PERIODS / N
     h = math.pi / N
-    gx, gw = gauss_rule(_PANEL_NODES)
+    gx, gw = GAUSS8
     parts, cut, whole = [], [], np.zeros(N, bool)
     for a, b in pieces:
         if a == 0.0:
@@ -277,23 +280,27 @@ def _grid_error(x, v, N: int):
         + 3.0 * u * np.outer(np.sum(size * x, axis=1), n)
 
 
-def _lattice_sums(u, cells, N: int):
-    """sum_ji u_ji e^{i n xl_ji} for n = 0..N on the lattice of _table_nodes.
+def _lattice_sums(us: list, cells, N: int):
+    """sum_ji u_ji e^{i n xl_ji} for n = 0..N on the lattice of _table_nodes,
+    one row per array u in us (one per profile).
 
     For each Gauss offset g_j the sum over cells k is
     e^{i n h (1 + g_j)/2} sum_k u_jk e^{i pi n k / N}, the conjugate of one
     length-2N real FFT of row j times the offset phase (Press et al.,
-    Numerical Recipes, 3rd ed., sec. 13.9).  The FFT reduces n k mod 2N
-    exactly, so only the offset phase rounds with n.
+    Numerical Recipes, 3rd ed., sec. 13.9), which is computed once for
+    all profiles.  The FFT reduces n k mod 2N exactly, so only the offset
+    phase rounds with n.
     """
     h = math.pi / N
     n = np.arange(N + 1)
     row = np.zeros(2 * N)
-    total = np.zeros(N + 1, complex)
-    for g, uj in zip(gauss_rule(_PANEL_NODES)[0], u):
-        row[cells] = uj
-        total += np.exp(0.5j * h * (1.0 + g) * n) * np.fft.rfft(row).conj()
-    return total
+    totals = np.zeros((len(us), N + 1), complex)
+    for j, g in enumerate(GAUSS8[0]):
+        phase = np.exp(0.5j * h * (1.0 + g) * n)
+        for u, total in zip(us, totals):
+            row[cells] = u[j]
+            total += phase * np.fft.rfft(row).conj()
+    return totals
 
 
 def _direct_sums(values: list, x, w, w_coarse, N: int):
@@ -344,8 +351,9 @@ def _moment_tables(profiles: tuple, N: int, c: float | None) -> list:
 
     The profiles share one pieces(), hence one node set.  The whole
     lattice cells are summed by _lattice_sums, eight real FFTs of length
-    2N per profile; the direct nodes (head and tail grids and cut cells)
-    by _direct_sums, one gridding pass for all profiles; C_0, in place of
+    2N per profile and eight offset phases for all of them; the direct
+    nodes (head and tail grids and cut cells) by _direct_sums, one
+    gridding pass for all profiles; C_0, in place of
     the lattice's n = 0 term, by numpy reductions over the same nodes
     (np.sum, not a BLAS dot, whose rounding depends on the thread count
     once it has more than about 10,000 terms).
@@ -367,23 +375,21 @@ def _moment_tables(profiles: tuple, N: int, c: float | None) -> list:
     (x, w, w_coarse), (cells, xl, wl) = _table_nodes(profiles[0], N)
     values = [profile(x) for profile in profiles]
     sums, direct_err = _direct_sums(values, x, w, w_coarse, N)
+    us = [profile(xl) * wl for profile in profiles]
+    moms = _lattice_sums(us, cells, N)
     n = np.arange(1, N + 1, dtype=float)
     tables = []
-    for k, (profile, f) in enumerate(zip(profiles, values)):
-        u = profile(xl) * wl
+    for k, (profile, f, u, mom) in enumerate(zip(profiles, values, us, moms)):
         head = _head_mass(profile, x)
         zero = zero_err = 0.0
         if c is not None:
-            # psi_0 > 0 at every node; its arrays are freed before the
-            # lattice FFTs, where the memory peaks
+            # psi_0 > 0 at every node
             mode, mode_l = _robin_zero_mode(c, x), _robin_zero_mode(c, xl)
             zero = np.sum(w * f * mode) + np.sum(u * mode_l)
             mass = np.sum(np.abs(w * f) * mode) + np.sum(np.abs(u) * mode_l)
             floor = 0.5 * _EPS * (x.size + u.size + 4 * math.pi * abs(c) + 11)
             zero_err = abs(np.sum((w - w_coarse) * f * mode)) + floor * mass \
                 + head * _robin_zero_mode(c, 0.0)
-            del mode, mode_l
-        mom = _lattice_sums(u, cells, N)
         mom[1:] += sums[k]
         rounding = _EPS * (math.log2(2 * N) + n * math.pi / N) \
             * float(np.sum(np.abs(u)))
@@ -410,10 +416,10 @@ def _gammas(table: tuple, bc: BoundaryConditionKind, c: float):
     return gamma, gamma_err
 
 
-@lru_cache(maxsize=32)
-def _pair_terms(phi: SingularProfile, rho: SingularProfile,
+def _pair_table(phi: SingularProfile, rho: SingularProfile,
                 bc: BoundaryConditionKind, c: float, N: int) -> tuple:
-    """(gp gr, |gp gr|, |gp| er + |gr| ep + ep er, tail bound), n = 0..N.
+    """(gp gr, |gp gr|, |gp| er + |gr| ep + ep er, tail bound), n = 0..N,
+    from moment tables built for N.
 
     gp, ep are the (gamma_n, err_n) of phi and gr, er those of rho, so
     the third term bounds |gp gr - exact| for every n; the tail bound is
@@ -437,6 +443,34 @@ def _pair_terms(phi: SingularProfile, rho: SingularProfile,
     for a in terms[:3]:
         a.setflags(write=False)  # shared by every caller of the cache
     return terms
+
+
+#: one slot per pair (phi, rho, bc, c), bounded like the _pair_terms
+#: cache: [the _pair_table of the largest N built so far], or [None]
+_held = lru_cache(maxsize=32)(lambda phi, rho, bc, c: [None])
+
+
+@lru_cache(maxsize=32)
+def _pair_terms(phi: SingularProfile, rho: SingularProfile,
+                bc: BoundaryConditionKind, c: float, N: int) -> tuple:
+    """_pair_table(phi, rho, bc, c, N), as read-only views of rows 0..N
+    of the pair's held table, with the tail bound taken on that slice.
+
+    A new table is built only when the held one has fewer than N modes,
+    and it replaces the held one.  The error terms of a table bound each
+    of its rows n whatever size it was built for, so a slice is as sound
+    as a table built for N; their rows differ in the last bits, by at
+    most the sum of their quad terms.  So the last bits of beta depend
+    on the largest table of the pair built before, and err bounds the
+    difference: in a simulate run, whose grid ascends, that is the table
+    of the run's smallest t.  Two threads may build a pair's table twice,
+    or keep the smaller one; either is sound.
+    """
+    slot = _held(phi, rho, bc, c)
+    if slot[0] is None or slot[0][0].size <= N:
+        slot[0] = _pair_table(phi, rho, bc, c, N)
+    gg, size, quad = (a[:N + 1] for a in slot[0][:3])
+    return gg, size, quad, 2.0 * float(np.max(size[N // 2 + 1:]))
 
 
 def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
@@ -471,16 +505,15 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
 
     Power 1 is -d/dt of the power-0 sum; the stationary mode n = 0 drops
     out of it exactly.  N starts at the smallest power of two >= 64 with
-    t (N^2 + c^2) >= 16, at most _SUM_CAP, and doubles, each N with its
-    own cached _pair_terms, until the tail bound drops below 1e-13 of
-    the partial sum.  The table of a smaller N would only be thrown
-    away: with e^{-t (N^2 + c^2)} > e^{-16} and the factors below at
-    least 1, such an N stops only if 2 max |gamma gamma| over its modes
-    n > N/2 is below 8.9e-7 of the partial sum, and singular data, whose
-    gamma_n gamma_n fall off only as a power of n, stay above that there
-    (the seed-7 benchmark grids stop at t N^2 >= 21.9).  Data whose high
-    modes vanish, such as Neumann against rho = 1, can stop earlier; for
-    them the sum takes more modes and beta moves at rounding level.
+    t (N^2 + c^2) >= ln(1/_TAIL_REL), about 29.9, at most _SUM_CAP, and
+    doubles, each N with its own cached _pair_terms, until the tail
+    bound drops below 1e-13 of the partial sum.  At the start
+    e^{-t (N^2 + c^2)} alone meets 1e-13, so the sum stops there whenever
+    the bound times its decay factor is at most the partial sum.  Every
+    smaller N is a slice of the pair's held table, so starting above the
+    first size that could stop builds no extra table; it only sums up to
+    twice the modes, at O(N) flops.  A simulate grid ascends, so its
+    smallest t builds the one table that its other samples slice.
     err is the tail bound plus the propagated moment error plus the
     rounding of the N + 1 terms, all under the weights
     lambda_n^power e^{-t lambda_n}.  With B the uniform |gamma gamma|
@@ -495,7 +528,7 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     with err inf.
     """
     n_max = 64
-    while t * (n_max * n_max + c * c) < 16.0 and n_max < _SUM_CAP:
+    while t * (n_max * n_max + c * c) < _TAIL_EXP and n_max < _SUM_CAP:
         n_max = min(2 * n_max, _SUM_CAP)
     while True:
         gg, size, quad, bound = _pair_terms(phi, rho, bc, c, n_max)

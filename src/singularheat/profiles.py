@@ -35,11 +35,26 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .coeff import Frozen
 from .errors import DomainError, RangeError
 from .quadrature import segments
+
+
+def _poly(x, c, k: int):
+    """The k-th derivative at x of sum_j c_j x^j, as numpy computes it:
+    polyder's k passes c_{j-1} = j c_j (c[:1] * 0 when k >= len(c)), then
+    polyval's Horner rule from c[-1] + x * 0."""
+    c = np.array(c, float)
+    if k >= c.size:
+        c = c[:1] * 0
+    else:
+        for _ in range(k):
+            c = c[1:] * np.arange(1, c.size)
+    y = c[-1] + x * 0
+    for a in c[-2::-1]:
+        y = a + y * x
+    return y
 
 
 class SmoothFunction(Frozen):
@@ -77,7 +92,7 @@ class Polynomial(SmoothFunction):
 
     def derivatives(self, x, order: int) -> list:
         x = np.asarray(x, float)
-        return [polyval(x, polyder(self.coeffs, k)) for k in range(order + 1)]
+        return [_poly(x, self.coeffs, k) for k in range(order + 1)]
 
     def taylor_degree(self) -> int:
         return len(self.coeffs) - 1
@@ -87,9 +102,8 @@ def constant() -> Polynomial:
     return Polynomial((1.0,))
 
 
-#: k-th u-derivative of the smoothstep ramp 1 - 10u^3 + 15u^4 - 6u^5, k <= 5
-_RAMP_DERIVS = tuple(polyder((1.0, 0.0, 0.0, -10.0, 15.0, -6.0), k)
-                     for k in range(6))
+#: the smoothstep ramp 1 - 10u^3 + 15u^4 - 6u^5, ascending coefficients
+_RAMP = (1.0, 0.0, 0.0, -10.0, 15.0, -6.0)
 
 
 class PlateauCutoff(SmoothFunction):
@@ -126,7 +140,7 @@ class PlateauCutoff(SmoothFunction):
                 except OverflowError:
                     scale = math.inf
                 with np.errstate(over="ignore", invalid="ignore"):
-                    d[inside] = scale * polyval(v, _RAMP_DERIVS[k])
+                    d[inside] = scale * _poly(v, _RAMP, k)
                 if not np.isfinite(d).all():
                     raise RangeError(f"cutoff derivative of order {k} "
                                      f"overflows at radius {self.r0!r}")

@@ -126,13 +126,17 @@ def tanh_sinh(f, a: float, b: float):
     return value, diff + _EPS * x.size * mass
 
 
-@lru_cache(maxsize=16)
-def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+#: the 8-point Gauss-Legendre rule on [-1, 1], rows nodes and weights,
+#: read-only: numpy's leggauss(8) bit for bit, written out so that no
+#: import of the package loads numpy.polynomial
+GAUSS8 = np.array([
+    [-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+     0.7966664774136267, 0.9602898564975362],
+    [0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+     0.22238103445337443, 0.10122853629037706]])
+GAUSS8.setflags(write=False)
 
 
 def segments(lo: float, hi: float, cuts) -> list:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from singularheat.errors import RangeError
 from singularheat.profiles import IntertwinedFactor, SmoothFunction
-from singularheat.quadrature import gauss_rule
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,6 @@ def d_step(s: SmoothFunction, a: float, c: float) -> IntertwinedFactor:
 
 def gauss_legendre(f, a: float, b: float, n: int) -> float:
     """n-point Gauss-Legendre panel on [a, b] for a smooth integrand f."""
-    nodes, weights = gauss_rule(n)
+    nodes, weights = leggauss(n)
     half = 0.5 * (b - a)
     return half * float(np.dot(f(half * nodes + 0.5 * (a + b)), weights))

@@ -13,7 +13,7 @@ from singularheat.errors import (DomainError, RangeError, TruncationError)
 from singularheat import heat1d
 from singularheat.heat1d import (HeatContentSamples, _gammas, _grid_error,
                                  _grid_sums, _lattice_sums, _moment_tables,
-                                 _pair_terms, _table_nodes,
+                                 _pair_table, _pair_terms, _table_nodes,
                                  apply_A,
                                  circle_heat_content,
                                  halfline_heat_content, interval_heat_content,
@@ -319,7 +319,7 @@ def test_lattice_fft_matches_direct_product(size):
     n = np.arange(1, size + 1)
     bound = _EPS * (math.log2(2 * size) + n * math.pi / size
                     + u.size + n * xl.max()) * np.sum(np.abs(u))
-    assert np.all(np.abs(_lattice_sums(u, cells, size)[1:] - direct)
+    assert np.all(np.abs(_lattice_sums([u], cells, size)[0][1:] - direct)
                   <= bound)
 
 
@@ -376,10 +376,10 @@ def test_fourier_moment_table_memory():
     # (2N, 8) complex transform would take about 6.7 MB per profile)
     phi = plateau_profile(0.25, math.pi, 0.5)
     rho = plateau_profile(0.4, math.pi, 0.5)
-    _pair_terms.__wrapped__(phi, rho, R, 0.5, 64)
+    _pair_table(phi, rho, R, 0.5, 64)
     tracemalloc.start()
     try:
-        _pair_terms.__wrapped__(phi, rho, R, 0.5, 8192)
+        _pair_table(phi, rho, R, 0.5, 8192)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -451,7 +451,7 @@ def test_pair_terms_on_different_pieces_match_per_profile_tables(
     phi = plateau_profile(0.25, math.pi, 0.5)
     rho = plateau_profile(0.4, math.pi, 1.0)
     size = 1024
-    gg, mag, quad, bound = _pair_terms.__wrapped__(phi, rho, R, 0.5, size)
+    gg, mag, quad, bound = _pair_table(phi, rho, R, 0.5, size)
     assert [v.shape[0] for _, v, _ in passes] == [2, 2]
     gp, ep = _gammas(_moment_tables((phi,), size, 0.5)[0], R, 0.5)
     gr, er = _gammas(_moment_tables((rho,), size, 0.5)[0], R, 0.5)
@@ -464,40 +464,80 @@ def test_pair_terms_on_different_pieces_match_per_profile_tables(
 def test_self_pair_uses_two_rows(monkeypatch):
     passes = _record_passes(monkeypatch)
     # equal profiles built apart are one profile
-    _pair_terms.__wrapped__(plateau_profile(0.25, math.pi, 0.5),
-                            plateau_profile(0.25, math.pi, 0.5), D, 0.0, 256)
+    _pair_table(plateau_profile(0.25, math.pi, 0.5),
+                plateau_profile(0.25, math.pi, 0.5), D, 0.0, 256)
     assert [v.shape[0] for _, v, _ in passes] == [2]
+
+
+def _clear_terms():
+    """Forget every pair's spectral-sum terms: the per-N cache and the
+    held tables it slices."""
+    _pair_terms.cache_clear()
+    heat1d._held.cache_clear()
+
+
+#: the benchmark's seed-7 exponents
+A1, A2 = 0.19714982944994874, 0.2877122934811255
 
 
 def test_spectral_sums_build_each_pair_table_once(monkeypatch):
     passes = _record_passes(monkeypatch)
-    # the benchmark's seed-7 Robin grid: a sum starts at the first size
-    # with t (N^2 + c^2) >= 16, so the sizes are 512 (t = 1e-4) ..8192,
-    # each once
-    a1, a2 = 0.19714982944994874, 0.2877122934811255
-    phi = plateau_profile(a1, math.pi, 0.5)
-    rho = plateau_profile(a2, math.pi, 0.5)
-    _pair_terms.cache_clear()
+    # the benchmark's seed-7 Robin grid: its smallest t = 1e-6 starts at
+    # the first size with t (N^2 + c^2) >= ln(1e13), 8192, and every
+    # later sample sums a slice of that one table
+    phi = plateau_profile(A1, math.pi, 0.5)
+    rho = plateau_profile(A2, math.pi, 0.5)
+    _clear_terms()
     for t in np.geomspace(1e-6, 1e-4, 40):
         interval_heat_content(phi, rho, R, 0.5, float(t))
-    assert sorted(s.shape for _, _, s in passes) \
-        == [(4, 512 << k) for k in range(5)]
-    # the Dirichlet sweep of constant data: each size 64..512 once
+    assert [s.shape for _, _, s in passes] == [(4, 8192)]
+    # the Dirichlet sweep of constant data: one table, at t = 1e-4
     del passes[:]
     one = SingularProfile(0.0, constant(), math.pi)
     for t in np.geomspace(1e-4, 1e-1, 2000):
         interval_heat_content(one, one, D, 0.0, float(t))
-    assert sorted(s.shape for _, _, s in passes) \
-        == [(2, 64 << k) for k in range(4)]
-    # the benchmark's seed-7 half-line: per boundary condition one table
-    # at t = 1e-6 and two at t = 5e-4
+    assert [s.shape for _, _, s in passes] == [(2, 1024)]
+    # the benchmark's seed-7 half-line: one table per decade of t, so per
+    # boundary condition one at t = 1e-6 and one at t = 5e-4
     for bc in (D, N):
         del passes[:]
-        _pair_terms.cache_clear()
+        _clear_terms()
         for t in (1e-6, 5e-4):
-            halfline_heat_content(plateau_profile(a1, 0.5, 0.5),
-                                  plateau_profile(a2, 0.5, 0.5), bc, t)
-        assert len(passes) == 3, bc
+            halfline_heat_content(plateau_profile(A1, 0.5, 0.5),
+                                  plateau_profile(A2, 0.5, 0.5), bc, t)
+        assert len(passes) == 2, bc
+
+
+def test_slices_of_the_held_table_are_sound():
+    # rows 0..N of the seed-7 pair's 8192-mode terms differ from the
+    # terms built for N by at most the sum of their propagated errors
+    phi = plateau_profile(A1, math.pi, 0.5)
+    rho = plateau_profile(A2, math.pi, 0.5)
+    gg, _, quad, _ = _pair_table(phi, rho, R, 0.5, 8192)
+    for size in (512, 2048, 4096):
+        gg_n, _, quad_n, _ = _pair_table(phi, rho, R, 0.5, size)
+        assert np.all(np.abs(gg[:size + 1] - gg_n)
+                      <= quad[:size + 1] + quad_n), size
+    # so beta depends on the run's history only within err: each sample
+    # of the 40-sample grid, which slices the table of t = 1e-6, against
+    # the same t summed alone
+    grid = np.geomspace(1e-6, 1e-4, 40)
+    _clear_terms()
+    run = [interval_heat_content(phi, rho, R, 0.5, float(t)) for t in grid]
+    for t, (beta, err) in zip(grid, run):
+        _clear_terms()
+        alone, alone_err = interval_heat_content(phi, rho, R, 0.5, float(t))
+        assert abs(beta - alone) <= err + alone_err, t
+
+
+def test_held_tables_are_bounded():
+    # the holder keeps the tables of the 32 most recently used pairs
+    _clear_terms()
+    rho = plateau_profile(0.25, math.pi, 0.5)
+    for k in range(40):
+        interval_heat_content(plateau_profile(0.01 * k, math.pi, 0.5), rho,
+                              D, 0.0, 0.1)
+    assert heat1d._held.cache_info().currsize == 32
 
 
 @pytest.mark.parametrize("size", (64, 8192))

@@ -8,7 +8,8 @@ fresh interpreter imports them, or runs the commands built on them alone,
 and lists what came with them.  Each command is a fresh process that
 pays for every import, so the package defines no dataclasses: the
 closed-form commands load neither dataclasses nor inspect (which
-dataclasses imports), and the simulator loads no dataclasses.
+dataclasses imports), and the simulator loads neither dataclasses nor
+numpy.polynomial.
 """
 
 import json
@@ -83,3 +84,7 @@ def test_simulator_builds_no_dataclasses(tmp_path):
     assert codes.split() == ["0"]
     assert "singularheat.heat1d" in modules.split()
     assert "dataclasses" not in modules.split()
+    # numpy.polynomial costs milliseconds to import; the 8-point Gauss
+    # rule is written out and the polynomials are evaluated by hand
+    assert not [m for m in modules.split()
+                if m.startswith("numpy.polynomial")]

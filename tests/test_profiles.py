@@ -6,11 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from singularheat.coeff import ExponentPair
 from singularheat.errors import DomainError, RangeError
-from singularheat.profiles import (_RAMP_DERIVS, IntertwinedFactor,
+from singularheat.profiles import (_RAMP, IntertwinedFactor,
                                    PlateauCutoff, Polynomial, Product,
                                    SingularProfile, SmoothFunction, constant,
                                    plateau_profile)
@@ -53,6 +53,23 @@ def test_polynomial_eval_and_deriv():
         assert i_reg(0.5, p, 1.7, collar) == pytest.approx(exact, rel=1e-14)
 
 
+def test_polynomial_matches_numpy_bitwise():
+    # the hand-written polyder/polyval keep numpy's operation order, also
+    # past the degree, for integer coefficients and for a 0-d argument
+    x = np.array([0.0, 0.3, 1.7, 12.5])
+    for coeffs in ((1.0, -2.0, 0.5, 3.0), (3, -7, 2), (-0.25,), (1e300, 3.0)):
+        for order in range(len(coeffs) + 2):
+            got = Polynomial(coeffs).derivatives(x, order)
+            for k, g in enumerate(got):
+                want = polyval(x, polyder(coeffs, k))
+                assert g.tobytes() == want.tobytes(), (coeffs, k)
+    got = Polynomial((1.0, -2.0, 0.5)).derivatives(0.7, 1)
+    want = [polyval(np.asarray(0.7), polyder((1.0, -2.0, 0.5), k))
+            for k in range(2)]
+    assert [type(g) for g in got] == [type(w) for w in want]
+    assert got == want
+
+
 def test_plateau_cutoff_shape():
     cut = PlateauCutoff(0.8)
     assert cut.breakpoints == (0.4, 0.8)
@@ -78,8 +95,9 @@ def test_plateau_cutoff_shape():
 
 def _cutoff_everywhere(r0, x, order):
     """PlateauCutoff.derivatives with the smoothstep evaluated at every
-    point, on the ramp coordinate clipped to [0, 1]: the reference for
-    the ramp-only evaluation."""
+    point, on the ramp coordinate clipped to [0, 1], and its derivatives
+    by numpy's polyder and polyval: the reference for the ramp-only
+    evaluation."""
     u = (np.asarray(x, float) - 0.5 * r0) / (0.5 * r0)
     v = np.minimum(np.maximum(u, 0.0), 1.0)
     out = [1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)]
@@ -87,7 +105,7 @@ def _cutoff_everywhere(r0, x, order):
     for k in range(1, order + 1):
         d = np.zeros_like(u)
         if k <= 5:
-            d[inside] = (2.0 / r0) ** k * polyval(u[inside], _RAMP_DERIVS[k])
+            d[inside] = (2.0 / r0) ** k * polyval(u[inside], polyder(_RAMP, k))
         out.append(d)
     return out
 

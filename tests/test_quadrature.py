@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from singularheat.errors import QuadratureError
-from singularheat.quadrature import tanh_sinh, tanh_sinh_nodes
+from singularheat.quadrature import GAUSS8, tanh_sinh, tanh_sinh_nodes
 
 from handles import gauss_legendre
 
@@ -111,3 +111,12 @@ def test_gauss_legendre_polynomial_exact():
     assert val == pytest.approx(9.0, rel=1e-14)
     val = gauss_legendre(np.sin, 0.0, math.pi, n=80)
     assert val == pytest.approx(2.0, rel=1e-13)
+
+
+def test_gauss8_rule_is_leggauss_bitwise():
+    # the literal 8-point rule of the moment table's lattice cells is
+    # numpy's leggauss(8), bit for bit, and read-only
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert GAUSS8[0].tobytes() == nodes.tobytes()
+    assert GAUSS8[1].tobytes() == weights.tobytes()
+    assert not GAUSS8.flags.writeable
