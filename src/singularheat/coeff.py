@@ -44,9 +44,9 @@ class Frozen:
     fields, and hashed by them.
 
     __init__ validates its arguments and hands them to _freeze, which
-    stores them and takes the hash once; the simulator's caches
-    (heat1d._pair_terms, and the table it holds per pair of profiles)
-    look these values up by hash.
+    stores them and takes the hash once; the simulator's one cache,
+    heat1d._held, a slot per pair of profiles for its largest spectral-sum
+    table, looks these values up by hash.
     """
 
     def _freeze(self, **fields) -> None:

@@ -21,11 +21,13 @@ table, summed directly on the same nodes by numpy reductions, which call
 no BLAS routine and so round alike under any thread count, and the
 spectral sum runs over n = 0..N with lambda_0 = 0.  It starts at the
 first N where e^{-t lambda_N} alone meets its tail target.  Only the
-spectral-sum terms are cached, not the moments: each (phi, rho, bc, c)
-holds those of the largest N built so far, and every smaller N sums a
-slice of them.  apply_A / intertwine_residual realize the first-order
-operators A = d/dx + c and A* = -d/dx + c that exchange the Dirichlet
-and Robin flows, giving a simulator-level consistency check on both
+spectral-sum terms are cached, not the moments: one _held slot per
+(phi, rho, bc, c) keeps those of the largest N built so far, and every
+smaller N sums a slice of them, so the last bits of beta depend on the
+largest table of the pair built before the call, within err.
+apply_A / intertwine_residual realize the first-order operators
+A = d/dx + c and A* = -d/dx + c that exchange the Dirichlet and Robin
+flows, giving a simulator-level consistency check on both
 realizations: the spectral sum weighted by lambda_n is the exact
 t-derivative of the heat content.
 """
@@ -43,7 +45,8 @@ from .profiles import (IntertwinedFactor, PlateauCutoff, SingularProfile,
                        plateau_profile)
 from .quadrature import _EPS, GAUSS8, tanh_sinh_nodes
 
-_SUM_CAP = 20000
+#: a spectral sum doubles its table size from _SUM_START up to _SUM_CAP
+_SUM_START, _SUM_CAP = 64, 20000
 _TAIL_REL = 1e-13
 #: t lambda_N at which e^{-t lambda_N} alone meets the tail target
 _TAIL_EXP = math.log(1.0 / _TAIL_REL)
@@ -115,7 +118,8 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
     terms at most e^{-(Lam - r0)^2/t} <= e^{-196} relative, far below
     the rounding in err.  One Lam per decade of t lets the samples of a
     decade share the cached spectral-sum terms.  The interval's mode cap
-    then needs t >= 7.5e-8 s^2, about 7.6e-9 Lam^2.
+    then needs t >= s^2 _TAIL_EXP / _SUM_CAP^2, about 7.48e-8 s^2 or
+    7.6e-9 Lam^2.
     """
     if t <= 0:
         raise RangeError("need t > 0")
@@ -418,15 +422,17 @@ def _gammas(table: tuple, bc: BoundaryConditionKind, c: float):
 
 def _pair_table(phi: SingularProfile, rho: SingularProfile,
                 bc: BoundaryConditionKind, c: float, N: int) -> tuple:
-    """(gp gr, |gp gr|, |gp| er + |gr| ep + ep er, tail bound), n = 0..N,
-    from moment tables built for N.
+    """(gp gr, |gp gr|, |gp| er + |gr| ep + ep er, lambda, bounds),
+    n = 0..N, from moment tables built for N.
 
     gp, ep are the (gamma_n, err_n) of phi and gr, er those of rho, so
-    the third term bounds |gp gr - exact| for every n; the tail bound is
-    2 max |gp gr| over the modes n >= N/2 + 1.  A pair phi == rho is one
-    profile, and profiles with the same pieces() are tabulated together;
-    other pairs take one pass per profile.  Only these terms are kept,
-    not the moment tables behind them.
+    the third term bounds |gp gr - exact| for every n; lambda_n = n^2 +
+    c^2 with lambda_0 = 0.  bounds maps each size m a spectral sum can
+    slice, _SUM_START 2^k < N and N itself, to its tail bound, 2 max |gp gr|
+    over the modes m/2 < n <= m.  A pair phi == rho is one profile, and
+    profiles with the same pieces() are tabulated together; other pairs
+    take one pass per profile.  Only these terms are kept, not the
+    moment tables behind them.
     """
     c0 = None if bc is BoundaryConditionKind.DIRICHLET else c
     if phi == rho:
@@ -438,39 +444,37 @@ def _pair_table(phi: SingularProfile, rho: SingularProfile,
     (gp, ep), (gr, er) = (_gammas(table, bc, c) for table in tables)
     gg = gp * gr
     size = np.abs(gg)
-    terms = (gg, size, np.abs(gp) * er + np.abs(gr) * ep + ep * er,
-             2.0 * float(np.max(size[N // 2 + 1:])))
-    for a in terms[:3]:
-        a.setflags(write=False)  # shared by every caller of the cache
-    return terms
-
-
-#: one slot per pair (phi, rho, bc, c), bounded like the _pair_terms
-#: cache: [the _pair_table of the largest N built so far], or [None]
-_held = lru_cache(maxsize=32)(lambda phi, rho, bc, c: [None])
+    lam = np.arange(N + 1, dtype=float) ** 2 + c ** 2
+    lam[0] = 0.0
+    sizes = [m for m in (_SUM_START << k for k in range(N.bit_length()))
+             if m < N]
+    bounds = {m: 2.0 * float(np.max(size[m // 2 + 1:m + 1]))
+              for m in sizes + [N]}
+    terms = (gg, size, np.abs(gp) * er + np.abs(gr) * ep + ep * er, lam)
+    for a in terms:
+        a.setflags(write=False)  # shared by every sum that slices them
+    return terms + (bounds,)
 
 
 @lru_cache(maxsize=32)
-def _pair_terms(phi: SingularProfile, rho: SingularProfile,
-                bc: BoundaryConditionKind, c: float, N: int) -> tuple:
-    """_pair_table(phi, rho, bc, c, N), as read-only views of rows 0..N
-    of the pair's held table, with the tail bound taken on that slice.
+def _held(phi: SingularProfile, rho: SingularProfile,
+          bc: BoundaryConditionKind, c: float) -> list:
+    """The pair's slot, [the _pair_table of the largest N built so far]
+    or [None] before the first build: heat1d's only cache, kept for the
+    32 most recently used pairs.
 
-    A new table is built only when the held one has fewer than N modes,
-    and it replaces the held one.  The error terms of a table bound each
-    of its rows n whatever size it was built for, so a slice is as sound
-    as a table built for N; their rows differ in the last bits, by at
-    most the sum of their quad terms.  So the last bits of beta depend
-    on the largest table of the pair built before, and err bounds the
-    difference: in a simulate run, whose grid ascends, that is the table
-    of the run's smallest t.  Two threads may build a pair's table twice,
-    or keep the smaller one; either is sound.
+    A table is built only when the held one has fewer modes than a sum
+    needs, and it replaces the held one.  The error terms of a table
+    bound each of its rows n whatever size it was built for, so a slice
+    of rows 0..N is as sound as a table built for N; their rows differ
+    in the last bits, by at most the sum of their quad terms.  So the
+    last bits of beta depend on the largest table of the pair built
+    before the call, and err bounds the difference: in a simulate run,
+    whose grid ascends, that is the table of the run's smallest t.  Two
+    threads may build a pair's table twice, or keep the smaller one;
+    either is sound.
     """
-    slot = _held(phi, rho, bc, c)
-    if slot[0] is None or slot[0][0].size <= N:
-        slot[0] = _pair_table(phi, rho, bc, c, N)
-    gg, size, quad = (a[:N + 1] for a in slot[0][:3])
-    return gg, size, quad, 2.0 * float(np.max(size[N // 2 + 1:]))
+    return [None]
 
 
 def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
@@ -489,10 +493,6 @@ def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
     """
     if t <= 0:
         raise RangeError("need t > 0")
-    if t * _SUM_CAP ** 2 < 30.0:
-        # e^{-t N^2} cannot reach the 1e-13 tail target within the cap
-        raise TruncationError(
-            f"needed more than {_SUM_CAP} modes at t = {t:g}")
     return _spectral_sum(phi, rho, bc, c, t)
 
 
@@ -504,16 +504,19 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     power 0 or 1.
 
     Power 1 is -d/dt of the power-0 sum; the stationary mode n = 0 drops
-    out of it exactly.  N starts at the smallest power of two >= 64 with
-    t (N^2 + c^2) >= ln(1/_TAIL_REL), about 29.9, at most _SUM_CAP, and
-    doubles, each N with its own cached _pair_terms, until the tail
-    bound drops below 1e-13 of the partial sum.  At the start
-    e^{-t (N^2 + c^2)} alone meets 1e-13, so the sum stops there whenever
-    the bound times its decay factor is at most the partial sum.  Every
-    smaller N is a slice of the pair's held table, so starting above the
-    first size that could stop builds no extra table; it only sums up to
-    twice the modes, at O(N) flops.  A simulate grid ascends, so its
-    smallest t builds the one table that its other samples slice.
+    out of it exactly.  N starts at the smallest _SUM_START 2^k with
+    t (N^2 + c^2) >= _TAIL_EXP = ln(1/_TAIL_REL), about 29.9, at most
+    _SUM_CAP, and doubles until the tail bound drops below 1e-13 of the
+    partial sum; TruncationError is raised, before any table is built,
+    when even _SUM_CAP misses _TAIL_EXP, and when the sum at _SUM_CAP
+    does not stop.  At the start e^{-t (N^2 + c^2)} alone meets 1e-13, so
+    the sum stops there whenever the bound times its decay factor is at
+    most the partial sum.  Each pass sums rows 0..N of the pair's _held
+    table, building a larger one only when it has fewer rows, with the
+    lambda_n and the tail bound stored there for N, so starting above
+    the first size that could stop builds no extra table; it only sums
+    up to twice the modes, at O(N) flops.  A simulate grid ascends, so
+    its smallest t builds the one table that its other samples slice.
     err is the tail bound plus the propagated moment error plus the
     rounding of the N + 1 terms, all under the weights
     lambda_n^power e^{-t lambda_n}.  With B the uniform |gamma gamma|
@@ -527,15 +530,18 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     x^(-alpha) = inf at a node that underflowed to 0, is returned at once
     with err inf.
     """
-    n_max = 64
+    n_max = _SUM_START
     while t * (n_max * n_max + c * c) < _TAIL_EXP and n_max < _SUM_CAP:
         n_max = min(2 * n_max, _SUM_CAP)
-    while True:
-        gg, size, quad, bound = _pair_terms(phi, rho, bc, c, n_max)
-        n = np.arange(n_max + 1, dtype=float)
-        lam = n ** 2 + c ** 2
-        lam[0] = 0.0
-        weights = lam ** power * np.exp(-t * lam)
+    while t * (n_max * n_max + c * c) >= _TAIL_EXP:
+        slot = _held(phi, rho, bc, c)
+        table = slot[0]  # read once: another thread may replace it
+        if table is None or table[0].size <= n_max:
+            table = slot[0] = _pair_table(phi, rho, bc, c, n_max)
+        gg, size, quad, lam = (a[:n_max + 1] for a in table[:4])
+        weights = np.exp(-t * lam)
+        if power:
+            weights *= lam
         partial = float(np.dot(weights, gg))
         if not math.isfinite(partial):
             return partial, math.inf
@@ -543,16 +549,16 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
         if power:
             decay = n_max / (2.0 * t) + 1.0 / (4.0 * t * t * n_max) \
                 + c * c * decay
-        tail = math.exp(-t * (n_max ** 2 + c * c)) * bound * decay
+        tail = math.exp(-t * (n_max ** 2 + c * c)) * table[4][n_max] * decay
         if tail < _TAIL_REL * max(abs(partial), 1e-300) \
                 and t * n_max ** 2 >= power:
             quad_err = float(np.dot(weights, quad))
             rounding = (n_max + 1) * _EPS * float(np.dot(weights, size))
             return partial, tail + quad_err + rounding
         if n_max >= _SUM_CAP:
-            raise TruncationError(
-                f"needed more than {_SUM_CAP} modes at t = {t:g}")
+            break
         n_max = min(2 * n_max, _SUM_CAP)
+    raise TruncationError(f"needed more than {_SUM_CAP} modes at t = {t:g}")
 
 
 # ---------------------------------------------------------------------------

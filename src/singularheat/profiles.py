@@ -24,10 +24,10 @@ take.
 
 Every smooth factor and SingularProfile is an immutable value
 (coeff.Frozen): equal to another of its class with equal fields, and
-hashed by them once, when it is built.  heat1d caches its spectral-sum
-terms and Robin zero-mode moments per profile, so two profiles built
-from the same numbers share one cache entry, and a field cannot be
-assigned after construction.
+hashed by them once, when it is built.  heat1d holds one spectral-sum
+table per pair of profiles, so two profiles built from the same numbers
+share one cache entry, and a field cannot be assigned after
+construction.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Tests for the 1-D heat content simulators."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import mpmath
@@ -13,7 +15,7 @@ from singularheat.errors import (DomainError, RangeError, TruncationError)
 from singularheat import heat1d
 from singularheat.heat1d import (HeatContentSamples, _gammas, _grid_error,
                                  _grid_sums, _lattice_sums, _moment_tables,
-                                 _pair_table, _pair_terms, _table_nodes,
+                                 _pair_table, _table_nodes,
                                  apply_A,
                                  circle_heat_content,
                                  halfline_heat_content, interval_heat_content,
@@ -451,14 +453,16 @@ def test_pair_terms_on_different_pieces_match_per_profile_tables(
     phi = plateau_profile(0.25, math.pi, 0.5)
     rho = plateau_profile(0.4, math.pi, 1.0)
     size = 1024
-    gg, mag, quad, bound = _pair_table(phi, rho, R, 0.5, size)
+    gg, mag, quad, lam, bounds = _pair_table(phi, rho, R, 0.5, size)
     assert [v.shape[0] for _, v, _ in passes] == [2, 2]
     gp, ep = _gammas(_moment_tables((phi,), size, 0.5)[0], R, 0.5)
     gr, er = _gammas(_moment_tables((rho,), size, 0.5)[0], R, 0.5)
     assert np.array_equal(gg, gp * gr)
     assert np.array_equal(mag, np.abs(gp * gr))
     assert np.array_equal(quad, np.abs(gp) * er + np.abs(gr) * ep + ep * er)
-    assert bound == 2.0 * float(np.max(np.abs(gp * gr)[size // 2 + 1:]))
+    n = np.arange(size + 1, dtype=float)
+    assert np.array_equal(lam, np.where(n == 0, 0.0, n ** 2 + 0.25))
+    assert bounds[size] == 2.0 * float(np.max(np.abs(gp * gr)[size // 2 + 1:]))
 
 
 def test_self_pair_uses_two_rows(monkeypatch):
@@ -470,9 +474,7 @@ def test_self_pair_uses_two_rows(monkeypatch):
 
 
 def _clear_terms():
-    """Forget every pair's spectral-sum terms: the per-N cache and the
-    held tables it slices."""
-    _pair_terms.cache_clear()
+    """Forget every pair's held spectral-sum table."""
     heat1d._held.cache_clear()
 
 
@@ -513,11 +515,16 @@ def test_slices_of_the_held_table_are_sound():
     # terms built for N by at most the sum of their propagated errors
     phi = plateau_profile(A1, math.pi, 0.5)
     rho = plateau_profile(A2, math.pi, 0.5)
-    gg, _, quad, _ = _pair_table(phi, rho, R, 0.5, 8192)
+    gg, mag, quad, _, bounds = _pair_table(phi, rho, R, 0.5, 8192)
     for size in (512, 2048, 4096):
-        gg_n, _, quad_n, _ = _pair_table(phi, rho, R, 0.5, size)
+        gg_n, _, quad_n, _, _ = _pair_table(phi, rho, R, 0.5, size)
         assert np.all(np.abs(gg[:size + 1] - gg_n)
                       <= quad[:size + 1] + quad_n), size
+    # a sum slices it at N = 64 2^k <= 8192, and the tail bound of each
+    # slice is stored with it, not taken on every pass
+    assert sorted(bounds) == [64 << k for k in range(8)]
+    for m, bound in bounds.items():
+        assert bound == 2.0 * float(np.max(mag[m // 2 + 1:m + 1])), m
     # so beta depends on the run's history only within err: each sample
     # of the 40-sample grid, which slices the table of t = 1e-6, against
     # the same t summed alone
@@ -530,14 +537,41 @@ def test_slices_of_the_held_table_are_sound():
         assert abs(beta - alone) <= err + alone_err, t
 
 
+def test_beta_depends_on_the_largest_table_built_not_on_call_order():
+    # t = 1e-2 alone builds the 64-mode table of the seed-7 Robin pair,
+    # and t = 1e-6 replaces it by the 8192-mode one; the pair's one slot
+    # drops the small table, and t = 1e-2 then reads what it reads when
+    # t = 1e-6 ran first
+    phi = plateau_profile(A1, math.pi, 0.5)
+    rho = plateau_profile(A2, math.pi, 0.5)
+    _clear_terms()
+    interval_heat_content(phi, rho, R, 0.5, 1e-2)
+    small = heat1d._held(phi, rho, R, 0.5)[0][0]
+    assert small.size == 65
+    replaced = weakref.ref(small)
+    del small
+    interval_heat_content(phi, rho, R, 0.5, 1e-6)
+    again = interval_heat_content(phi, rho, R, 0.5, 1e-2)
+    gc.collect()
+    assert replaced() is None
+    _clear_terms()
+    interval_heat_content(phi, rho, R, 0.5, 1e-6)
+    assert again == interval_heat_content(phi, rho, R, 0.5, 1e-2)
+
+
 def test_held_tables_are_bounded():
-    # the holder keeps the tables of the 32 most recently used pairs
+    # the slot cache keeps the tables of the 32 most recently used
+    # pairs; those of the others are freed
     _clear_terms()
     rho = plateau_profile(0.25, math.pi, 0.5)
+    tables = []
     for k in range(40):
-        interval_heat_content(plateau_profile(0.01 * k, math.pi, 0.5), rho,
-                              D, 0.0, 0.1)
+        phi = plateau_profile(0.01 * k, math.pi, 0.5)
+        interval_heat_content(phi, rho, D, 0.0, 0.1)
+        tables.append(weakref.ref(heat1d._held(phi, rho, D, 0.0)[0][0]))
+    gc.collect()
     assert heat1d._held.cache_info().currsize == 32
+    assert [ref() is None for ref in tables] == [True] * 8 + [False] * 32
 
 
 @pytest.mark.parametrize("size", (64, 8192))
@@ -569,9 +603,23 @@ def test_dropped_direct_nodes_are_bounded_and_counted(monkeypatch, size):
 
 
 def test_interval_truncation_error_at_tiny_t():
+    # the sum is refused, before any table is built, exactly when even the
+    # 20,000-mode start misses t N^2 >= ln(1e13), that is t < 7.4834e-8;
+    # above it the sum stops at the cap, within err of the odd-mode series
+    # sum 8/(pi n^2) e^{-t n^2} of constant Dirichlet data
     one = _unit_profile()
-    with pytest.raises(TruncationError):
-        interval_heat_content(one, one, D, 0.0, 1e-12)
+    _clear_terms()
+    for t in (1e-12, 7.47e-8):
+        with pytest.raises(TruncationError):
+            interval_heat_content(one, one, D, 0.0, t)
+    assert heat1d._held.cache_info().currsize == 0
+    n = np.arange(1, 60001, 2, dtype=float)
+    for t in (7.485e-8, 7.49e-8):
+        beta, err = interval_heat_content(one, one, D, 0.0, t)
+        want = math.fsum((8.0 / (math.pi * n ** 2)
+                          * np.exp(-t * n ** 2)).tolist())
+        assert abs(beta - want) <= err, t
+        assert err < 1e-10, t
 
 
 # ---------------------------------------------------------------------------
@@ -648,18 +696,18 @@ def test_rate_sum_within_err_of_closed_form(monkeypatch, c):
     # the truncation; its tail bound must hold with the extra factor
     # lambda_n
     sizes = []
-    pair_terms = heat1d._pair_terms
 
     def recorded(*args):
         sizes.append(args[-1])
-        return pair_terms(*args)
+        return _pair_table(*args)
 
-    monkeypatch.setattr(heat1d, "_pair_terms", recorded)
+    monkeypatch.setattr(heat1d, "_pair_table", recorded)
     one = SingularProfile(0.0, constant(), L=math.pi)
     n = np.arange(1, 20001, 2, dtype=float)
     lam = n ** 2 + c * c
     for t in (1e-3, 1e-2, 0.1):
         sizes.clear()
+        _clear_terms()
         rate, err = heat1d._spectral_sum(one, one, D, c, t, power=1)
         want = math.fsum((8.0 / (math.pi * n ** 2) * lam
                           * np.exp(-t * lam)).tolist())

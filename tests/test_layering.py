@@ -9,11 +9,14 @@ and lists what came with them.  Each command is a fresh process that
 pays for every import, so the package defines no dataclasses: the
 closed-form commands load neither dataclasses nor inspect (which
 dataclasses imports), and the simulator loads neither dataclasses nor
-numpy.polynomial.
+numpy.polynomial.  The last test names every process-global cache of
+the package, so a new one has to be declared there.
 """
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,3 +91,22 @@ def test_simulator_builds_no_dataclasses(tmp_path):
     # rule is written out and the polynomials are evaluated by hand
     assert not [m for m in modules.split()
                 if m.startswith("numpy.polynomial")]
+
+
+def test_every_cache_is_declared():
+    # each process-global cache must earn its keep, so a new one has to be
+    # named here; the source count also catches one outside module scope
+    caches = set()
+    decorated = 0
+    for path in sorted((SRC / "singularheat").glob("*.py")):
+        module = importlib.import_module(f"singularheat.{path.stem}")
+        # a from-import of a cached callable names its home module
+        caches |= {value.__module__.removeprefix("singularheat.") + "."
+                   + value.__qualname__
+                   for value in vars(module).values()
+                   if hasattr(value, "cache_clear")}
+        decorated += len(re.findall(r"\blru_cache\(|@(?:functools\.)?cache\b",
+                                    path.read_text(encoding="utf-8")))
+    assert caches == {"quadrature._reference_grid", "specfun._log_gamma",
+                      "coeff._base_terms", "heat1d._held"}
+    assert decorated == len(caches)
