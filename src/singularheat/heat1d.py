@@ -5,7 +5,8 @@ the Dirichlet or Robin eigenmodes of D = -d^2/dx^2 + c^2, and the circle
 with Fourier modes.  The half-line is the interval after a change of
 scale: plateau data see a far wall only through exponentially small
 images, so its heat content is a rescaled interval sum with the same
-BoundaryConditionKind at c = 0.
+BoundaryConditionKind at c = 0.  Each simulator takes a float t or a
+1-D array of t, and one call sums the whole grid.
 
 The interval moments int phi e^{inx}, n = 1..N, use one node set per N
 and per pieces(): 8-node Gauss cells on the lattice x = k pi/N, summed by
@@ -24,7 +25,12 @@ first N where e^{-t lambda_N} alone meets its tail target.  Only the
 spectral-sum terms are cached, not the moments: one _held slot per
 (phi, rho, bc, c) keeps those of the largest N built so far, and every
 smaller N sums a slice of them, so the last bits of beta depend on the
-largest table of the pair built before the call, within err.
+largest table of the pair held when its sample is summed, within err:
+for a grid, that of its largest start size or one held before the call.
+The samples of one N are summed together, their e^{-t lambda_n} weights
+in blocks combined with the table by np.einsum, which calls no BLAS
+routine, so no sum depends on the thread count; the circle sums its
+live modes the same way.
 apply_A / intertwine_residual realize the first-order operators
 A = d/dx + c and A* = -d/dx + c that exchange the Dirichlet and Robin
 flows, giving a simulator-level consistency check on both
@@ -50,6 +56,8 @@ _SUM_START, _SUM_CAP = 64, 20000
 _TAIL_REL = 1e-13
 #: t lambda_N at which e^{-t lambda_N} alone meets the tail target
 _TAIL_EXP = math.log(1.0 / _TAIL_REL)
+#: e^{-x} is exactly 0 in double precision for x above about 745.13
+_EXP_DEAD = 746.0
 
 
 def _robin_zero_mode(c: float, x):
@@ -101,9 +109,11 @@ class HeatContentSamples:
 # half-line as a rescaled interval
 
 def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
-                          bc: BoundaryConditionKind, t: float):
+                          bc: BoundaryConditionKind, t):
     """beta(t) = integral of K(x, y; t) phi(x) rho(y) over the quadrant,
-    (beta, err), for plateau data; Robin means Neumann here.
+    (beta, err), for plateau data; Robin means Neumann here.  t is a
+    float or a 1-D array of times; beta and err follow it, floats for a
+    float t.
 
     The data vanish past r0, the larger support end.  Put a far wall at
     Lam = r0 + 14 sqrt(T), T the power of ten with T/10 < t <= T, and
@@ -116,30 +126,37 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
     with the same boundary condition at both ends and c = 0; err scales
     alike.  The wall enters only through the images reflected at Lam,
     terms at most e^{-(Lam - r0)^2/t} <= e^{-196} relative, far below
-    the rounding in err.  One Lam per decade of t lets the samples of a
-    decade share the cached spectral-sum terms.  The interval's mode cap
-    then needs t >= s^2 _TAIL_EXP / _SUM_CAP^2, about 7.48e-8 s^2 or
-    7.6e-9 Lam^2.
+    the rounding in err.  The samples of one decade share Lam, so each
+    decade, smallest first, is one interval call on its own pair.  The
+    interval's mode cap then needs t >= s^2 _TAIL_EXP / _SUM_CAP^2,
+    about 7.48e-8 s^2 or 7.6e-9 Lam^2; TruncationError names the
+    smallest t of the decade that missed it.
     """
-    if t <= 0:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts <= 0):
         raise RangeError("need t > 0")
     if not all(isinstance(f.smooth, PlateauCutoff)
                and f.smooth.r0 <= f.support_end() for f in (phi, rho)):
         raise DomainError("half-line data must be whole plateau profiles")
-    decade = 10.0 ** math.ceil(math.log10(t))
-    if decade < t:
-        decade *= 10.0
-    s = (max(phi.support_end(), rho.support_end())
-         + 14.0 * math.sqrt(decade)) / math.pi
-    scaled = [plateau_profile(f.alpha, math.pi, f.smooth.r0 / s)
-              for f in (phi, rho)]
-    try:
-        beta, err = interval_heat_content(*scaled, bc, 0.0, t / (s * s))
-    except TruncationError:
-        raise TruncationError(
-            f"needed more than {_SUM_CAP} modes at t = {t:g}") from None
-    scale = s ** (1.0 - phi.alpha - rho.alpha)
-    return scale * beta, scale * err
+    decades = np.array([10.0 ** math.ceil(math.log10(v)) for v in ts.tolist()])
+    decades[decades < ts] *= 10.0
+    beta, err = np.empty(ts.size), np.empty(ts.size)
+    for decade in sorted(set(decades.tolist())):
+        idx = np.flatnonzero(decades == decade)
+        s = (max(phi.support_end(), rho.support_end())
+             + 14.0 * math.sqrt(decade)) / math.pi
+        scaled = [plateau_profile(f.alpha, math.pi, f.smooth.r0 / s)
+                  for f in (phi, rho)]
+        try:
+            b, e = interval_heat_content(*scaled, bc, 0.0, ts[idx] / (s * s))
+        except TruncationError:
+            raise TruncationError(f"needed more than {_SUM_CAP} modes at "
+                                  f"t = {ts[idx].min():g}") from None
+        scale = s ** (1.0 - phi.alpha - rho.alpha)
+        beta[idx], err[idx] = scale * b, scale * e
+    if np.ndim(t) == 0:
+        return float(beta[0]), float(err[0])
+    return beta, err
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +439,17 @@ def _gammas(table: tuple, bc: BoundaryConditionKind, c: float):
 
 def _pair_table(phi: SingularProfile, rho: SingularProfile,
                 bc: BoundaryConditionKind, c: float, N: int) -> tuple:
-    """(gp gr, |gp gr|, |gp| er + |gr| ep + ep er, lambda, bounds),
-    n = 0..N, from moment tables built for N.
+    """(cols, lambda, bounds), n = 0..N, from moment tables built for N.
 
-    gp, ep are the (gamma_n, err_n) of phi and gr, er those of rho, so
-    the third term bounds |gp gr - exact| for every n; lambda_n = n^2 +
+    cols stacks the rows gp gr, |gp| er + |gr| ep + ep er and |gp gr|,
+    where gp, ep are the (gamma_n, err_n) of phi and gr, er those of rho,
+    so the second row bounds |gp gr - exact| for every n; lambda_n = n^2 +
     c^2 with lambda_0 = 0.  bounds maps each size m a spectral sum can
-    slice, _SUM_START 2^k < N and N itself, to its tail bound, 2 max |gp gr|
-    over the modes m/2 < n <= m.  A pair phi == rho is one profile, and
-    profiles with the same pieces() are tabulated together; other pairs
-    take one pass per profile.  Only these terms are kept, not the
-    moment tables behind them.
+    slice, _SUM_START 2^k < N and N itself, to its tail bound, 2 max
+    |gp gr| over the modes m/2 < n <= m.  A pair phi == rho is one
+    profile, and profiles with the same pieces() are tabulated together;
+    other pairs take one pass per profile.  Only these terms are kept,
+    not the moment tables behind them.
     """
     c0 = None if bc is BoundaryConditionKind.DIRICHLET else c
     if phi == rho:
@@ -443,17 +460,17 @@ def _pair_table(phi: SingularProfile, rho: SingularProfile,
         tables = _moment_tables((phi,), N, c0) + _moment_tables((rho,), N, c0)
     (gp, ep), (gr, er) = (_gammas(table, bc, c) for table in tables)
     gg = gp * gr
-    size = np.abs(gg)
+    cols = np.array([gg, np.abs(gp) * er + np.abs(gr) * ep + ep * er,
+                     np.abs(gg)])
     lam = np.arange(N + 1, dtype=float) ** 2 + c ** 2
     lam[0] = 0.0
     sizes = [m for m in (_SUM_START << k for k in range(N.bit_length()))
              if m < N]
-    bounds = {m: 2.0 * float(np.max(size[m // 2 + 1:m + 1]))
+    bounds = {m: 2.0 * float(np.max(cols[2, m // 2 + 1:m + 1]))
               for m in sizes + [N]}
-    terms = (gg, size, np.abs(gp) * er + np.abs(gr) * ep + ep * er, lam)
-    for a in terms:
+    for a in (cols, lam):
         a.setflags(write=False)  # shared by every sum that slices them
-    return terms + (bounds,)
+    return cols, lam, bounds
 
 
 @lru_cache(maxsize=32)
@@ -468,57 +485,91 @@ def _held(phi: SingularProfile, rho: SingularProfile,
     bound each of its rows n whatever size it was built for, so a slice
     of rows 0..N is as sound as a table built for N; their rows differ
     in the last bits, by at most the sum of their quad terms.  So the
-    last bits of beta depend on the largest table of the pair built
-    before the call, and err bounds the difference: in a simulate run,
-    whose grid ascends, that is the table of the run's smallest t.  Two
-    threads may build a pair's table twice, or keep the smaller one;
-    either is sound.
+    last bits of beta depend on the table of the pair held when its
+    sample is summed, and err bounds the difference.  One
+    _spectral_sum call builds at most the table of its grid's largest
+    start size before it sums any sample, so in a simulate run every
+    sample slices the run's one table unless one has to double past it
+    (see _spectral_sum).  Two threads may build a pair's table twice, or
+    keep the smaller one; either is sound.
     """
     return [None]
 
 
 def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
-                          bc: BoundaryConditionKind, c: float, t: float):
+                          bc: BoundaryConditionKind, c: float, t):
     """Sum_n e^{-t lambda_n} gamma_n(phi) gamma_n(rho) on [0, pi], (beta, err).
 
-    The modes are the eigenfunctions of D = -d^2/dx^2 + c^2.  Dirichlet:
-    sqrt(2/pi) sin(nx), n >= 1, at lambda_n = n^2 + c^2.  Robin (boundary
-    operator (phi' - c phi)(0), (-phi' + c phi)(pi)): the normalized
-    images A sqrt(2/pi) sin(nx), A = d/dx + c, at n^2 + c^2 for n >= 1,
-    and the n = 0 term, the stationary mode psi_0 ~ e^{cx} at
+    t is a float or a 1-D array of times; beta and err follow it, floats
+    for a float t.  The modes are the eigenfunctions of D = -d^2/dx^2 +
+    c^2.  Dirichlet: sqrt(2/pi) sin(nx), n >= 1, at lambda_n = n^2 + c^2.
+    Robin (boundary operator (phi' - c phi)(0), (-phi' + c phi)(pi)): the
+    normalized images A sqrt(2/pi) sin(nx), A = d/dx + c, at n^2 + c^2
+    for n >= 1, and the n = 0 term, the stationary mode psi_0 ~ e^{cx} at
     lambda_0 = 0, which A* = -d/dx + c annihilates, so it is orthogonal
-    to every A sin(nx) and satisfies both Robin conditions.  The sum is
-    one _spectral_sum over n = 0..N; err bounds the truncated tail, the
-    propagated moment error and the rounding.
+    to every A sin(nx) and satisfies both Robin conditions.  The whole
+    grid is one _spectral_sum over n = 0..N; err bounds the truncated
+    tail, the propagated moment error and the rounding.
     """
-    if t <= 0:
+    if np.any(np.asarray(t) <= 0):
         raise RangeError("need t > 0")
     return _spectral_sum(phi, rho, bc, c, t)
 
 
+#: the most exp weights _exp_weighted holds at once, 2 MB
+_BLOCK = 1 << 18
+
+
+def _exp_weighted(ts, lam, cols, power: int = 0):
+    """sum_j lam_j^power e^{-t lam_j} cols[k, j], one row per t in ts and
+    one column per row k of cols.
+
+    The weights are taken in blocks of at most _BLOCK, and each block is
+    combined with cols by one np.einsum.  Without optimize, einsum calls
+    no BLAS routine: each sum runs over j in one inner loop of its own,
+    so its bits depend neither on the thread count nor on the other
+    times in ts.
+    """
+    out = np.empty((ts.size, cols.shape[0]))
+    rows = max(1, _BLOCK // max(lam.size, 1))
+    block = np.empty((min(rows, ts.size), lam.size))
+    for lo in range(0, ts.size, rows):
+        weights = block[:ts.size - lo]  # one buffer: no fresh pages per block
+        np.multiply.outer(-ts[lo:lo + rows], lam, out=weights)
+        np.exp(weights, out=weights)
+        if power:
+            weights *= lam
+        np.einsum("ij,kj->ik", weights, cols, out=out[lo:lo + rows])
+    return out
+
+
 def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
-                  bc: BoundaryConditionKind, c: float, t: float,
-                  power: int = 0):
+                  bc: BoundaryConditionKind, c: float, t, power: int = 0):
     """(sum_{n=0..N} lambda_n^power e^{-t lambda_n} gamma_n(phi)
     gamma_n(rho), err), lambda_0 = 0 and lambda_n = n^2 + c^2 for n >= 1,
-    power 0 or 1.
+    power 0 or 1, for a float t (floats) or a 1-D array of t (arrays).
 
     Power 1 is -d/dt of the power-0 sum; the stationary mode n = 0 drops
-    out of it exactly.  N starts at the smallest _SUM_START 2^k with
-    t (N^2 + c^2) >= _TAIL_EXP = ln(1/_TAIL_REL), about 29.9, at most
-    _SUM_CAP, and doubles until the tail bound drops below 1e-13 of the
-    partial sum; TruncationError is raised, before any table is built,
-    when even _SUM_CAP misses _TAIL_EXP, and when the sum at _SUM_CAP
-    does not stop.  At the start e^{-t (N^2 + c^2)} alone meets 1e-13, so
-    the sum stops there whenever the bound times its decay factor is at
-    most the partial sum.  Each pass sums rows 0..N of the pair's _held
-    table, building a larger one only when it has fewer rows, with the
-    lambda_n and the tail bound stored there for N, so starting above
-    the first size that could stop builds no extra table; it only sums
-    up to twice the modes, at O(N) flops.  A simulate grid ascends, so
-    its smallest t builds the one table that its other samples slice.
-    err is the tail bound plus the propagated moment error plus the
-    rounding of the N + 1 terms, all under the weights
+    out of it exactly.  Each sample's N starts at the smallest
+    _SUM_START 2^k with t (N^2 + c^2) >= _TAIL_EXP = ln(1/_TAIL_REL),
+    about 29.9, at most _SUM_CAP, and doubles until the tail bound drops
+    below 1e-13 of the partial sum; TruncationError is raised, before any
+    table is built, when even _SUM_CAP misses _TAIL_EXP for some t, and
+    when the sum at _SUM_CAP does not stop.  At the start
+    e^{-t (N^2 + c^2)} alone meets 1e-13, so the sum stops there whenever
+    the bound times its decay factor is at most the partial sum.
+
+    The samples are summed in groups of one N, smallest first, each
+    group by one _exp_weighted pass over rows 0..N of the pair's _held
+    table, with the lambda_n and the tail bound stored there for N.
+    Before the first group the held table is replaced by that of the
+    largest start size if it has fewer rows, so a grid builds at most
+    one table for its start sizes, and a float t that follows it reads
+    the same table and the same bits.  A sample whose tail test fails
+    moves to the group of 2N; if that has more rows than the held table,
+    the group builds the larger one, and it and every later group are
+    summed from it.  err is the tail bound plus the propagated moment
+    error plus the rounding of the N + 1 terms, all under the weights
     lambda_n^power e^{-t lambda_n}.  With B the uniform |gamma gamma|
     bound, the tail is B e^{-t c^2} times
     - power 0: sum_{n>N} e^{-t n^2} <= e^{-t N^2} (1 + 1/(2tN));
@@ -526,39 +577,62 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
       <= int_N^inf x^2 e^{-t x^2} dx <= e^{-t N^2} (N/(2t) + 1/(4 t^2 N)),
       where the integral test needs x^2 e^{-t x^2} decreasing on
       [N, inf), that is t N^2 >= 1, so the sum stops no earlier.
-    A sum that is not finite, say from a moment whose quadrature met
-    x^(-alpha) = inf at a node that underflowed to 0, is returned at once
+    A sample whose sum is not finite, say from a moment whose quadrature
+    met x^(-alpha) = inf at a node that underflowed to 0, is returned
     with err inf.
     """
-    n_max = _SUM_START
-    while t * (n_max * n_max + c * c) < _TAIL_EXP and n_max < _SUM_CAP:
-        n_max = min(2 * n_max, _SUM_CAP)
-    while t * (n_max * n_max + c * c) >= _TAIL_EXP:
-        slot = _held(phi, rho, bc, c)
-        table = slot[0]  # read once: another thread may replace it
-        if table is None or table[0].size <= n_max:
-            table = slot[0] = _pair_table(phi, rho, bc, c, n_max)
-        gg, size, quad, lam = (a[:n_max + 1] for a in table[:4])
-        weights = np.exp(-t * lam)
-        if power:
-            weights *= lam
-        partial = float(np.dot(weights, gg))
-        if not math.isfinite(partial):
-            return partial, math.inf
-        decay = 1.0 + 1.0 / (2.0 * t * n_max)
-        if power:
-            decay = n_max / (2.0 * t) + 1.0 / (4.0 * t * t * n_max) \
-                + c * c * decay
-        tail = math.exp(-t * (n_max ** 2 + c * c)) * table[4][n_max] * decay
-        if tail < _TAIL_REL * max(abs(partial), 1e-300) \
-                and t * n_max ** 2 >= power:
-            quad_err = float(np.dot(weights, quad))
-            rounding = (n_max + 1) * _EPS * float(np.dot(weights, size))
-            return partial, tail + quad_err + rounding
-        if n_max >= _SUM_CAP:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    start = np.full(ts.size, _SUM_START)
+    while True:
+        low = ts * (start * start + c * c) < _TAIL_EXP
+        grow = low & (start < _SUM_CAP)
+        if not grow.any():
             break
-        n_max = min(2 * n_max, _SUM_CAP)
-    raise TruncationError(f"needed more than {_SUM_CAP} modes at t = {t:g}")
+        start[grow] = np.minimum(2 * start[grow], _SUM_CAP)
+    short = np.flatnonzero(low)
+    if short.size:
+        raise TruncationError(
+            f"needed more than {_SUM_CAP} modes at t = {ts[short[0]]:g}")
+    groups = {m: np.flatnonzero(start == m)
+              for m in sorted(set(start.tolist()))}
+    top = max(groups, default=0)
+    beta, err = np.empty(ts.size), np.empty(ts.size)
+    slot = _held(phi, rho, bc, c)
+    table = slot[0]  # read once: another thread may replace it
+    while groups:
+        m = min(groups)
+        idx = groups.pop(m)
+        if table is None or table[1].size <= m:
+            table = slot[0] = _pair_table(phi, rho, bc, c, max(m, top))
+        cols, lam, bounds = table
+        tg = ts[idx]
+        sums = _exp_weighted(tg, lam[:m + 1], cols[:, :m + 1], power)
+        partial = sums[:, 0]
+        decay = 1.0 + 1.0 / (2.0 * tg * m)
+        if power:
+            decay = m / (2.0 * tg) + 1.0 / (4.0 * tg * tg * m) \
+                + c * c * decay
+        finite = np.isfinite(partial)
+        # a table that holds inf makes 0 * inf in the tail of a sum that
+        # is not finite itself, and that sum's err is inf
+        with np.errstate(invalid="ignore"):
+            tail = np.exp(-tg * (m * m + c * c)) * bounds[m] * decay
+            done = (tail < _TAIL_REL * np.maximum(np.abs(partial), 1e-300)) \
+                & (tg * (m * m) >= power)
+            err[idx] = np.where(finite, tail + sums[:, 1]
+                                + (m + 1) * _EPS * sums[:, 2], math.inf)
+        beta[idx] = partial
+        more = idx[finite & ~done]
+        if more.size:
+            if m >= _SUM_CAP:
+                raise TruncationError(f"needed more than {_SUM_CAP} modes "
+                                      f"at t = {ts[more[0]]:g}")
+            up = min(2 * m, _SUM_CAP)
+            groups[up] = np.concatenate((groups[up], more)) \
+                if up in groups else more
+    if np.ndim(t) == 0:
+        return float(beta[0]), float(err[0])
+    return beta, err
 
 
 # ---------------------------------------------------------------------------
@@ -602,16 +676,34 @@ def intertwine_residual(phi: SingularProfile, rho: SingularProfile,
 # ---------------------------------------------------------------------------
 # circle
 
-def circle_heat_content(phi_fourier, rho_fourier, t: float) -> float:
-    """Heat content on the unit circle from Fourier data.
+def circle_heat_content(phi_fourier, rho_fourier, t):
+    """Heat content on the unit circle from Fourier data, a float for a
+    float t or an array for a 1-D array of t.
 
     Coefficient lists or arrays are in the basis [1, cos x, sin x,
     cos 2x, ...]; the mode k carries measure 2 pi (k = 0) or pi (k >= 1).
+    The products phi rho measure are formed once for the grid, and those
+    of cos kx and sin kx, which share e^{-t k^2}, are added.  Past
+    t k^2 = _EXP_DEAD that weight is exactly 0, so each t is summed by
+    _exp_weighted over the modes k < 2^p, the smallest power of two that
+    covers its live modes k <= sqrt(_EXP_DEAD/t), at most all of them,
+    with the times of one size in one pass.
     """
-    if t <= 0:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts <= 0):
         raise RangeError("need t > 0")
     m = min(len(phi_fourier), len(rho_fourier))
     k = (np.arange(m) + 1) // 2
-    measure = np.where(k == 0, 2.0 * math.pi, math.pi)
-    return float(np.sum(np.exp(-t * k * k) * np.asarray(phi_fourier[:m])
-                        * np.asarray(rho_fourier[:m]) * measure))
+    coef = np.bincount(k, np.asarray(phi_fourier[:m], float)
+                       * np.asarray(rho_fourier[:m], float)
+                       * np.where(k == 0, 2.0 * math.pi, math.pi), 1)
+    lam = np.arange(coef.size, dtype=float) ** 2
+    live = np.sqrt(_EXP_DEAD / ts) + 1.0
+    size = np.minimum(np.exp2(np.ceil(np.log2(live))), coef.size).astype(int)
+    out = np.empty(ts.size)
+    for n in sorted(set(size.tolist())):
+        idx = np.flatnonzero(size == n)
+        out[idx] = _exp_weighted(ts[idx], lam[:n], coef[None, :n])[:, 0]
+    if np.ndim(t) == 0:
+        return float(out[0])
+    return out

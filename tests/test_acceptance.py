@@ -139,9 +139,10 @@ def test_end_to_end_robin_coefficient_recovery():
 
 
 def test_regularized_integral_stability():
-    # collar independence, and the bounded residue-normalized product on
-    # approach to the simple pole at sigma = 1
-    check_suite("regint", {"regint-collar": 1e-10, "regint-pole-probe": 2e-2})
+    # collar independence, and the exact finite part on approach to the
+    # simple pole at sigma = 1
+    check_suite("regint", {"regint-collar": 1e-13,
+                           "regint-pole-probe": 1e-13})
 
 
 def test_index_shift_identity():

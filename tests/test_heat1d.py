@@ -2,6 +2,9 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -453,7 +456,7 @@ def test_pair_terms_on_different_pieces_match_per_profile_tables(
     phi = plateau_profile(0.25, math.pi, 0.5)
     rho = plateau_profile(0.4, math.pi, 1.0)
     size = 1024
-    gg, mag, quad, lam, bounds = _pair_table(phi, rho, R, 0.5, size)
+    (gg, quad, mag), lam, bounds = _pair_table(phi, rho, R, 0.5, size)
     assert [v.shape[0] for _, v, _ in passes] == [2, 2]
     gp, ep = _gammas(_moment_tables((phi,), size, 0.5)[0], R, 0.5)
     gr, er = _gammas(_moment_tables((rho,), size, 0.5)[0], R, 0.5)
@@ -515,9 +518,9 @@ def test_slices_of_the_held_table_are_sound():
     # terms built for N by at most the sum of their propagated errors
     phi = plateau_profile(A1, math.pi, 0.5)
     rho = plateau_profile(A2, math.pi, 0.5)
-    gg, mag, quad, _, bounds = _pair_table(phi, rho, R, 0.5, 8192)
+    (gg, quad, mag), _, bounds = _pair_table(phi, rho, R, 0.5, 8192)
     for size in (512, 2048, 4096):
-        gg_n, _, quad_n, _, _ = _pair_table(phi, rho, R, 0.5, size)
+        (gg_n, quad_n, _), _, _ = _pair_table(phi, rho, R, 0.5, size)
         assert np.all(np.abs(gg[:size + 1] - gg_n)
                       <= quad[:size + 1] + quad_n), size
     # a sum slices it at N = 64 2^k <= 8192, and the tail bound of each
@@ -547,7 +550,7 @@ def test_beta_depends_on_the_largest_table_built_not_on_call_order():
     _clear_terms()
     interval_heat_content(phi, rho, R, 0.5, 1e-2)
     small = heat1d._held(phi, rho, R, 0.5)[0][0]
-    assert small.size == 65
+    assert small.shape == (3, 65)
     replaced = weakref.ref(small)
     del small
     interval_heat_content(phi, rho, R, 0.5, 1e-6)
@@ -600,6 +603,80 @@ def test_dropped_direct_nodes_are_bounded_and_counted(monkeypatch, size):
         mass = np.sum(gone[:, 1 + 2 * k:3 + 2 * k], axis=0)
         assert np.all(mass <= _EPS * np.sum(np.abs(rows[2 * k]))), mass
         assert np.all(err[1:] >= np.sum(mass))
+
+
+def test_one_grid_call_equals_float_t_calls():
+    # the benchmark's seed-7 Robin grid and the Dirichlet sweep: each
+    # (beta, err) of one grid call has the bits of a float-t call made
+    # right after it, which slices the same held table, and keeps them
+    # when the grid is permuted or thinned
+    phi = plateau_profile(A1, math.pi, 0.5)
+    rho = plateau_profile(A2, math.pi, 0.5)
+    one = SingularProfile(0.0, constant(), math.pi)
+    rng = np.random.default_rng(7)
+    for pair, grid in (((phi, rho, R, 0.5), np.geomspace(1e-6, 1e-4, 40)),
+                       ((one, one, D, 0.0), np.geomspace(1e-4, 1e-1, 2000))):
+        _clear_terms()
+        beta, err = interval_heat_content(*pair, grid)
+        assert beta.shape == err.shape == grid.shape
+        alone = [interval_heat_content(*pair, t) for t in grid.tolist()]
+        assert all(type(v) is float for sample in alone for v in sample)
+        assert list(zip(beta.tolist(), err.tolist())) == alone
+        for part in (rng.permutation(grid.size), np.arange(0, grid.size, 7)):
+            b, e = interval_heat_content(*pair, grid[part])
+            assert np.array_equal(b, beta[part]), part
+            assert np.array_equal(e, err[part]), part
+    # one start size (8192) for more samples than a block of 2^18
+    # weights holds: the blocks do not move the bits either
+    dense = np.geomspace(1e-6, 1.75e-6, 100)
+    assert heat1d._BLOCK // 8193 < dense.size
+    beta, err = interval_heat_content(phi, rho, R, 0.5, dense)
+    assert list(zip(beta.tolist(), err.tolist())) == [
+        interval_heat_content(phi, rho, R, 0.5, t) for t in dense.tolist()]
+
+
+def test_spectral_and_circle_sums_call_no_blas(monkeypatch):
+    # the sums combine their weights with np.einsum, which without
+    # optimize calls no BLAS routine, at any N up to the 20,000-mode cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BLAS routine was called")
+
+    for name in ("dot", "vdot", "matmul", "inner"):
+        monkeypatch.setattr(np, name, refuse)
+    _clear_terms()
+    phi = plateau_profile(A1, math.pi, 0.5)
+    rho = plateau_profile(A2, math.pi, 0.5)
+    beta, err = interval_heat_content(phi, rho, R, 0.5,
+                                      np.geomspace(1e-7, 1e-2, 12))
+    assert np.all(np.isfinite(beta)) and np.all(err < 1e-8 * beta)
+    heat1d._spectral_sum(phi, phi, D, 0.5, np.geomspace(1e-7, 1e-2, 12),
+                         power=1)
+    data = list(np.linspace(1.0, 0.0, 5000))
+    circle_heat_content(data, data, np.geomspace(1e-9, 1.0, 12))
+
+
+def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # t = 1e-7 starts at the 20,000-mode cap, where a BLAS dot product
+    # would be split across the OpenBLAS pool
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"problem": "interval", "bc": "robin", "c": 0.5, "alpha1": %r, '
+        '"alpha2": %r, "tmin": 1e-7, "tmax": 1e-7, "num": 1}' % (A1, A2),
+        encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(heat1d.__file__))
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = src
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"out-{threads}.csv"
+        subprocess.run([sys.executable, "-m", "singularheat.cli", "simulate",
+                        str(config), "--out", str(out)],
+                       env=env, check=True, timeout=120)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_interval_truncation_error_at_tiny_t():
@@ -827,6 +904,36 @@ def test_circle_constant_and_orthogonality():
                    for i in range(len(rho)))
         assert circle_heat_content(phi, rho, t) == pytest.approx(loop,
                                                                  rel=1e-13)
+
+
+def _circle_full(phi, rho, t):
+    """The circle sum over every mode, one exp per mode."""
+    m = min(len(phi), len(rho))
+    k = (np.arange(m) + 1) // 2
+    measure = np.where(k == 0, 2.0 * math.pi, math.pi)
+    return float(np.sum(np.exp(-t * k * k) * np.asarray(phi[:m])
+                        * np.asarray(rho[:m]) * measure))
+
+
+def test_circle_live_mode_sum_matches_the_full_sum():
+    # the sum over the power-of-two prefix that covers t k^2 <= 746
+    # against every mode, and one grid call against float-t calls
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        phi, rho = ([1.0 + rng.random()] + list(
+            rng.uniform(-1.0, 1.0, n - 1) / (1 + np.arange(2, n + 1) // 2))
+            for n in rng.integers(1, 6001, 2))
+        ts = 10.0 ** rng.uniform(-9.0, 3.0, 15)
+        grid = circle_heat_content(phi, rho, ts)
+        for t, got in zip(ts.tolist(), grid.tolist()):
+            want = _circle_full(phi, rho, t)
+            assert abs(got - want) <= 1e-13 * abs(want), t
+            assert circle_heat_content(phi, rho, t) == got, t
+    # e^{-t k^2} is exactly 0 for every k >= 1: only the k = 0 term stays
+    phi, rho = [1.3, 0.5, -0.2, 0.7], [0.7, 0.4, 0.9]
+    for t in (746.0, 1e3, 1e6):
+        assert circle_heat_content(phi, rho, t) \
+            == phi[0] * rho[0] * (2.0 * math.pi), t
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ and lists what came with them.  Each command is a fresh process that
 pays for every import, so the package defines no dataclasses: the
 closed-form commands load neither dataclasses nor inspect (which
 dataclasses imports), and the simulator loads neither dataclasses nor
-numpy.polynomial.  The last test names every process-global cache of
-the package, so a new one has to be declared there.
+numpy.polynomial, nor numpy.ma, which numpy imports lazily on the first
+call of np.unique and the like.  The last test names every
+process-global cache of the package, so a new one has to be declared
+there.
 """
 
 import importlib
@@ -91,6 +93,35 @@ def test_simulator_builds_no_dataclasses(tmp_path):
     # rule is written out and the polynomials are evaluated by hand
     assert not [m for m in modules.split()
                 if m.startswith("numpy.polynomial")]
+
+
+def test_simulator_commands_load_no_numpy_ma(tmp_path):
+    # numpy.ma costs 12-15 ms to import, and numpy loads it lazily on the
+    # first call of np.unique and friends; numpy.matrixlib is not it
+    configs = {
+        "interval": {"problem": "interval", "bc": "robin", "c": 0.5,
+                     "alpha1": 0.3, "alpha2": 0.4, "tmin": 1e-5,
+                     "tmax": 1e-3, "num": 12},
+        "halfline": {"problem": "halfline", "alpha1": 0.3, "alpha2": 0.4,
+                     "tmin": 1e-4, "tmax": 1e-3, "num": 2},
+        "circle": {"problem": "circle-product",
+                   "phi_fourier": [1.0, 0.5, 0.2],
+                   "rho_fourier": [1.0, 0.1], "tmin": 1e-3, "tmax": 1.0,
+                   "num": 5},
+    }
+    commands = []
+    for name, obj in configs.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        commands.append(["simulate", str(config),
+                         "--out", str(tmp_path / f"{name}.csv")])
+    commands += [["fit", str(tmp_path / "interval.csv"),
+                  "--alpha1", "0.3", "--alpha2", "0.4"],
+                 ["verify", "all"]]
+    codes, modules = _run(_RUN_COMMANDS, json.dumps(commands))
+    assert codes.split() == ["0"] * 5
+    assert not [m for m in modules.split()
+                if m == "numpy.ma" or m.startswith("numpy.ma.")]
 
 
 def test_every_cache_is_declared():
