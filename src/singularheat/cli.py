@@ -7,12 +7,13 @@ run from a fixed documented seed (3141592653, overridable with --seed) and
 outputs are byte-deterministic.
 
 Only the closed-form modules (coeff, errors, geom) are imported here at
-the top.  numpy and the simulator are imported inside the functions that
-run them (simulate, cmd_fit, the intertwine and regint suites), so coeffs,
---help, a rejected config and the recursions, crosscheck, warped and
-scaling suites start without numpy.  No class of the package is a
-dataclass, so an import compiles no generated methods, and these
-commands load neither dataclasses nor inspect.
+the top.  The other modules are imported inside the functions that run
+them (simulate, cmd_fit, the intertwine and regint suites).  Only
+simulate and the intertwine suite load numpy, through the simulator
+heat1d: coeffs, fit, --help, a rejected config and the recursions,
+crosscheck, warped, scaling and regint suites start without it.  No
+class of the package is a dataclass, so an import compiles no generated
+methods, and these commands load neither dataclasses nor inspect.
 
 `python -m singularheat.cli` and the singular-heat script enter through
 run(), which freezes the garbage collector after main() so that the
@@ -165,8 +166,9 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
     whole grid in one call of its simulator."""
     import numpy as np
 
-    from .heat1d import (HeatContentSamples, circle_heat_content,
-                         halfline_heat_content, interval_heat_content)
+    from .asymfit import HeatContentSamples
+    from .heat1d import (circle_heat_content, halfline_heat_content,
+                         interval_heat_content)
     from .profiles import SingularProfile, constant, plateau_profile
 
     bc = BoundaryConditionKind(cfg.bc)
@@ -227,8 +229,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .asymfit import fit
-    from .heat1d import HeatContentSamples
+    from .asymfit import HeatContentSamples, fit
     from .profiles import check_integrable, plateau_profile
     from .regint import interior_coefficients
 

@@ -22,6 +22,11 @@ breakpoint.  Those Taylor coefficients are what the boundary jets
 (geom.modified_taylor_jets) and the closed-form collar (regint.i_reg)
 take.
 
+x is a Python float or a numpy array, and each formula has one copy for
+both.  A float is evaluated in Python floats, so regint and the fit load
+no numpy; heat1d passes arrays.  Only the array paths (PlateauCutoff's
+masks and SingularProfile.__call__) import numpy, when they run.
+
 Every smooth factor and SingularProfile is an immutable value
 (coeff.Frozen): equal to another of its class with equal fields, and
 hashed by them once, when it is built.  heat1d holds one spectral-sum
@@ -34,8 +39,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .coeff import Frozen
 from .errors import DomainError, RangeError
 from .quadrature import segments
@@ -44,13 +47,14 @@ from .quadrature import segments
 def _poly(x, c, k: int):
     """The k-th derivative at x of sum_j c_j x^j, as numpy computes it:
     polyder's k passes c_{j-1} = j c_j (c[:1] * 0 when k >= len(c)), then
-    polyval's Horner rule from c[-1] + x * 0."""
-    c = np.array(c, float)
-    if k >= c.size:
-        c = c[:1] * 0
+    polyval's Horner rule from c[-1] + x * 0.  c is a sequence of numbers;
+    x is a float or an array."""
+    c = [float(a) for a in c]
+    if k >= len(c):
+        c = [c[0] * 0]
     else:
         for _ in range(k):
-            c = c[1:] * np.arange(1, c.size)
+            c = [j * a for j, a in enumerate(c[1:], 1)]
     y = c[-1] + x * 0
     for a in c[-2::-1]:
         y = a + y * x
@@ -79,8 +83,8 @@ class SmoothFunction(Frozen):
         """Exact Taylor coefficients at 0 (up to the first breakpoint):
         one derivatives pass at 0."""
         degree = self.taylor_degree()
-        d = self.derivatives(np.zeros(1), degree)
-        return tuple(float(d[k][0]) / math.factorial(k)
+        d = self.derivatives(0.0, degree)
+        return tuple(float(d[k]) / math.factorial(k)
                      for k in range(degree + 1))
 
 
@@ -91,7 +95,6 @@ class Polynomial(SmoothFunction):
         self._freeze(coeffs=coeffs)
 
     def derivatives(self, x, order: int) -> list:
-        x = np.asarray(x, float)
         return [_poly(x, self.coeffs, k) for k in range(order + 1)]
 
     def taylor_degree(self) -> int:
@@ -106,8 +109,18 @@ def constant() -> Polynomial:
 _RAMP = (1.0, 0.0, 0.0, -10.0, 15.0, -6.0)
 
 
+def _smoothstep(v):
+    """The ramp 1 - 10v^3 + 15v^4 - 6v^5 at a float or an array v."""
+    return 1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)
+
+
 class PlateauCutoff(SmoothFunction):
-    """C^2 cutoff: 1 on [0, r0/2], quintic smoothstep down to 0 at r0."""
+    """C^2 cutoff: 1 on [0, r0/2], quintic smoothstep down to 0 at r0.
+
+    A number x is evaluated in Python floats and an array by masks, with
+    the same ramp expressions.  Off the ramp the value is 1 up to r0/2
+    and 0 past r0 (a NaN is passed through), and every derivative is 0.
+    """
 
     def __init__(self, r0: float):
         if not r0 > 0:
@@ -118,32 +131,53 @@ class PlateauCutoff(SmoothFunction):
     def breakpoints(self):
         return (0.5 * self.r0, self.r0)
 
+    def _ramp_derivative(self, v, k: int):
+        """k-th derivative in x at ramp points v, 1 <= k <= 5.
+
+        The chain-rule scale (2/r0)^k, or the ramp values it multiplies,
+        may leave the doubles for a tiny r0; the caller checks the result
+        with _overflow.  Off the ramp (as for the Taylor data at 0) it is
+        never formed."""
+        try:
+            scale = (2.0 / self.r0) ** k
+        except OverflowError:
+            scale = math.inf
+        return scale * _poly(v, _RAMP, k)
+
+    def _overflow(self, k: int) -> RangeError:
+        return RangeError(f"cutoff derivative of order {k} "
+                          f"overflows at radius {self.r0!r}")
+
     def derivatives(self, x, order: int) -> list:
-        # map the ramp [r0/2, r0] to [0, 1]
+        if isinstance(x, (int, float)):
+            # map the ramp [r0/2, r0] to [0, 1]
+            u = (x - 0.5 * self.r0) / (0.5 * self.r0)
+            if not 0.0 < u < 1.0:
+                return [u if u != u else float(u <= 0.0)] + [0.0] * order
+            out = [_smoothstep(u)]
+            for k in range(1, order + 1):
+                d = self._ramp_derivative(u, k) if k <= 5 else 0.0
+                if not math.isfinite(d):
+                    raise self._overflow(k)
+                out.append(d)
+            return out
+
+        import numpy as np
+
         u = np.asarray((np.asarray(x, float) - 0.5 * self.r0) / (0.5 * self.r0))
         inside = (u > 0.0) & (u < 1.0)
         v = u[inside]
-        # 1 up to r0/2 and 0 past r0 (a NaN is passed through); the
-        # smoothstep is evaluated on the ramp only
         f = np.asarray(u <= 0.0, float)
         np.copyto(f, u, where=np.isnan(u))
-        f[inside] = 1.0 - v ** 3 * (10.0 - 15.0 * v + 6.0 * v * v)
-        out = [f[()]]  # a scalar for a scalar x
+        f[inside] = _smoothstep(v)
+        out = [f[()]]  # a scalar for a 0-d x
         for k in range(1, order + 1):
             d = np.zeros_like(u)
             if k <= 5 and v.size:
-                # the chain-rule scale (2/r0)^k, or the ramp values it
-                # multiplies, may leave the doubles for a tiny r0; off the
-                # ramp (as for the Taylor data at 0) it is never formed
-                try:
-                    scale = (2.0 / self.r0) ** k
-                except OverflowError:
-                    scale = math.inf
                 with np.errstate(over="ignore", invalid="ignore"):
-                    d[inside] = scale * _poly(v, _RAMP, k)
+                    d[inside] = self._ramp_derivative(v, k)
                 if not np.isfinite(d).all():
-                    raise RangeError(f"cutoff derivative of order {k} "
-                                     f"overflows at radius {self.r0!r}")
+                    raise self._overflow(k)
             out.append(d)
         return out
 
@@ -201,6 +235,8 @@ class SingularProfile(Frozen):
                      cutoff_radius=cutoff_radius)
 
     def __call__(self, x):
+        import numpy as np
+
         x = np.asarray(x, float)
         return x ** (-self.alpha) * self.smooth(x)
 
@@ -232,7 +268,6 @@ class IntertwinedFactor(SmoothFunction):
         return self.s.breakpoints
 
     def derivatives(self, x, order: int) -> list:
-        x = np.asarray(x, float)
         s = self.s.derivatives(x, order + 1)
         out = []
         for k in range(order + 1):

@@ -16,11 +16,10 @@ import numpy as np
 from singularheat import cli
 from singularheat.coeff import BoundaryConditionKind, ExponentPair, build_table
 from singularheat.geom import BoundaryPointData, boundary_beta
-from singularheat.heat1d import (HeatContentSamples, halfline_heat_content,
-                                 interval_heat_content)
+from singularheat.heat1d import halfline_heat_content, interval_heat_content
 from singularheat.profiles import SingularProfile, constant, plateau_profile
 from singularheat.regint import interior_coefficients
-from singularheat.asymfit import fit
+from singularheat.asymfit import HeatContentSamples, fit
 
 D = BoundaryConditionKind.DIRICHLET
 R = BoundaryConditionKind.ROBIN

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from singularheat.asymfit import AsymptoticModel, fit, model_exponents
+from singularheat.asymfit import (AsymptoticModel, HeatContentSamples, fit,
+                                  model_exponents)
 from singularheat.coeff import BoundaryConditionKind
 from singularheat.errors import (IllConditionedError, InsufficientDataError,
                                  RangeError)
-from singularheat.heat1d import HeatContentSamples, interval_heat_content
+from singularheat.heat1d import interval_heat_content
 from singularheat.profiles import SingularProfile, constant
 
 D = BoundaryConditionKind.DIRICHLET
@@ -44,6 +45,30 @@ def test_six_term_recovery_on_geometric_grid():
     assert m.exponents == pytest.approx(exps)
     assert m.coefficients == pytest.approx(coefs, abs=1e-9)
     assert m.fit_residual < 1e-12
+
+
+def test_qr_solve_matches_known_solution_within_condition():
+    # six columns t^gamma on a geometric grid, data in their span to
+    # rounding: QR and back substitution recover the solution y of the
+    # row- and column-scaled system to cond * eps in norm (Golub and Van
+    # Loan, sec. 5.3), and the Jacobi singular values of R give its
+    # condition as numpy's SVD does
+    exps = [0.0, 0.15, 0.65, 1.0, 1.15, 2.0]
+    coefs = [1.3, 2.0, -1.0, 3.0, 0.5, 1.5]
+    ts = np.geomspace(1e-6, 1e-2, 40)
+    beta = sum(c * ts ** g for g, c in zip(exps, coefs))
+    m = fit(_samples(ts, lambda t: sum(c * t ** g
+                                       for g, c in zip(exps, coefs))),
+            (0.35, 0.35), n_int=2, j_max=2)
+    design = ts[:, None] ** np.asarray(exps) / np.abs(beta)[:, None]
+    col = np.linalg.norm(design, axis=0)
+    sv = np.linalg.svd(design / col, compute_uv=False)
+    cond = sv[0] / sv[-1]
+    assert 1e3 < cond < 1e6
+    assert m.condition_estimate == pytest.approx(cond, rel=1e-12)
+    y = np.asarray(coefs) * col
+    err = np.linalg.norm(np.asarray(m.coefficients) * col - y)
+    assert err <= 1e3 * cond * np.finfo(float).eps * np.linalg.norm(y)
 
 
 def test_classical_halfpower_coefficient():
@@ -108,6 +133,18 @@ def test_ill_conditioned_error(monkeypatch):
     monkeypatch.setattr(af, "_COND_MAX", 1e3)
     with pytest.raises(IllConditionedError):
         fit(s, (0.449, 0.449), n_int=2, j_max=2)
+
+
+def test_overflowing_design_or_data_is_ill_conditioned():
+    # t^gamma past the doubles, or a subtracted interior term past them,
+    # is a numeric failure, never a NaN in the model
+    ts = np.geomspace(1e-3, 1e3, 20)
+    s = _samples(ts, lambda t: 1.0 + t ** 0.5)
+    with pytest.raises(IllConditionedError, match="overflow"):
+        fit(s, (-3000.0, 0.4), n_int=1, j_max=1)
+    huge = _samples(np.geomspace(1e100, 1e106, 20), lambda t: 1.0)
+    with pytest.raises(IllConditionedError, match="overflow"):
+        fit(huge, (0.3, 0.4), j_max=0, known_interior=[1.0, 1.0, 1.0, 1.0])
 
 
 def test_model_exponents_and_serialization():

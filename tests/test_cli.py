@@ -15,10 +15,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from singularheat import cli, coeff, specfun
-from singularheat.asymfit import fit
+from singularheat import cli, coeff, regint, specfun
+from singularheat.asymfit import HeatContentSamples, fit
 from singularheat.cli import ProblemConfig, main
-from singularheat.heat1d import HeatContentSamples
 from singularheat.profiles import plateau_profile
 from singularheat.regint import interior_coefficients
 
@@ -454,6 +453,11 @@ def test_fit_term_counts(capsys, tmp_path):
                                        "--boundary-terms", "0"])
     assert code == 2
     assert err == "error: no model: need at least one term to fit\n", err
+    # a count past the term cap is rejected before any exponent is built
+    for option in ("--boundary-terms", "--interior-terms"):
+        code, out, err = run(capsys, base + [option, str(10 ** 18)])
+        assert code == 2, option
+        assert out == "" and "at most 6 simultaneous terms" in err, err
     # --interior-terms N subtracts exactly beta_0..beta_{N-1}
     samples = HeatContentSamples.from_csv_text(csv_path.read_text())
     phi = plateau_profile(0.3, math.pi, 0.5)
@@ -477,14 +481,30 @@ def test_fit_interior_overflow_exits_2(capsys, tmp_path):
     base = ["fit", str(csv_path), "--alpha1", "0.3", "--alpha2", "0.4",
             "--interior-terms", "4", "--boundary-terms", "4",
             "--subtract-interior"]
-    # c^2 overflows; a tiny cutoff overflows the ramp derivatives
-    for extra in (["--c", "1e200"], ["--cutoff", "1e-300"]):
+    # c^2 overflows; a tiny cutoff overflows the ramp derivatives, and
+    # the smallest one leaves no plateau: r0/2 rounds to 0
+    for extra in (["--c", "1e200"], ["--cutoff", "1e-300"],
+                  ["--cutoff", "5e-324"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run(capsys, base + extra)
         assert code == 2, extra
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_fit_unconverged_interior_quadrature_exits_3(capsys, tmp_path,
+                                                     monkeypatch):
+    # one panel against two misses the level check on the ramp: a
+    # numeric failure, not invalid input and not a silently wrong value
+    monkeypatch.setattr(regint, "_PANELS", 2)
+    code, out, err = run(capsys, ["fit", str(_plateau_samples(tmp_path)),
+                                  "--alpha1", "0.3", "--alpha2", "0.4",
+                                  "--c", "0.5", "--subtract-interior",
+                                  "--interior-terms", "4"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: Gauss panels did not converge"), err
 
 
 def test_fit_subtracts_at_most_four_interior_terms(capsys, tmp_path):

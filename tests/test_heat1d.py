@@ -16,7 +16,8 @@ import pytest
 from singularheat.coeff import BoundaryConditionKind
 from singularheat.errors import (DomainError, RangeError, TruncationError)
 from singularheat import heat1d
-from singularheat.heat1d import (HeatContentSamples, _gammas, _grid_error,
+from singularheat.asymfit import HeatContentSamples
+from singularheat.heat1d import (_EPS, _gammas, _grid_error,
                                  _grid_sums, _lattice_sums, _moment_tables,
                                  _pair_table, _table_nodes,
                                  apply_A,
@@ -26,9 +27,8 @@ from singularheat.heat1d import (HeatContentSamples, _gammas, _grid_error,
 from singularheat.profiles import (PlateauCutoff, Polynomial, Product,
                                    SingularProfile, constant,
                                    plateau_profile)
-from singularheat.quadrature import _EPS, tanh_sinh
 
-from handles import FromCallable, gauss_legendre
+from handles import FromCallable, gauss_legendre, tanh_sinh
 
 D = BoundaryConditionKind.DIRICHLET
 R = BoundaryConditionKind.ROBIN

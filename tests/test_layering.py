@@ -1,16 +1,18 @@
 """The closed-form route stands apart from the simulated one.
 
 The boundary terms are computed in closed form (specfun -> coeff -> geom)
-and checked against heat content simulated and fitted with numpy
-(profiles -> heat1d/regint -> asymfit).  The check means something only
+and checked against heat content simulated with numpy (profiles ->
+heat1d) and fitted (regint -> asymfit).  The check means something only
 while the closed-form modules load neither numpy nor the simulator, so a
 fresh interpreter imports them, or runs the commands built on them alone,
-and lists what came with them.  Each command is a fresh process that
-pays for every import, so the package defines no dataclasses: the
-closed-form commands load neither dataclasses nor inspect (which
-dataclasses imports), and the simulator loads neither dataclasses nor
-numpy.polynomial, nor numpy.ma, which numpy imports lazily on the first
-call of np.unique and the like.  The last test names every
+and lists what came with them.  The fit holds at most six columns and
+integrates on a few hundred points, so it runs in Python floats and a
+fit process never pays for importing numpy.  Each command is a fresh
+process that pays for every import, so the package defines no
+dataclasses: the closed-form commands load neither dataclasses nor
+inspect (which dataclasses imports), and the simulator loads neither
+dataclasses nor numpy.polynomial, nor numpy.ma, which numpy imports
+lazily on the first call of np.unique and the like.  The last test names every
 process-global cache of the package, so a new one has to be declared
 there.
 """
@@ -79,6 +81,28 @@ def test_closed_form_commands_load_no_numpy_or_simulator(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_fit_and_regint_load_no_numpy(tmp_path):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("t,beta,err\n" + "".join(
+        f"{t!r},{1.0 + 2.0 * t ** 0.15 - t ** 0.65!r},0\n"
+        for t in (10.0 ** (-6 + 0.25 * i) for i in range(17))),
+        encoding="utf-8")
+    commands = [
+        ["fit", str(samples), "--alpha1", "0.3", "--alpha2", "0.4"],
+        ["fit", str(samples), "--alpha1", "0.3", "--alpha2", "0.4",
+         "--c", "0.5", "--interior-terms", "4", "--boundary-terms", "2",
+         "--subtract-interior"],
+        ["verify", "regint"],
+    ]
+    codes, modules = _run(_RUN_COMMANDS, json.dumps(commands))
+    assert codes.split() == ["0"] * 3
+    assert not [m for m in modules.split()
+                if m == "numpy" or m.startswith("numpy.")]
+    assert {"singularheat.asymfit", "singularheat.regint"} \
+        <= set(modules.split())
+    assert "singularheat.heat1d" not in modules.split()
+
+
 def test_simulator_builds_no_dataclasses(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"problem": "interval", "bc": "robin",
@@ -138,6 +162,6 @@ def test_every_cache_is_declared():
                    if hasattr(value, "cache_clear")}
         decorated += len(re.findall(r"\blru_cache\(|@(?:functools\.)?cache\b",
                                     path.read_text(encoding="utf-8")))
-    assert caches == {"quadrature._reference_grid", "specfun._log_gamma",
+    assert caches == {"heat1d._reference_grid", "specfun._log_gamma",
                       "coeff._base_terms", "heat1d._held"}
     assert decorated == len(caches)

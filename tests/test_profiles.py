@@ -55,7 +55,8 @@ def test_polynomial_eval_and_deriv():
 
 def test_polynomial_matches_numpy_bitwise():
     # the hand-written polyder/polyval keep numpy's operation order, also
-    # past the degree, for integer coefficients and for a 0-d argument
+    # past the degree, for integer coefficients, for a 0-d argument and for
+    # a Python float, which is evaluated in Python floats
     x = np.array([0.0, 0.3, 1.7, 12.5])
     for coeffs in ((1.0, -2.0, 0.5, 3.0), (3, -7, 2), (-0.25,), (1e300, 3.0)):
         for order in range(len(coeffs) + 2):
@@ -63,7 +64,14 @@ def test_polynomial_matches_numpy_bitwise():
             for k, g in enumerate(got):
                 want = polyval(x, polyder(coeffs, k))
                 assert g.tobytes() == want.tobytes(), (coeffs, k)
-    got = Polynomial((1.0, -2.0, 0.5)).derivatives(0.7, 1)
+            for v in x.tolist():
+                got = Polynomial(coeffs).derivatives(v, order)
+                for k, g in enumerate(got):
+                    want = polyval(np.asarray(v), polyder(coeffs, k))
+                    assert type(g) is float, (coeffs, v, k)
+                    assert np.asarray(g).tobytes() == want.tobytes(), \
+                        (coeffs, v, k)
+    got = Polynomial((1.0, -2.0, 0.5)).derivatives(np.asarray(0.7), 1)
     want = [polyval(np.asarray(0.7), polyder((1.0, -2.0, 0.5), k))
             for k in range(2)]
     assert [type(g) for g in got] == [type(w) for w in want]
@@ -125,6 +133,9 @@ def test_plateau_cutoff_ramp_only_matches_everywhere_formula_bitwise():
         cut = PlateauCutoff(r0)
         for order in range(top + 1):
             got, want = cut.derivatives(x, order), _cutoff_everywhere(r0, x, order)
+            if isinstance(x, float):
+                # a Python float is evaluated in Python floats
+                want = [float(w) for w in want]
             assert len(got) == len(want) == order + 1
             for k, (g, w) in enumerate(zip(got, want)):
                 assert type(g) is type(w) and np.shape(g) == np.shape(w), \

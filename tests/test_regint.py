@@ -6,14 +6,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from singularheat.errors import DomainError, PoleError, RangeError
+from singularheat.errors import (DomainError, PoleError, QuadratureError,
+                                 RangeError)
 from singularheat.profiles import (IntertwinedFactor, PlateauCutoff,
                                    Polynomial, Product, SingularProfile,
                                    constant, plateau_profile)
-from singularheat.quadrature import tanh_sinh
 from singularheat.regint import i_reg, interior_coefficients
 
-from handles import FromCallable, d_step
+from handles import FromCallable, d_step, tanh_sinh
 
 
 def _unit():
@@ -91,6 +91,25 @@ def test_guards():
     q = plateau_profile(0.3, 2.0, 1.0)
     with pytest.raises(RangeError):
         interior_coefficients(p, q)
+
+
+def test_collar_too_narrow_for_the_panels_raises():
+    # past a collar narrower than the radius the panels must resolve
+    # x^(-sigma) close to 0; where 8 panels and 4 disagree beyond 1e-9 of
+    # sum |w f| the integral raises, and where they agree it is right
+    chi = PlateauCutoff(1.0)
+    default = complex(i_reg(1.4, chi, math.pi))
+    with mpmath.workdps(30):
+        s = mpmath.mpf(1.4)
+        want = _finite_part_oracle(
+            [(1, s)], lambda x: x ** -s * _ramp_deriv(2 * x - 1, 0), 1.0)
+    assert abs(default - want) <= 1e-13 * abs(want)
+    for collar in (0.1, 0.01):
+        got = complex(i_reg(1.4, chi, math.pi, collar))
+        assert abs(got - want) <= 1e-12 * abs(want), collar
+    for collar in (1e-3, 1e-6):
+        with pytest.raises(QuadratureError, match="Gauss panels"):
+            i_reg(1.4, chi, math.pi, collar)
 
 
 def test_collar_needs_exact_taylor_data():

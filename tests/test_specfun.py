@@ -152,7 +152,7 @@ def test_beta_against_quadrature_oracle():
     # B(1-a2, 1-a1) = int_0^1 u^(-a2) (1-u)^(-a1) du, by tanh-sinh quadrature.
     # Split at 1/2 and reflect so each half is singular at 0 only, where
     # the node offsets are exact.
-    from singularheat.quadrature import tanh_sinh
+    from handles import tanh_sinh
     a1, a2 = 0.7, 0.6
     v1, e1 = tanh_sinh(lambda u: u ** (-a2) * (1 - u) ** (-a1), 0.0, 0.5)
     v2, e2 = tanh_sinh(lambda v: (1 - v) ** (-a2) * v ** (-a1), 0.0, 0.5)
