@@ -329,7 +329,7 @@ def _suite_warped(seed: int) -> dict:
                 want = boundary_beta(table, flat, j)
                 worst = max(worst,
                             abs(got - want) / max(abs(want), 1.0))
-    return {"warped": (worst, 1e-10)}
+    return {"warped": (worst, 1e-12)}
 
 
 def _suite_scaling(seed: int) -> dict:

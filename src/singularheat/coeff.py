@@ -44,17 +44,13 @@ class Frozen:
     fields, and hashed by them.
 
     __init__ validates its arguments and hands them to _freeze, which
-    stores them and takes the hash once; the simulator's one cache,
-    heat1d._held, a slot per pair of profiles for its largest spectral-sum
-    table, looks these values up by hash.
+    stores them.
     """
 
     def _freeze(self, **fields) -> None:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-        values = tuple(fields.values())
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_hash", hash(values))
+        object.__setattr__(self, "_values", tuple(fields.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -65,7 +61,7 @@ class Frozen:
         return self._values == other._values
 
     def __hash__(self):
-        return self._hash
+        return hash(self._values)
 
 
 class ExponentPair(Frozen):

@@ -21,12 +21,12 @@ smallest node.  The Robin stationary mode is row n = 0 of the same
 table, summed directly on the same nodes by numpy reductions, which call
 no BLAS routine and so round alike under any thread count, and the
 spectral sum runs over n = 0..N with lambda_0 = 0.  It starts at the
-first N where e^{-t lambda_N} alone meets its tail target.  Only the
-spectral-sum terms are cached, not the moments: one _held slot per
-(phi, rho, bc, c) keeps those of the largest N built so far, and every
-smaller N sums a slice of them, so the last bits of beta depend on the
-largest table of the pair held when its sample is summed, within err:
-for a grid, that of its largest start size or one held before the call.
+first N where e^{-t lambda_N} alone meets its tail target.  Each call
+builds the spectral-sum terms it needs and keeps none of them: one table
+for its grid's largest start size, and a larger one only for a sample
+that has to double past it, with every smaller N summing a slice.  So a
+sample's bits depend only on the grid passed in its call, and a slice
+of a larger table differs from the one built for its N within err.
 The samples of one N are summed together, their e^{-t lambda_n} weights
 in blocks combined with the table by np.einsum, which calls no BLAS
 routine, so no sum depends on the thread count; the circle sums its
@@ -217,7 +217,7 @@ def tanh_sinh_nodes(a: float, b: float):
 
 
 # ---------------------------------------------------------------------------
-# interval [0, pi]: spectral sums with cached Fourier moments
+# interval [0, pi]: spectral sums over Fourier moments
 
 _HEAD_PERIODS = 10.0   # head and tail cover 10 / N
 _SPREAD = 14           # a gridded node spreads to 2 * 14 grid points
@@ -505,8 +505,8 @@ def _pair_table(phi: SingularProfile, rho: SingularProfile,
     slice, _SUM_START 2^k < N and N itself, to its tail bound, 2 max
     |gp gr| over the modes m/2 < n <= m.  A pair phi == rho is one
     profile, and profiles with the same pieces() are tabulated together;
-    other pairs take one pass per profile.  Only these terms are kept,
-    not the moment tables behind them.
+    other pairs take one pass per profile.  Only these terms are
+    returned, not the moment tables behind them.
     """
     c0 = None if bc is BoundaryConditionKind.DIRICHLET else c
     if phi == rho:
@@ -525,32 +525,7 @@ def _pair_table(phi: SingularProfile, rho: SingularProfile,
              if m < N]
     bounds = {m: 2.0 * float(np.max(cols[2, m // 2 + 1:m + 1]))
               for m in sizes + [N]}
-    for a in (cols, lam):
-        a.setflags(write=False)  # shared by every sum that slices them
     return cols, lam, bounds
-
-
-@lru_cache(maxsize=32)
-def _held(phi: SingularProfile, rho: SingularProfile,
-          bc: BoundaryConditionKind, c: float) -> list:
-    """The pair's slot, [the _pair_table of the largest N built so far]
-    or [None] before the first build: heat1d's only cache, kept for the
-    32 most recently used pairs.
-
-    A table is built only when the held one has fewer modes than a sum
-    needs, and it replaces the held one.  The error terms of a table
-    bound each of its rows n whatever size it was built for, so a slice
-    of rows 0..N is as sound as a table built for N; their rows differ
-    in the last bits, by at most the sum of their quad terms.  So the
-    last bits of beta depend on the table of the pair held when its
-    sample is summed, and err bounds the difference.  One
-    _spectral_sum call builds at most the table of its grid's largest
-    start size before it sums any sample, so in a simulate run every
-    sample slices the run's one table unless one has to double past it
-    (see _spectral_sum).  Two threads may build a pair's table twice, or
-    keep the smaller one; either is sound.
-    """
-    return [None]
 
 
 def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
@@ -617,16 +592,17 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     the bound times its decay factor is at most the partial sum.
 
     The samples are summed in groups of one N, smallest first, each
-    group by one _exp_weighted pass over rows 0..N of the pair's _held
-    table, with the lambda_n and the tail bound stored there for N.
-    Before the first group the held table is replaced by that of the
-    largest start size if it has fewer rows, so a grid builds at most
-    one table for its start sizes, and a float t that follows it reads
-    the same table and the same bits.  A sample whose tail test fails
-    moves to the group of 2N; if that has more rows than the held table,
-    the group builds the larger one, and it and every later group are
-    summed from it.  err is the tail bound plus the propagated moment
-    error plus the rounding of the N + 1 terms, all under the weights
+    group by one _exp_weighted pass over rows 0..N of the call's table,
+    with the lambda_n and the tail bound stored there for N.  The first
+    group builds the table of the largest start size, so a grid builds
+    one table for its start sizes.  A sample whose tail test fails moves
+    to the group of 2N; if that has more rows than the table, the group
+    builds the larger one, and it and every later group are summed from
+    it.  The table is a local of the call, so a sample's bits depend only
+    on the grid passed with it; a slice of a larger table differs from
+    the table built for N by at most the sum of their propagated errors.
+    err is the tail bound plus the propagated moment error plus the
+    rounding of the N + 1 terms, all under the weights
     lambda_n^power e^{-t lambda_n}.  With B the uniform |gamma gamma|
     bound, the tail is B e^{-t c^2} times
     - power 0: sum_{n>N} e^{-t n^2} <= e^{-t N^2} (1 + 1/(2tN));
@@ -654,13 +630,12 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
               for m in sorted(set(start.tolist()))}
     top = max(groups, default=0)
     beta, err = np.empty(ts.size), np.empty(ts.size)
-    slot = _held(phi, rho, bc, c)
-    table = slot[0]  # read once: another thread may replace it
+    table = None
     while groups:
         m = min(groups)
         idx = groups.pop(m)
         if table is None or table[1].size <= m:
-            table = slot[0] = _pair_table(phi, rho, bc, c, max(m, top))
+            table = _pair_table(phi, rho, bc, c, max(m, top))
         cols, lam, bounds = table
         tg = ts[idx]
         sums = _exp_weighted(tg, lam[:m + 1], cols[:, :m + 1], power)

@@ -29,10 +29,9 @@ masks and SingularProfile.__call__) import numpy, when they run.
 
 Every smooth factor and SingularProfile is an immutable value
 (coeff.Frozen): equal to another of its class with equal fields, and
-hashed by them once, when it is built.  heat1d holds one spectral-sum
-table per pair of profiles, so two profiles built from the same numbers
-share one cache entry, and a field cannot be assigned after
-construction.
+hashed by them, so two profiles built from the same numbers are one
+profile (heat1d tabulates a pair phi == rho once), and a field cannot
+be assigned after construction.
 """
 
 from __future__ import annotations
@@ -123,8 +122,10 @@ class PlateauCutoff(SmoothFunction):
     """
 
     def __init__(self, r0: float):
-        if not r0 > 0:
-            raise DomainError("cutoff radius must be positive")
+        # the ramp coordinate divides by r0/2, which rounds to 0 for
+        # r0 = 5e-324, the one such positive double
+        if not 0.5 * r0 > 0:
+            raise DomainError("cutoff radius and its half must be positive")
         self._freeze(r0=r0)
 
     @property

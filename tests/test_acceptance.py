@@ -80,11 +80,14 @@ def test_closed_form_crosscheck_random_sweep():
 
 def test_warped_profile_independence():
     # the boundary coefficients of a warped product depend only on the
-    # cross-section volume and the boundary Robin parameter
-    check_suite("warped", {"warped": 1e-10})
+    # cross-section volume and the boundary Robin parameter; the worst
+    # residual over 4,004 seeds was 4.9e-15, and the tolerance is the
+    # smallest power of ten at least 100 times that
+    check_suite("warped", {"warped": 1e-12})
 
 
 def test_scaling_homogeneity():
+    # the same rule: the worst residual over 4,004 seeds was 3.3e-13
     check_suite("scaling", {"scaling": 1e-10})
 
 

@@ -187,6 +187,10 @@ def test_simulate_invalid_config(capsys, tmp_path):
                 {**halfline, "bc": "robin", "c": 0.5},
                 # constant data has no finite heat content on the half-line
                 {**halfline, "cutoff": None},
+                # a cutoff whose half rounds to 0 has no plateau
+                {**interval, "cutoff": 5e-324},
+                {**interval, "bc": "robin", "c": 0.5, "cutoff": 5e-324},
+                {**halfline, "cutoff": 5e-324},
                 # a Dirichlet interval has no use for c
                 {**interval, "bc": "dirichlet", "c": 2},
                 # fields a problem does not read must keep their default
@@ -642,6 +646,33 @@ def test_program_entry_matches_in_process_main(capsys, tmp_path):
         assert code == want, argv
         assert (proc.returncode, proc.stdout) == (code, out), argv
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_simulate_output_does_not_depend_on_earlier_runs(capsys, tmp_path):
+    # the seed-7 Robin pair at five points in 1e-3..1e-2, run in process
+    # before and after the benchmark's 40-point grid of the same pair,
+    # whose t = 1e-6 builds an 8192-mode table: both runs write the
+    # bytes of a fresh process
+    pair = {"problem": "interval", "bc": "robin", "c": 0.5,
+            "alpha1": 0.19714982944994874, "alpha2": 0.2877122934811255,
+            "cutoff": 0.5}
+    a = write_config(tmp_path, {**pair, "tmin": 1e-3, "tmax": 1e-2,
+                                "num": 5}, "a.json")
+    b = write_config(tmp_path, {**pair, "tmin": 1e-6, "tmax": 1e-4,
+                                "num": 40}, "b.json")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    fresh = tmp_path / "fresh.csv"
+    proc = subprocess.run([sys.executable, "-m", "singularheat.cli",
+                           "simulate", a, "--out", str(fresh)],
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    runs = []
+    for k, config in enumerate((a, b, a)):
+        out = tmp_path / f"run{k}.csv"
+        assert run(capsys, ["simulate", config, "--out", str(out)])[0] == 0
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[2] == fresh.read_bytes()
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")

@@ -476,11 +476,6 @@ def test_self_pair_uses_two_rows(monkeypatch):
     assert [v.shape[0] for _, v, _ in passes] == [2]
 
 
-def _clear_terms():
-    """Forget every pair's held spectral-sum table."""
-    heat1d._held.cache_clear()
-
-
 #: the benchmark's seed-7 exponents
 A1, A2 = 0.19714982944994874, 0.2877122934811255
 
@@ -489,31 +484,27 @@ def test_spectral_sums_build_each_pair_table_once(monkeypatch):
     passes = _record_passes(monkeypatch)
     # the benchmark's seed-7 Robin grid: its smallest t = 1e-6 starts at
     # the first size with t (N^2 + c^2) >= ln(1e13), 8192, and every
-    # later sample sums a slice of that one table
+    # other sample sums a slice of that one table
     phi = plateau_profile(A1, math.pi, 0.5)
     rho = plateau_profile(A2, math.pi, 0.5)
-    _clear_terms()
-    for t in np.geomspace(1e-6, 1e-4, 40):
-        interval_heat_content(phi, rho, R, 0.5, float(t))
+    interval_heat_content(phi, rho, R, 0.5, np.geomspace(1e-6, 1e-4, 40))
     assert [s.shape for _, _, s in passes] == [(4, 8192)]
     # the Dirichlet sweep of constant data: one table, at t = 1e-4
     del passes[:]
     one = SingularProfile(0.0, constant(), math.pi)
-    for t in np.geomspace(1e-4, 1e-1, 2000):
-        interval_heat_content(one, one, D, 0.0, float(t))
+    interval_heat_content(one, one, D, 0.0, np.geomspace(1e-4, 1e-1, 2000))
     assert [s.shape for _, _, s in passes] == [(2, 1024)]
     # the benchmark's seed-7 half-line: one table per decade of t, so per
     # boundary condition one at t = 1e-6 and one at t = 5e-4
     for bc in (D, N):
         del passes[:]
-        _clear_terms()
-        for t in (1e-6, 5e-4):
-            halfline_heat_content(plateau_profile(A1, 0.5, 0.5),
-                                  plateau_profile(A2, 0.5, 0.5), bc, t)
+        halfline_heat_content(plateau_profile(A1, 0.5, 0.5),
+                              plateau_profile(A2, 0.5, 0.5), bc,
+                              np.array([1e-6, 5e-4]))
         assert len(passes) == 2, bc
 
 
-def test_slices_of_the_held_table_are_sound():
+def test_slices_of_a_larger_table_are_sound():
     # rows 0..N of the seed-7 pair's 8192-mode terms differ from the
     # terms built for N by at most the sum of their propagated errors
     phi = plateau_profile(A1, math.pi, 0.5)
@@ -528,53 +519,36 @@ def test_slices_of_the_held_table_are_sound():
     assert sorted(bounds) == [64 << k for k in range(8)]
     for m, bound in bounds.items():
         assert bound == 2.0 * float(np.max(mag[m // 2 + 1:m + 1])), m
-    # so beta depends on the run's history only within err: each sample
-    # of the 40-sample grid, which slices the table of t = 1e-6, against
-    # the same t summed alone
+    # so beta depends on the grid of its call only within err: each
+    # sample of the 40-sample grid, which slices the table of t = 1e-6,
+    # against the same t summed alone on its own table
     grid = np.geomspace(1e-6, 1e-4, 40)
-    _clear_terms()
-    run = [interval_heat_content(phi, rho, R, 0.5, float(t)) for t in grid]
-    for t, (beta, err) in zip(grid, run):
-        _clear_terms()
-        alone, alone_err = interval_heat_content(phi, rho, R, 0.5, float(t))
+    run = zip(*interval_heat_content(phi, rho, R, 0.5, grid))
+    for t, (beta, err) in zip(grid.tolist(), run):
+        alone, alone_err = interval_heat_content(phi, rho, R, 0.5, t)
         assert abs(beta - alone) <= err + alone_err, t
 
 
-def test_beta_depends_on_the_largest_table_built_not_on_call_order():
-    # t = 1e-2 alone builds the 64-mode table of the seed-7 Robin pair,
-    # and t = 1e-6 replaces it by the 8192-mode one; the pair's one slot
-    # drops the small table, and t = 1e-2 then reads what it reads when
-    # t = 1e-6 ran first
+def test_beta_depends_only_on_its_own_call(monkeypatch):
+    # t = 1e-2 alone builds the 64-mode table of the seed-7 Robin pair
+    # and t = 1e-6 the 8192-mode one; t = 1e-2 after it reads the bits
+    # it read before, and no call keeps its table
+    tables = []
+
+    def recorded(*args):
+        table = _pair_table(*args)
+        tables.extend(weakref.ref(a) for a in table[:2])
+        return table
+
+    monkeypatch.setattr(heat1d, "_pair_table", recorded)
     phi = plateau_profile(A1, math.pi, 0.5)
     rho = plateau_profile(A2, math.pi, 0.5)
-    _clear_terms()
-    interval_heat_content(phi, rho, R, 0.5, 1e-2)
-    small = heat1d._held(phi, rho, R, 0.5)[0][0]
-    assert small.shape == (3, 65)
-    replaced = weakref.ref(small)
-    del small
+    first = interval_heat_content(phi, rho, R, 0.5, 1e-2)
     interval_heat_content(phi, rho, R, 0.5, 1e-6)
-    again = interval_heat_content(phi, rho, R, 0.5, 1e-2)
+    assert interval_heat_content(phi, rho, R, 0.5, 1e-2) == first
     gc.collect()
-    assert replaced() is None
-    _clear_terms()
-    interval_heat_content(phi, rho, R, 0.5, 1e-6)
-    assert again == interval_heat_content(phi, rho, R, 0.5, 1e-2)
-
-
-def test_held_tables_are_bounded():
-    # the slot cache keeps the tables of the 32 most recently used
-    # pairs; those of the others are freed
-    _clear_terms()
-    rho = plateau_profile(0.25, math.pi, 0.5)
-    tables = []
-    for k in range(40):
-        phi = plateau_profile(0.01 * k, math.pi, 0.5)
-        interval_heat_content(phi, rho, D, 0.0, 0.1)
-        tables.append(weakref.ref(heat1d._held(phi, rho, D, 0.0)[0][0]))
-    gc.collect()
-    assert heat1d._held.cache_info().currsize == 32
-    assert [ref() is None for ref in tables] == [True] * 8 + [False] * 32
+    assert len(tables) == 6
+    assert [ref() for ref in tables] == [None] * 6
 
 
 @pytest.mark.parametrize("size", (64, 8192))
@@ -607,25 +581,26 @@ def test_dropped_direct_nodes_are_bounded_and_counted(monkeypatch, size):
 
 def test_one_grid_call_equals_float_t_calls():
     # the benchmark's seed-7 Robin grid and the Dirichlet sweep: each
-    # (beta, err) of one grid call has the bits of a float-t call made
-    # right after it, which slices the same held table, and keeps them
-    # when the grid is permuted or thinned
+    # (beta, err) of one grid call keeps its bits when the grid is
+    # permuted or thinned to a grid of the same largest start size, and
+    # is within the sum of both err of a float-t call, which builds its
+    # own smaller table
     phi = plateau_profile(A1, math.pi, 0.5)
     rho = plateau_profile(A2, math.pi, 0.5)
     one = SingularProfile(0.0, constant(), math.pi)
     rng = np.random.default_rng(7)
     for pair, grid in (((phi, rho, R, 0.5), np.geomspace(1e-6, 1e-4, 40)),
                        ((one, one, D, 0.0), np.geomspace(1e-4, 1e-1, 2000))):
-        _clear_terms()
         beta, err = interval_heat_content(*pair, grid)
         assert beta.shape == err.shape == grid.shape
-        alone = [interval_heat_content(*pair, t) for t in grid.tolist()]
-        assert all(type(v) is float for sample in alone for v in sample)
-        assert list(zip(beta.tolist(), err.tolist())) == alone
         for part in (rng.permutation(grid.size), np.arange(0, grid.size, 7)):
             b, e = interval_heat_content(*pair, grid[part])
             assert np.array_equal(b, beta[part]), part
             assert np.array_equal(e, err[part]), part
+        for k in range(0, grid.size, 7):
+            alone = interval_heat_content(*pair, float(grid[k]))
+            assert all(type(v) is float for v in alone)
+            assert abs(beta[k] - alone[0]) <= err[k] + alone[1], k
     # one start size (8192) for more samples than a block of 2^18
     # weights holds: the blocks do not move the bits either
     dense = np.geomspace(1e-6, 1.75e-6, 100)
@@ -643,7 +618,6 @@ def test_spectral_and_circle_sums_call_no_blas(monkeypatch):
 
     for name in ("dot", "vdot", "matmul", "inner"):
         monkeypatch.setattr(np, name, refuse)
-    _clear_terms()
     phi = plateau_profile(A1, math.pi, 0.5)
     rho = plateau_profile(A2, math.pi, 0.5)
     beta, err = interval_heat_content(phi, rho, R, 0.5,
@@ -679,17 +653,23 @@ def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_interval_truncation_error_at_tiny_t():
+def test_interval_truncation_error_at_tiny_t(monkeypatch):
     # the sum is refused, before any table is built, exactly when even the
     # 20,000-mode start misses t N^2 >= ln(1e13), that is t < 7.4834e-8;
     # above it the sum stops at the cap, within err of the odd-mode series
     # sum 8/(pi n^2) e^{-t n^2} of constant Dirichlet data
+    built = []
+
+    def recorded(*args):
+        built.append(args[-1])
+        return _pair_table(*args)
+
+    monkeypatch.setattr(heat1d, "_pair_table", recorded)
     one = _unit_profile()
-    _clear_terms()
     for t in (1e-12, 7.47e-8):
         with pytest.raises(TruncationError):
             interval_heat_content(one, one, D, 0.0, t)
-    assert heat1d._held.cache_info().currsize == 0
+    assert built == []
     n = np.arange(1, 60001, 2, dtype=float)
     for t in (7.485e-8, 7.49e-8):
         beta, err = interval_heat_content(one, one, D, 0.0, t)
@@ -784,7 +764,6 @@ def test_rate_sum_within_err_of_closed_form(monkeypatch, c):
     lam = n ** 2 + c * c
     for t in (1e-3, 1e-2, 0.1):
         sizes.clear()
-        _clear_terms()
         rate, err = heat1d._spectral_sum(one, one, D, c, t, power=1)
         want = math.fsum((8.0 / (math.pi * n ** 2) * lam
                           * np.exp(-t * lam)).tolist())

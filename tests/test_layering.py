@@ -14,9 +14,10 @@ inspect (which dataclasses imports), and the simulator loads neither
 dataclasses nor numpy.polynomial, nor numpy.ma, which numpy imports
 lazily on the first call of np.unique and the like.  The last test names every
 process-global cache of the package, so a new one has to be declared
-there.
+there, and finds no module-level empty container that could hide one.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -148,6 +149,39 @@ def test_simulator_commands_load_no_numpy_ma(tmp_path):
                 if m == "numpy.ma" or m.startswith("numpy.ma.")]
 
 
+def _is_empty_container(node) -> bool:
+    """{} or [], or a call of dict(), list() or set() without arguments,
+    or of defaultdict(...)."""
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+    return name == "defaultdict" or (
+        name in ("dict", "list", "set") and not node.args
+        and not node.keywords)
+
+
+def _assigns_empty_container(stmt) -> bool:
+    """Whether stmt assigns an empty container, alone or in a tuple."""
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+        return False
+    values = stmt.value.elts if isinstance(stmt.value, ast.Tuple) \
+        else [stmt.value]
+    return any(map(_is_empty_container, values))
+
+
+def _empty_module_containers() -> list:
+    """(file, line) of each module-level assignment of an empty container
+    in the package."""
+    return [(path.name, stmt.lineno)
+            for path in sorted((SRC / "singularheat").glob("*.py"))
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+            if _assigns_empty_container(stmt)]
+
+
 def test_every_cache_is_declared():
     # each process-global cache must earn its keep, so a new one has to be
     # named here; the source count also catches one outside module scope
@@ -163,5 +197,18 @@ def test_every_cache_is_declared():
         decorated += len(re.findall(r"\blru_cache\(|@(?:functools\.)?cache\b",
                                     path.read_text(encoding="utf-8")))
     assert caches == {"heat1d._reference_grid", "specfun._log_gamma",
-                      "coeff._base_terms", "heat1d._held"}
+                      "coeff._base_terms"}
     assert decorated == len(caches)
+    # nor can a cache come back as a plain container filled at run time;
+    # the check sees each form of one
+    assert _empty_module_containers() == []
+    for source, empty in (("_memo = {}", True), ("_seen = []", True),
+                          ("_a, _b = 0, dict()", True),
+                          ("_pool: list = list()", True),
+                          ("_s = set()", True),
+                          ("_d = collections.defaultdict(list)", True),
+                          ("_x = {1: 2}", False), ("_y = [0]", False),
+                          ("_z = set((1,))", False),
+                          ("_w = dict(a=1)", False), ("_v: list", False)):
+        stmt = ast.parse(source).body[0]
+        assert _assigns_empty_container(stmt) is empty, source

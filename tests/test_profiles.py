@@ -95,10 +95,11 @@ def test_plateau_cutoff_shape():
         got = cut.derivatives(np.array([0.6]), k)[k][0]
         want = central_diff(lambda t: cut(np.array([t]))[0], 0.6, k, h=1e-4)
         assert got == pytest.approx(want, rel=1e-7, abs=1e-7)
-    # NaN fails r0 > 0 too
-    for r0 in (-1.0, 0.0, math.nan):
+    # NaN fails r0 > 0 too; the smallest double's half rounds to 0
+    for r0 in (-1.0, 0.0, math.nan, 5e-324):
         with pytest.raises(DomainError, match="cutoff radius"):
             PlateauCutoff(r0)
+    assert PlateauCutoff(1e-323).breakpoints == (5e-324, 1e-323)
 
 
 def _cutoff_everywhere(r0, x, order):
@@ -183,7 +184,8 @@ def test_product_combines_taylor_and_breakpoints():
 
 
 def test_cache_keys_are_immutable_values():
-    """heat1d caches per profile pair, so equal fields mean equal keys."""
+    """Equal fields make equal values with equal hashes: profiles built
+    apart from one set of numbers are one value."""
     make = [lambda: plateau_profile(0.3, np.pi, 0.5),
             lambda: Product(PlateauCutoff(0.5), Polynomial((1.0, 2.0))),
             lambda: IntertwinedFactor(constant(), 0.3, 0.5, 1),
