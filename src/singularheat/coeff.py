@@ -177,8 +177,8 @@ def build_table(bc: BoundaryConditionKind, pair: ExponentPair) -> CoefficientTab
     sign = bc.sign
     sigma = a1 + a2
 
-    def eps(b1: complex, b2: complex, s: int = sign) -> complex:
-        return _base_eps(s, b1, b2)
+    def eps(b1: complex, b2: complex) -> complex:
+        return _base_eps(sign, b1, b2)
 
     v: dict[str, complex] = {}
     v["eps0"] = eps(a1, a2)
@@ -199,8 +199,11 @@ def build_table(bc: BoundaryConditionKind, pair: ExponentPair) -> CoefficientTab
         v["eps5"] = -0.5 * v["eps4"] - 0.5 * v["eps14"] + 0.5 * v["eps17"]
         v["eps8"] = -0.5 * v["eps14"] - 0.5 * v["eps7"] + 0.5 * v["eps18"]
         # the swap recursion at (a1 + 1, a2 + 1) turns the shifted
-        # Dirichlet term 2 a1 a2 eps_D(a1 + 1, a2 + 1) into (sigma - 1) eps0
-        v["eps16"] = 2.0 * (v["eps0"] - eps(a1, a2, -1)) / (3.0 - sigma)
+        # Dirichlet term 2 a1 a2 eps_D(a1 + 1, a2 + 1) into (sigma - 1) eps0,
+        # so eps16 = 2 (eps0 - eps_D(a1, a2))/(3 - sigma) = 4 pref T1/(3 -
+        # sigma): T1 alone, where the difference of the two bases cancels
+        pref, term1, _ = _base_terms(a1, a2, _signs(a1) + _signs(a2))
+        v["eps16"] = 4.0 * pref * term1 / (3.0 - sigma)
         v["eps19"] = v["eps16"] - 0.5 * v["eps17"] - 0.5 * v["eps18"]
     else:
         v["eps2"] = -0.5 * (v["eps1"] + v["eps3"])
@@ -256,7 +259,7 @@ def closed_form_crosscheck(pair: ExponentPair) -> dict:
     coefficients, derived by eliminating every shifted evaluation with
     the recursion relations, so agreement is a genuine double check of
     the assembly.  The eps16 row checks the swap recursion at (a1, a2)
-    against the table's form 2 (eps0 - eps_D(a1, a2)) / (3 - sigma).
+    against the table's form 4 pref T1 / (3 - sigma) of _base_terms.
     """
     a1, a2 = complex(pair.alpha1), complex(pair.alpha2)
     sigma = a1 + a2

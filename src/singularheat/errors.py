@@ -26,7 +26,9 @@ class DegenerateInputError(SingularHeatError):
 
 
 class QuadratureError(SingularHeatError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature or a simulated sample missed its accuracy check:
+    regint.i_reg's panel rules disagree, or a simulate sample is not
+    finite or has err above tolerances.halfline times |beta|."""
 
 
 class TruncationError(SingularHeatError):

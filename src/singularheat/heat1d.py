@@ -11,7 +11,8 @@ BoundaryConditionKind at c = 0.  Each simulator takes a float t or a
 The interval moments int phi e^{inx}, n = 1..N, use one node set per N
 and per pieces(): 8-node Gauss cells on the lattice x = k pi/N, summed by
 one length-2N real FFT per Gauss offset, and the tanh-sinh head and tail
-grids plus the cells cut by a breakpoint, summed with their coarse-rule
+grids (one grid of step 1/128, built once at import and scaled to each)
+plus the cells cut by a breakpoint, summed with their coarse-rule
 difference by Gaussian gridding onto a 4N-point grid and one real FFT
 per row (Greengard and Lee, SIAM Rev. 46, 2004), one pass per node set
 with the rows of phi and rho side by side and the nodes that carry no
@@ -24,9 +25,10 @@ spectral sum runs over n = 0..N with lambda_0 = 0.  It starts at the
 first N where e^{-t lambda_N} alone meets its tail target.  Each call
 builds the spectral-sum terms it needs and keeps none of them: one table
 for its grid's largest start size, and a larger one only for a sample
-that has to double past it, with every smaller N summing a slice.  So a
-sample's bits depend only on the grid passed in its call, and a slice
-of a larger table differs from the one built for its N within err.
+that has to double past it, with every smaller N summing a slice and
+taking its tail bound from that slice.  So a sample's bits depend only
+on the grid passed in its call, and a slice of a larger table differs
+from the one built for its N within err.
 The samples of one N are summed together, their e^{-t lambda_n} weights
 in blocks combined with the table by np.einsum, which calls no BLAS
 routine, so no sum depends on the thread count; the circle sums its
@@ -41,7 +43,7 @@ t-derivative of the heat content.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -134,14 +136,13 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
 # hundred nodes (Takahasi and Mori, Publ. RIMS 9, 1974).  Node positions
 # are stored as offsets from the nearest endpoint so that points
 # exponentially close to an endpoint keep full relative precision
-# (essential when the singular endpoint is 0).  There is one grid, step
-# _H0 / 2**_LEVEL, and its error estimate is the difference from the rule
-# of twice the step on the same nodes (Bailey, Jeyabalan and Li, Exp.
+# (essential when the singular endpoint is 0).  There is one grid, the
+# nodes u = k _STEP on both sides of the midpoint, built once at import,
+# and its error estimate is the difference from the rule of twice the
+# step, the even k, on the same nodes (Bailey, Jeyabalan and Li, Exp.
 # Math. 14, 2005).
 
-_H0 = 0.5
-_LEVEL = 6           # step _H0 / 2**6 = 1/128
-_UMAX = 6.1          # (pi/2)*sinh(6.1) ~ 350: past this, weights underflow
+_STEP = 1.0 / 128
 _WFRAC_MIN = 1e-250  # drop nodes whose weight fraction underflows
 _EPS = np.finfo(float).eps
 #: the Gauss-Legendre rule as arrays, for the lattice cells
@@ -152,67 +153,38 @@ def _point(u: float) -> tuple[float, float]:
     """Return (delta, wfrac): endpoint offset and weight on [0, 1], u >= 0."""
     s = 0.5 * math.pi * math.sinh(u)
     delta = 1.0 / (1.0 + math.exp(2.0 * s))       # distance from endpoint
-    sech = 2.0 * delta * math.exp(s) if s < 350 else 0.0  # sech(s)
+    sech = 2.0 * delta * math.exp(s)
     wfrac = 0.25 * math.pi * math.cosh(u) * sech * sech
     return delta, wfrac
 
 
-def _level_points(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """New (delta, wfrac) pairs introduced at this refinement level.
-
-    Level 0 holds all integer multiples of _H0 (u > 0 side); level k > 0
-    holds the odd multiples of _H0 / 2**k.  The u = 0 midpoint is handled
-    separately.
-    """
-    h = _H0 / 2 ** level
-    if level == 0:
-        us = [k * h for k in range(1, int(_UMAX / h) + 1)]
-    else:
-        us = [k * h for k in range(1, int(_UMAX / h) + 1, 2)]
-    deltas, wfracs = [], []
-    for u in us:
-        d, w = _point(u)
-        if w >= _WFRAC_MIN:
-            deltas.append(d)
-            wfracs.append(w)
-    return np.asarray(deltas), np.asarray(wfracs)
-
-
-@lru_cache(maxsize=1)
-def _reference_grid():
-    """All (delta, wfrac, is_new, side) up to _LEVEL, plus the u = 0 node."""
-    deltas = [np.array([0.5])]
-    wfracs = [np.array([_point(0.0)[1]])]
-    newflag = [np.array([False])]
-    sides = [np.array([0])]  # 0: measured from a; 1: measured from b
-    for lev in range(0, _LEVEL + 1):
-        d, w = _level_points(lev)
-        for side in (0, 1):
-            deltas.append(d)
-            wfracs.append(w)
-            newflag.append(np.full(d.shape, lev == _LEVEL))
-            sides.append(np.full(d.shape, side, dtype=int))
-    return (np.concatenate(deltas), np.concatenate(wfracs),
-            np.concatenate(newflag), np.concatenate(sides))
+#: (delta, wfrac) at u = k _STEP for k = 0, 1, ..., 757: k = 758, u ~ 5.92,
+#: is the first node whose weight fraction is below _WFRAC_MIN, and there
+#: s = (pi/2) sinh(u) ~ 293 keeps e^{2s} finite
+_DELTA, _WFRAC = map(np.array, zip(*takewhile(
+    lambda point: point[1] >= _WFRAC_MIN,
+    (_point(k * _STEP) for k in count()))))
+#: wfrac at the even k, the nodes of the rule of twice the step, else 0
+_WFRAC_COARSE = np.where(np.arange(_WFRAC.size) % 2 == 0, _WFRAC, 0.0)
 
 
 def tanh_sinh_nodes(a: float, b: float):
     """Fixed tanh-sinh grid on [a, b] for vectorized batch integration.
 
     Returns (x, w, w_coarse): nodes, weights, and weights realizing the
-    rule of twice the step on the same node set (zeros at the nodes the
-    coarser rule does not use).  Integrating with both weight vectors
-    gives a practically free error estimate.  The smallest offset from
-    an endpoint is about 7e-254 (b - a): nodes closer carry a weight
-    fraction below _WFRAC_MIN and are dropped.
+    rule of twice the step on the same node set (zeros at the odd k,
+    which the coarser rule does not use).  The nodes are the midpoint
+    (k = 0) and a + (b - a) delta_k for k >= 1, then b - (b - a) delta_k
+    for k >= 1.  Integrating with both weight vectors gives a practically
+    free error estimate.  The smallest offset from an endpoint is about
+    2.8e-253 (b - a): nodes closer carry a weight fraction below
+    _WFRAC_MIN and are dropped.
     """
-    deltas, wfracs, is_new, sides = _reference_grid()
     width = b - a
-    x = np.where(sides == 0, a + width * deltas, b - width * deltas)
-    # the u = 0 node (delta 0.5, side 0) is exactly the midpoint
-    h = _H0 / 2 ** _LEVEL
-    w = h * width * wfracs
-    w_coarse = np.where(is_new, 0.0, 2.0 * h * width * wfracs)
+    x = np.concatenate((a + width * _DELTA, b - width * _DELTA[1:]))
+    w = _STEP * width * np.concatenate((_WFRAC, _WFRAC[1:]))
+    w_coarse = 2.0 * _STEP * width \
+        * np.concatenate((_WFRAC_COARSE, _WFRAC_COARSE[1:]))
     return x, w, w_coarse
 
 
@@ -412,7 +384,7 @@ def _head_mass(profile: SingularProfile, x) -> float:
     of modulus about 1 (e^{inx}; the stationary mode's weight psi_0(0) is
     applied by the caller).  x0 is the smallest positive node in x, which
     holds a tanh-sinh grid on [0, b]; that grid drops the nodes below
-    about 7e-254 b, and no rule counts the mass there.  For a <= 0.5 it
+    about 2.8e-253 b, and no rule counts the mass there.  For a <= 0.5 it
     is below 1e-120 b^(1-a), but it grows without bound as a -> 1.
     """
     a = profile.alpha
@@ -496,17 +468,15 @@ def _gammas(table: tuple, bc: BoundaryConditionKind, c: float):
 
 def _pair_table(phi: SingularProfile, rho: SingularProfile,
                 bc: BoundaryConditionKind, c: float, N: int) -> tuple:
-    """(cols, lambda, bounds), n = 0..N, from moment tables built for N.
+    """(cols, lambda), n = 0..N, from moment tables built for N.
 
     cols stacks the rows gp gr, |gp| er + |gr| ep + ep er and |gp gr|,
     where gp, ep are the (gamma_n, err_n) of phi and gr, er those of rho,
-    so the second row bounds |gp gr - exact| for every n; lambda_n = n^2 +
-    c^2 with lambda_0 = 0.  bounds maps each size m a spectral sum can
-    slice, _SUM_START 2^k < N and N itself, to its tail bound, 2 max
-    |gp gr| over the modes m/2 < n <= m.  A pair phi == rho is one
-    profile, and profiles with the same pieces() are tabulated together;
-    other pairs take one pass per profile.  Only these terms are
-    returned, not the moment tables behind them.
+    so the second row bounds |gp gr - exact| for every n, and the third
+    gives a sum's tail bound; lambda_n = n^2 + c^2 with lambda_0 = 0.  A
+    pair phi == rho is one profile, and profiles with the same pieces()
+    are tabulated together; other pairs take one pass per profile.  Only
+    these terms are returned, not the moment tables behind them.
     """
     c0 = None if bc is BoundaryConditionKind.DIRICHLET else c
     if phi == rho:
@@ -521,11 +491,7 @@ def _pair_table(phi: SingularProfile, rho: SingularProfile,
                      np.abs(gg)])
     lam = np.arange(N + 1, dtype=float) ** 2 + c ** 2
     lam[0] = 0.0
-    sizes = [m for m in (_SUM_START << k for k in range(N.bit_length()))
-             if m < N]
-    bounds = {m: 2.0 * float(np.max(cols[2, m // 2 + 1:m + 1]))
-              for m in sizes + [N]}
-    return cols, lam, bounds
+    return cols, lam
 
 
 def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
@@ -592,19 +558,21 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     the bound times its decay factor is at most the partial sum.
 
     The samples are summed in groups of one N, smallest first, each
-    group by one _exp_weighted pass over rows 0..N of the call's table,
-    with the lambda_n and the tail bound stored there for N.  The first
-    group builds the table of the largest start size, so a grid builds
-    one table for its start sizes.  A sample whose tail test fails moves
-    to the group of 2N; if that has more rows than the table, the group
-    builds the larger one, and it and every later group are summed from
-    it.  The table is a local of the call, so a sample's bits depend only
-    on the grid passed with it; a slice of a larger table differs from
-    the table built for N by at most the sum of their propagated errors.
+    group by one _exp_weighted pass over rows 0..N of the call's table
+    and their lambda_n.  The first group builds the table of the largest
+    start size, so a grid builds one table for its start sizes.  A sample
+    whose tail test fails moves to the group of 2N; if that has more rows
+    than the table, the group builds the larger one, and it and every
+    later group are summed from it.  The table is a local of the call, so
+    a sample's bits depend only on the grid passed with it; a slice of a
+    larger table differs from the table built for N by at most the sum
+    of their propagated errors.
     err is the tail bound plus the propagated moment error plus the
     rounding of the N + 1 terms, all under the weights
-    lambda_n^power e^{-t lambda_n}.  With B the uniform |gamma gamma|
-    bound, the tail is B e^{-t c^2} times
+    lambda_n^power e^{-t lambda_n}.  With B = 2 max |gamma gamma| over
+    the modes N/2 < n <= N of the slice a group sums, taken once per
+    group, as the uniform |gamma gamma| bound, the tail is B e^{-t c^2}
+    times
     - power 0: sum_{n>N} e^{-t n^2} <= e^{-t N^2} (1 + 1/(2tN));
     - power 1: that times c^2, plus sum_{n>N} n^2 e^{-t n^2}
       <= int_N^inf x^2 e^{-t x^2} dx <= e^{-t N^2} (N/(2t) + 1/(4 t^2 N)),
@@ -636,7 +604,7 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
         idx = groups.pop(m)
         if table is None or table[1].size <= m:
             table = _pair_table(phi, rho, bc, c, max(m, top))
-        cols, lam, bounds = table
+        cols, lam = table
         tg = ts[idx]
         sums = _exp_weighted(tg, lam[:m + 1], cols[:, :m + 1], power)
         partial = sums[:, 0]
@@ -644,11 +612,12 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
         if power:
             decay = m / (2.0 * tg) + 1.0 / (4.0 * tg * tg * m) \
                 + c * c * decay
+        bound = 2.0 * float(np.max(cols[2, m // 2 + 1:m + 1]))
         finite = np.isfinite(partial)
         # a table that holds inf makes 0 * inf in the tail of a sum that
         # is not finite itself, and that sum's err is inf
         with np.errstate(invalid="ignore"):
-            tail = np.exp(-tg * (m * m + c * c)) * bounds[m] * decay
+            tail = np.exp(-tg * (m * m + c * c)) * bound * decay
             done = (tail < _TAIL_REL * np.maximum(np.abs(partial), 1e-300)) \
                 & (tg * (m * m) >= power)
             err[idx] = np.where(finite, tail + sums[:, 1]

@@ -2,7 +2,7 @@
 breakpoints, in plain Python floats: importing this module loads no numpy.
 
 heat1d applies GAUSS8 to the lattice cells of the interval's moment
-table, regint to equal panels on the segments past its collar.
+table, regint to geometric panels on the segments past its collar.
 """
 
 from __future__ import annotations

@@ -223,7 +223,7 @@ def test_fourier_moments_within_err_of_closed_form(alpha):
 
 @pytest.mark.parametrize("alpha", (0.95, 0.97))
 def test_fourier_moments_bound_the_mass_below_the_head_grid(alpha):
-    # the head grid's smallest node is about 7e-254 * 10/N, and the mass
+    # the head grid's smallest node is about 2.8e-253 * 10/N, and the mass
     # below it, about x0^(1-alpha)/(1-alpha), reaches 7e-7 at alpha 0.97;
     # cos(nx) - 1 removes the singularity for the mpmath reference
     profile = SingularProfile(alpha, constant(), math.pi)
@@ -456,7 +456,7 @@ def test_pair_terms_on_different_pieces_match_per_profile_tables(
     phi = plateau_profile(0.25, math.pi, 0.5)
     rho = plateau_profile(0.4, math.pi, 1.0)
     size = 1024
-    (gg, quad, mag), lam, bounds = _pair_table(phi, rho, R, 0.5, size)
+    (gg, quad, mag), lam = _pair_table(phi, rho, R, 0.5, size)
     assert [v.shape[0] for _, v, _ in passes] == [2, 2]
     gp, ep = _gammas(_moment_tables((phi,), size, 0.5)[0], R, 0.5)
     gr, er = _gammas(_moment_tables((rho,), size, 0.5)[0], R, 0.5)
@@ -465,7 +465,6 @@ def test_pair_terms_on_different_pieces_match_per_profile_tables(
     assert np.array_equal(quad, np.abs(gp) * er + np.abs(gr) * ep + ep * er)
     n = np.arange(size + 1, dtype=float)
     assert np.array_equal(lam, np.where(n == 0, 0.0, n ** 2 + 0.25))
-    assert bounds[size] == 2.0 * float(np.max(np.abs(gp * gr)[size // 2 + 1:]))
 
 
 def test_self_pair_uses_two_rows(monkeypatch):
@@ -509,16 +508,11 @@ def test_slices_of_a_larger_table_are_sound():
     # terms built for N by at most the sum of their propagated errors
     phi = plateau_profile(A1, math.pi, 0.5)
     rho = plateau_profile(A2, math.pi, 0.5)
-    (gg, quad, mag), _, bounds = _pair_table(phi, rho, R, 0.5, 8192)
+    (gg, quad, _), _ = _pair_table(phi, rho, R, 0.5, 8192)
     for size in (512, 2048, 4096):
-        (gg_n, quad_n, _), _, _ = _pair_table(phi, rho, R, 0.5, size)
+        (gg_n, quad_n, _), _ = _pair_table(phi, rho, R, 0.5, size)
         assert np.all(np.abs(gg[:size + 1] - gg_n)
                       <= quad[:size + 1] + quad_n), size
-    # a sum slices it at N = 64 2^k <= 8192, and the tail bound of each
-    # slice is stored with it, not taken on every pass
-    assert sorted(bounds) == [64 << k for k in range(8)]
-    for m, bound in bounds.items():
-        assert bound == 2.0 * float(np.max(mag[m // 2 + 1:m + 1])), m
     # so beta depends on the grid of its call only within err: each
     # sample of the 40-sample grid, which slices the table of t = 1e-6,
     # against the same t summed alone on its own table
@@ -549,6 +543,31 @@ def test_beta_depends_only_on_its_own_call(monkeypatch):
     gc.collect()
     assert len(tables) == 6
     assert [ref() for ref in tables] == [None] * 6
+
+
+def test_a_sample_that_fails_its_tail_test_doubles(monkeypatch):
+    # t = 7e-3 starts at N = 64 on this Robin self pair at c = 20, but
+    # there |gamma_n|^2 reaches about 150, so the tail bound is about 7
+    # times 1e-13 of the sum and the sample moves to 128, which builds
+    # its table; in a grid with t = 5e-3, which starts at 128, the first
+    # table is already 128 and 7e-3 doubles onto a slice of it, with the
+    # same bits
+    sizes = []
+
+    def recorded(*args):
+        sizes.append(args[-1])
+        return _pair_table(*args)
+
+    monkeypatch.setattr(heat1d, "_pair_table", recorded)
+    phi = plateau_profile(0.95, math.pi, 0.5)
+    alone = interval_heat_content(phi, phi, R, 20.0, 7e-3)
+    assert sizes == [64, 128]
+    del sizes[:]
+    beta, err = interval_heat_content(phi, phi, R, 20.0,
+                                      np.array([5e-3, 7e-3]))
+    assert sizes == [128]
+    assert (beta[1], err[1]) == alone
+    assert alone[1] < 1e-11 * alone[0]
 
 
 @pytest.mark.parametrize("size", (64, 8192))

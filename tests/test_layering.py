@@ -14,7 +14,8 @@ inspect (which dataclasses imports), and the simulator loads neither
 dataclasses nor numpy.polynomial, nor numpy.ma, which numpy imports
 lazily on the first call of np.unique and the like.  The last test names every
 process-global cache of the package, so a new one has to be declared
-there, and finds no module-level empty container that could hide one.
+there, finds no module-level empty container that could hide one, and
+no cached function without parameters, which is a constant.
 """
 
 import ast
@@ -182,6 +183,33 @@ def _empty_module_containers() -> list:
             if _assigns_empty_container(stmt)]
 
 
+def _is_parameterless_cache(node) -> bool:
+    """Whether node defines a function that takes no parameters under
+    lru_cache or cache, called or not, bare or as an attribute."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    args = node.args
+    if args.posonlyargs or args.args or args.vararg or args.kwonlyargs \
+            or args.kwarg:
+        return False
+    for deco in node.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        if name in ("lru_cache", "cache"):
+            return True
+    return False
+
+
+def _parameterless_caches() -> list:
+    """(file, line) of each cached function without parameters, at any
+    depth, in the package."""
+    return [(path.name, node.lineno)
+            for path in sorted((SRC / "singularheat").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if _is_parameterless_cache(node)]
+
+
 def test_every_cache_is_declared():
     # each process-global cache must earn its keep, so a new one has to be
     # named here; the source count also catches one outside module scope
@@ -196,9 +224,22 @@ def test_every_cache_is_declared():
                    if hasattr(value, "cache_clear")}
         decorated += len(re.findall(r"\blru_cache\(|@(?:functools\.)?cache\b",
                                     path.read_text(encoding="utf-8")))
-    assert caches == {"heat1d._reference_grid", "specfun._log_gamma",
-                      "coeff._base_terms"}
+    assert caches == {"specfun._log_gamma", "coeff._base_terms"}
     assert decorated == len(caches)
+    # a cached function without parameters is a constant: build it at
+    # import instead
+    assert _parameterless_caches() == []
+    for source, constant in (
+            ("@lru_cache(maxsize=1)\ndef _grid(): pass", True),
+            ("@functools.lru_cache\ndef _grid(): pass", True),
+            ("@cache\nasync def _grid(): pass", True),
+            ("@lru_cache(maxsize=8)\ndef _terms(a, b): pass", False),
+            ("@functools.cache\ndef _terms(*, a): pass", False),
+            ("@cache\ndef _terms(*args): pass", False),
+            ("def _grid(): pass", False),
+            ("@staticmethod\ndef _grid(): pass", False)):
+        node = ast.parse(source).body[0]
+        assert _is_parameterless_cache(node) is constant, source
     # nor can a cache come back as a plain container filled at run time;
     # the check sees each form of one
     assert _empty_module_containers() == []

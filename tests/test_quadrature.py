@@ -103,8 +103,13 @@ def test_fixed_grid_nodes_inside_interval():
     x, w, w_coarse = tanh_sinh_nodes(0.0, 1.0)
     assert np.all(x > 0.0) and np.all(x <= 1.0)
     assert np.all(w > 0.0)
-    assert w.shape == w_coarse.shape == x.shape
+    assert w.shape == w_coarse.shape == x.shape == (1515,)
     assert w.sum() == pytest.approx(1.0, rel=1e-10)
+    # the midpoint and 757 nodes u = k/128 on each side; the rule of twice
+    # the step takes the even k at twice the weight
+    coarse = w_coarse != 0.0
+    assert np.count_nonzero(coarse) == 757
+    assert np.array_equal(w_coarse[coarse], 2.0 * w[coarse])
 
 
 def test_gauss_legendre_polynomial_exact():
