@@ -179,8 +179,9 @@ def simulate(cfg: ProblemConfig) -> HeatContentSamples:
         return plateau_profile(alpha, L, cfg.cutoff)
 
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.num)
-    # a quadrature node that underflows to x = 0 makes x^(-alpha) inf; the
-    # sample it spoils is a numeric failure, not invalid input
+    # x^(-alpha) overflows at the subnormal nodes of a tail grid (a cutoff
+    # near 1e-320); the sample it spoils is a numeric failure, not invalid
+    # input
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if cfg.problem == "halfline":
             betas, errs = halfline_heat_content(

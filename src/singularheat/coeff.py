@@ -258,8 +258,11 @@ def closed_form_crosscheck(pair: ExponentPair) -> dict:
     values below are explicit rational-in-alpha combinations of the base
     coefficients, derived by eliminating every shifted evaluation with
     the recursion relations, so agreement is a genuine double check of
-    the assembly.  The eps16 row checks the swap recursion at (a1, a2)
-    against the table's form 4 pref T1 / (3 - sigma) of _base_terms.
+    the assembly.  The eps16 row checks the table's form
+    4 pref T1 / (3 - sigma) of _base_terms against
+    Gamma(1 - a1) Gamma(1 - a2) / Gamma((5 - sigma)/2), the same value by
+    the Legendre duplication formula, one product of other log-gammas
+    with no difference that cancels.
     """
     a1, a2 = complex(pair.alpha1), complex(pair.alpha2)
     sigma = a1 + a2
@@ -273,8 +276,6 @@ def closed_form_crosscheck(pair: ExponentPair) -> dict:
         "eps10": (a1 * a1 + a2 * a2 - 1) / (4.0 * (3.0 - sigma)) * e_r
         - a1 * a2 / (2.0 * (3.0 - sigma)) * e_d,
         "eps19": sigma / (3.0 - sigma) * (e_r - e_d),
+        "eps16": gamma_ratio([1.0 - a1, 1.0 - a2], [0.5 * (5.0 - sigma)]),
     }
-    if abs(a1 - 1.0) > DEFAULT_DELTA and abs(a2 - 1.0) > DEFAULT_DELTA:
-        refs["eps16"] = _base_eps(1, a1 - 1, a2 - 1) \
-            / ((a1 - 1.0) * (a2 - 1.0)) + 2.0 / (3.0 - sigma) * e_r
     return {key: _rel_residual(table[key], ref) for key, ref in refs.items()}

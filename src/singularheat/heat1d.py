@@ -17,8 +17,10 @@ difference by Gaussian gridding onto a 4N-point grid and one real FFT
 per row (Greengard and Lee, SIAM Rev. 46, 2004), one pass per node set
 with the rows of phi and rho side by side and the nodes that carry no
 weight dropped; the gridding error (Gaussian truncation, aliasing and
-rounding) is bounded in err, and so is the mass below the head grid's
-smallest node.  The Robin stationary mode is row n = 0 of the same
+rounding) is bounded in err.  The singular head [0, b] is integrated
+after the change of variable x = b u^p, p = 1/(1 - max alpha), which
+leaves a bounded integrand in u for every alpha < 1, so x^(-alpha) is
+never formed there.  The Robin stationary mode is row n = 0 of the same
 table, summed directly on the same nodes by numpy reductions, which call
 no BLAS routine and so round alike under any thread count, and the
 spectral sum runs over n = 0..N with lambda_0 = 0.  It starts at the
@@ -199,31 +201,40 @@ _SPREAD_CHUNK = 64     # nodes per bincount of the spread
 _GAUSS = 0.75 * math.pi / _SPREAD
 
 
-def _table_nodes(profile: SingularProfile, N: int):
-    """((x, w, w_coarse), (cells, xl, wl)): one grid for every mode n <= N.
+def _table_nodes(profiles: tuple, N: int):
+    """((x, w, w_coarse), (cells, xl, wl), (u, top, b)): one grid for
+    every mode n <= N and every profile, which share one pieces().
 
     Fixed tanh-sinh grids, with their level-coarser weights, cover the
-    singular head [0, 10/N] and the support edge (where the smooth factor
-    may lose regularity).  The rest lies on the lattice of cells
-    [k h, (k+1) h], h = pi/N, each with an 8-node Gauss rule: the whole
-    cells k are listed in cells, with nodes xl[j, i] = h (cells[i] +
-    (1 + g_j)/2) and weights wl[j] = h gw_j / 2 for the Gauss nodes g_j
-    and weights gw_j on [-1, 1].  A cell cut by a breakpoint or by the end
-    of the head or tail grid adds its parts to the direct nodes x as Gauss
-    panels with w_coarse = w; parts of zero width are skipped.
+    singular head [0, b], b = min(10/N, end of the first piece), and the
+    support edge (where the smooth factor may lose regularity).  The head
+    grid comes first in x: its nodes are x = b u^p for the tanh-sinh
+    nodes u on [0, 1], p = 1/(1 - top) with top = max(alpha, 0) over the
+    profiles, and its weights are those of [0, 1], since _profile_values
+    puts the Jacobian into the values (Davis and Rabinowitz, Methods of
+    Numerical Integration, 2nd ed., 1984, ch. 2).  The rest lies on the
+    lattice of cells [k h, (k+1) h], h = pi/N, each with an 8-node Gauss
+    rule: the whole cells k are listed in cells, with nodes xl[j, i] =
+    h (cells[i] + (1 + g_j)/2) and weights wl[j] = h gw_j / 2 for the
+    Gauss nodes g_j and weights gw_j on [-1, 1].  A cell cut by a
+    breakpoint or by the end of the head or tail grid adds its parts to
+    the direct nodes x as Gauss panels with w_coarse = w; parts of zero
+    width are skipped.
     """
-    pieces = profile.pieces()
+    pieces = profiles[0].pieces()
     support_end = pieces[-1][1]
     if support_end > math.pi:
         raise DomainError("interval data must vanish beyond pi")
     reach = _HEAD_PERIODS / N
     h = math.pi / N
+    top = max(0.0, *(f.alpha for f in profiles))
     gx, gw = _GX, _GW
     parts, cut, whole = [], [], np.zeros(N, bool)
     for a, b in pieces:
         if a == 0.0:
             head = min(b, reach)
-            parts.append(tanh_sinh_nodes(0.0, head))
+            u, w, w_coarse = tanh_sinh_nodes(0.0, 1.0)
+            parts.append((head * u ** (1.0 / (1.0 - top)), w, w_coarse))
             a = head
         if b == support_end and b > a:
             tail = max(a, b - reach)
@@ -242,7 +253,23 @@ def _table_nodes(profile: SingularProfile, N: int):
     cells = np.flatnonzero(whole)
     lattice = (cells, h * (cells + 0.5 * (1.0 + gx[:, None])),
                0.5 * h * gw[:, None])
-    return tuple(map(np.concatenate, zip(*parts))), lattice
+    return tuple(map(np.concatenate, zip(*parts))), lattice, (u, top, head)
+
+
+def _profile_values(profile: SingularProfile, x, head_grid):
+    """The values of profile = x^(-a) s(x) that the weights w of
+    _table_nodes integrate at its direct nodes x: on the head grid
+    (u, top, b), the integrand s(x) p b^(1-a) u^(p(1-a) - 1) of
+    int_0^1 du after x = b u^p, p = 1/(1 - top), and profile(x) on the
+    rest.  The power of u is p (top - a): exactly 0 for the larger
+    exponent, positive for the other (where it may underflow to 0), so
+    x^(-a) is never formed on the head.
+    """
+    u, top, b = head_grid
+    a, p = profile.alpha, 1.0 / (1.0 - top)
+    head = profile.smooth(x[:u.size]) * (p * b ** (1.0 - a)) \
+        * u ** (p * (top - a))
+    return np.concatenate((head, profile(x[u.size:])))
 
 
 def _grid_sums(x, v, N: int):
@@ -378,21 +405,6 @@ def _direct_sums(values: list, x, w, w_coarse, N: int):
     return sums[::2].copy(), err
 
 
-def _head_mass(profile: SingularProfile, x) -> float:
-    """2 |s(0)| x0^(1-a)/(1-a) for phi = x^(-a) s(x): twice the integral
-    of |phi| over [0, x0] for s near s(0), a bound on it times a weight
-    of modulus about 1 (e^{inx}; the stationary mode's weight psi_0(0) is
-    applied by the caller).  x0 is the smallest positive node in x, which
-    holds a tanh-sinh grid on [0, b]; that grid drops the nodes below
-    about 2.8e-253 b, and no rule counts the mass there.  For a <= 0.5 it
-    is below 1e-120 b^(1-a), but it grows without bound as a -> 1.
-    """
-    a = profile.alpha
-    x0 = float(np.min(x[x > 0.0]))
-    s0 = abs(float(profile.smooth(np.zeros(1))[0]))
-    return 2.0 * s0 * x0 ** (1.0 - a) / (1.0 - a)
-
-
 def _moment_tables(profiles: tuple, N: int, c: float | None) -> list:
     """[(S, C, err)] per profile, n = 0..N: S_n = int phi sin(nx),
     C_n = int phi cos(nx) for n >= 1, and S_0 = 0, C_0 = int phi psi_0
@@ -415,22 +427,23 @@ def _moment_tables(profiles: tuple, N: int, c: float | None) -> list:
     undoing the Gaussian amplifies by up to e^{(pi n/4N)^2/c}, about 39 at
     n = N, and the rounding of the grid coordinate, 3 u n sum |v| x), plus
     eps (log2(2N) + n h) sum |u| over the lattice nodes, u = wl phi
-    (rounding of the FFT and of the offset phase), plus the _head_mass
-    below the head grid's smallest node.  err_0 has the same parts: the
-    coarse-rule difference; the rounding, in units of eps/2 times the mass
-    sum |w phi psi_0| + sum |u psi_0|, of the sums of K terms, K - 1 in
-    any order, of the exponent cx - pi max(c, 0), 4 pi |c|, and of exp,
-    z and the products, 11; and the _head_mass times psi_0(0).
+    (rounding of the FFT and of the offset phase).  The direct sums and
+    C_0 read the values of _profile_values, so the head [0, b] is the
+    bounded integral over u of x = b u^p, and every node of it counts.
+    err_0 has the same parts: the coarse-rule difference, and the
+    rounding, in units of eps/2 times the mass sum |w phi psi_0| +
+    sum |u psi_0|, of the sums of K terms, K - 1 in any order, of the
+    exponent cx - pi max(c, 0), 4 pi |c|, and of exp, z and the
+    products, 11.
     """
-    (x, w, w_coarse), (cells, xl, wl) = _table_nodes(profiles[0], N)
-    values = [profile(x) for profile in profiles]
+    (x, w, w_coarse), (cells, xl, wl), head_grid = _table_nodes(profiles, N)
+    values = [_profile_values(profile, x, head_grid) for profile in profiles]
     sums, direct_err = _direct_sums(values, x, w, w_coarse, N)
     us = [profile(xl) * wl for profile in profiles]
     moms = _lattice_sums(us, cells, N)
     n = np.arange(1, N + 1, dtype=float)
     tables = []
-    for k, (profile, f, u, mom) in enumerate(zip(profiles, values, us, moms)):
-        head = _head_mass(profile, x)
+    for k, (f, u, mom) in enumerate(zip(values, us, moms)):
         zero = zero_err = 0.0
         if c is not None:
             # psi_0 > 0 at every node
@@ -438,14 +451,12 @@ def _moment_tables(profiles: tuple, N: int, c: float | None) -> list:
             zero = np.sum(w * f * mode) + np.sum(u * mode_l)
             mass = np.sum(np.abs(w * f) * mode) + np.sum(np.abs(u) * mode_l)
             floor = 0.5 * _EPS * (x.size + u.size + 4 * math.pi * abs(c) + 11)
-            zero_err = abs(np.sum((w - w_coarse) * f * mode)) + floor * mass \
-                + head * _robin_zero_mode(c, 0.0)
+            zero_err = abs(np.sum((w - w_coarse) * f * mode)) + floor * mass
+        mom[0] = zero
         mom[1:] += sums[k]
         rounding = _EPS * (math.log2(2 * N) + n * math.pi / N) \
             * float(np.sum(np.abs(u)))
-        err = np.empty(N + 1)
-        np.add(direct_err[k] + rounding, head, out=err[1:])
-        mom[0], err[0] = zero, zero_err
+        err = np.concatenate(([zero_err], direct_err[k] + rounding))
         tables.append((mom.imag, mom.real, err))
     return tables
 
@@ -579,8 +590,8 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
       where the integral test needs x^2 e^{-t x^2} decreasing on
       [N, inf), that is t N^2 >= 1, so the sum stops no earlier.
     A sample whose sum is not finite, say from a moment whose quadrature
-    met x^(-alpha) = inf at a node that underflowed to 0, is returned
-    with err inf.
+    met x^(-alpha) = inf at a subnormal node of the tail grid, is
+    returned with err inf.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     start = np.full(ts.size, _SUM_START)

@@ -47,7 +47,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 
 #: distinct arguments whose log-gamma a process keeps (`verify all` reads
-#: 2,372); the least recently used one goes first
+#: 2,472); the least recently used one goes first
 _LOG_GAMMA_MEMO = 4096
 
 

@@ -258,21 +258,18 @@ def test_simulate_inadmissible_exponent(capsys, tmp_path):
     assert code == 2
 
 
+#: a Robin interval whose tail grid sits at subnormal x, where
+#: x^(-0.999) overflows, so its first sample is not finite
+SUBNORMAL_CUTOFF = {"problem": "interval", "bc": "robin", "c": 0.5,
+                    "alpha1": 0.999, "alpha2": 0.3, "cutoff": 1e-320,
+                    "tmin": 1e-4, "tmax": 1e-2, "num": 2}
+
+
 def test_simulate_truncation_failure_exits_3(capsys, tmp_path):
-    underflow = {"alpha1": 0.3, "alpha2": 0.4, "cutoff": 1e-80,
-                 "tmin": 1e-4, "tmax": 1e-2, "num": 2}
     cases = [
         ({"problem": "interval", "bc": "dirichlet", "cutoff": None,
           "tmin": 1e-12, "tmax": 1e-12, "num": 1}, "error:"),
-        # tanh-sinh head nodes underflow to x = 0 on a tiny cutoff, so
-        # x^(-alpha) is inf and the sample is not finite
-        ({"problem": "interval", "bc": "dirichlet", **underflow},
-         "interval sample at t = 0.0001 "),
-        ({"problem": "interval", "bc": "robin", "c": 0.5, **underflow},
-         "interval sample at t = 0.0001 "),
-        ({"problem": "halfline", "alpha1": 0.9, "alpha2": 0.9,
-          "cutoff": 1e-300, "tmin": 1e-4, "tmax": 1e-2, "num": 2},
-         "halfline sample at t = 0.0001 "),
+        (SUBNORMAL_CUTOFF, "interval sample at t = 0.0001 is not finite"),
     ]
     for obj, message in cases:
         cfg = write_config(tmp_path, obj)
@@ -283,13 +280,58 @@ def test_simulate_truncation_failure_exits_3(capsys, tmp_path):
         assert not out.exists(), obj
 
 
-@pytest.mark.parametrize("alpha", (0.3, 0.9, 0.95, 0.97, 0.99))
+def _plateau_mass(alpha, r0):
+    """int_0^r0 x^(-alpha) P(x/r0) dx = r0^(1-alpha) int_0^1 u^(-alpha)
+    P(u) du for the plateau P: 1 up to 1/2, the quintic ramp to 0 at 1."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        ramp = mpmath.quad(
+            lambda u: u ** -a * (1 - (2 * u - 1) ** 3
+                                 * (10 - 15 * (2 * u - 1)
+                                    + 6 * (2 * u - 1) ** 2)), [0.5, 1])
+        inner = mpmath.mpf(0.5) ** (1 - a) / (1 - a) + ramp
+        return float(mpmath.power(mpmath.mpf(r0), 1 - a) * inner)
+
+
+def test_simulate_tiny_cutoff_returns_its_corner_value(capsys, tmp_path):
+    # data within 1e-80 of the corner (1e-300 on the half-line) see only
+    # the kernel there: Dirichlet gives 0, and the Robin half-line kernel
+    # of D = -d^2/dx^2 + c^2 at the corner is
+    # K(0, 0; t) = e^{-c^2 t}/sqrt(pi t) - c erfc(c sqrt(t)) (Carslaw and
+    # Jaeger), so beta = m_phi m_rho K(0, 0; t) for the plateau masses m
+    tiny = {"alpha1": 0.3, "alpha2": 0.4, "cutoff": 1e-80,
+            "tmin": 1e-4, "tmax": 1e-2, "num": 2}
+    cases = [
+        ({"problem": "interval", "bc": "dirichlet", **tiny}, None),
+        ({"problem": "halfline", "bc": "dirichlet", "alpha1": 0.9,
+          "alpha2": 0.9, "cutoff": 1e-300, "tmin": 1e-4, "tmax": 1e-2,
+          "num": 2}, None),
+        ({"problem": "interval", "bc": "robin", "c": 0.5, **tiny}, 0.5),
+    ]
+    out = tmp_path / "out.csv"
+    for obj, c in cases:
+        code, _, err = run(capsys, ["simulate", write_config(tmp_path, obj),
+                                    "--out", str(out)])
+        assert code == 0, (obj, err)
+        entries = HeatContentSamples.from_csv_text(out.read_text()).entries
+        assert len(entries) == 2, obj
+        for t, beta, e in entries:
+            assert math.isfinite(beta) and math.isfinite(e), (obj, t)
+            want = 0.0
+            if c is not None:
+                want = _plateau_mass(obj["alpha1"], obj["cutoff"]) \
+                    * _plateau_mass(obj["alpha2"], obj["cutoff"]) \
+                    * (math.exp(-c * c * t) / math.sqrt(math.pi * t)
+                       - c * math.erfc(c * math.sqrt(t)))
+            assert abs(beta - want) <= e, (obj, t, beta, want, e)
+
+
+@pytest.mark.parametrize("alpha", (0.3, 0.9, 0.95, 0.97, 0.99, 0.999))
 def test_simulate_neumann_interval_conserves_mass_near_alpha_one(
         capsys, tmp_path, alpha):
     # against rho = 1 the Neumann flow conserves int phi = pi^(1-a)/(1-a);
-    # as alpha -> 1 the mass below the smallest tanh-sinh node grows (at
-    # alpha 0.97 the value is 8e-7 off), and err must cover it.  Up to
-    # alpha 0.9 that mass is negligible: beta is right to rounding,
+    # the head integrated in u after x = b u^p loses no mass below its
+    # smallest node, so beta is right to rounding up to alpha 0.999,
     # although gamma_n(rho) = 0 for n >= 1 and the sum runs on past the
     # sizes where its tail bound would already stop
     obj = {"problem": "interval", "bc": "robin", "c": 0.0, "alpha1": alpha,
@@ -303,8 +345,7 @@ def test_simulate_neumann_interval_conserves_mass_near_alpha_one(
     for t, beta, e in HeatContentSamples.from_csv_text(
             out.read_text()).entries:
         assert abs(beta - mass) <= e, t
-        if alpha <= 0.9:
-            assert abs(beta - mass) <= 1e-15 * mass, t
+        assert abs(beta - mass) <= 1e-15 * mass, t
 
 
 def test_simulate_robin_interval_at_large_c(capsys, tmp_path):
@@ -561,9 +602,23 @@ def test_verify_recursions(capsys):
     assert report["checks"]["recursions"]["residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("seed", (241, 1703))
+def test_verify_crosscheck_passes_where_the_swap_reference_cancelled(
+        capsys, seed):
+    # at these seeds the swap recursion at (a1 - 1, a2 - 1) plus
+    # 2 eps0/(3 - sigma), two large terms that cancel near an integer
+    # sigma, is 1.8e-10 and 2.4e-10 off eps16; its reference
+    # Gamma(1 - a1) Gamma(1 - a2)/Gamma((5 - sigma)/2) subtracts nothing
+    code, out, _ = run(capsys, ["verify", "crosscheck", "--seed", str(seed)])
+    assert code == 0
+    report = json.loads(out.strip().splitlines()[-1])
+    assert report["pass"] is True
+    assert report["checks"]["crosscheck"]["residual"] <= 1e-12
+
+
 def test_verify_all_evaluates_each_gamma_quantity_once(monkeypatch, capsys):
-    # the suites read 2,372 distinct log-gamma arguments and 606 distinct
-    # exponent pairs (24,336 and 1,926 reads); each is evaluated once
+    # the suites read 2,472 distinct log-gamma arguments and 606 distinct
+    # exponent pairs (23,436 and 1,826 reads); each is evaluated once
     lanczos = []
     right = specfun._log_gamma_right
     monkeypatch.setattr(specfun, "_log_gamma_right",
@@ -572,7 +627,7 @@ def test_verify_all_evaluates_each_gamma_quantity_once(monkeypatch, capsys):
     specfun._log_gamma.cache_clear()
     code, out, _ = run(capsys, ["verify", "all", "--seed", "2795742288"])
     assert code == 0 and json.loads(out.strip().splitlines()[-1])["pass"]
-    assert len(lanczos) == 2372
+    assert len(lanczos) == 2472
     assert coeff._base_terms.cache_info().misses == 606
 
 
@@ -628,17 +683,13 @@ def test_program_entry_matches_in_process_main(capsys, tmp_path):
     assert script == guarded
     rejected = write_config(tmp_path, {"problem": "interval", "tmin": -1.0},
                             "rejected.json")
-    # tanh-sinh head nodes underflow to x = 0 on a tiny cutoff
-    underflow = write_config(tmp_path, {
-        "problem": "interval", "bc": "dirichlet", "alpha1": 0.3,
-        "alpha2": 0.4, "cutoff": 1e-80, "tmin": 1e-4, "tmax": 1e-2,
-        "num": 2}, "underflow.json")
+    subnormal = write_config(tmp_path, SUBNORMAL_CUTOFF, "subnormal.json")
     out_csv = str(tmp_path / "out.csv")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for argv, want in (
             (["coeffs", "--alpha1", "0.3", "--alpha2", "0.4"], 0),
             (["simulate", rejected, "--out", out_csv], 2),
-            (["simulate", underflow, "--out", out_csv], 3)):
+            (["simulate", subnormal, "--out", out_csv], 3)):
         proc = subprocess.run([sys.executable, "-m", "singularheat.cli",
                                *argv], env=env, cwd=tmp_path,
                               capture_output=True, text=True)

@@ -92,7 +92,7 @@ def test_crosscheck_residuals():
     for pair in (ExponentPair(0.3, 0.4), ExponentPair(0.25, 0.5),
                  ExponentPair(-0.7, 0.2), ExponentPair(0.1 + 0.3j, 0.2 - 0.2j)):
         res = closed_form_crosscheck(pair)
-        assert set(res) >= {"eps9", "eps10", "eps11", "eps19"}
+        assert set(res) == {"eps9", "eps10", "eps11", "eps16", "eps19"}
         for name, r in res.items():
             assert r <= 1e-10, f"{name} residual {r} at {pair}"
 

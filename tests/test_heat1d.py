@@ -19,7 +19,7 @@ from singularheat import heat1d
 from singularheat.asymfit import HeatContentSamples
 from singularheat.heat1d import (_EPS, _gammas, _grid_error,
                                  _grid_sums, _lattice_sums, _moment_tables,
-                                 _pair_table, _table_nodes,
+                                 _pair_table, _profile_values, _table_nodes,
                                  apply_A,
                                  circle_heat_content,
                                  halfline_heat_content, interval_heat_content,
@@ -221,10 +221,11 @@ def test_fourier_moments_within_err_of_closed_form(alpha):
             assert abs(C[n] - exact[n].real) <= err[n], (size, n)
 
 
-@pytest.mark.parametrize("alpha", (0.95, 0.97))
-def test_fourier_moments_bound_the_mass_below_the_head_grid(alpha):
-    # the head grid's smallest node is about 2.8e-253 * 10/N, and the mass
-    # below it, about x0^(1-alpha)/(1-alpha), reaches 7e-7 at alpha 0.97;
+@pytest.mark.parametrize("alpha", (0.95, 0.97, 0.999))
+def test_fourier_moments_within_err_near_alpha_one(alpha):
+    # the head is integrated in u after x = b u^p, p = 1/(1 - alpha), so
+    # no mass is lost below its smallest node: err stays about 3e-12 of
+    # the mass pi^(1-alpha)/(1-alpha) up to alpha 0.999 (3.3e-12 there);
     # cos(nx) - 1 removes the singularity for the mpmath reference
     profile = SingularProfile(alpha, constant(), math.pi)
     S, C, err = _moment_tables((profile,), 1024, None)[0]
@@ -237,6 +238,22 @@ def test_fourier_moments_bound_the_mass_below_the_head_grid(alpha):
             sin = mpmath.quad(lambda x: x ** -a * mpmath.sin(n * x), edges)
             assert abs(C[n] - cos) <= err[n], n
             assert abs(S[n] - sin) <= err[n], n
+
+
+@pytest.mark.parametrize("alphas, r, c", (
+    ((0.999, 0.3), 1e-80, 0.5), ((0.999,), 1e-80, None),
+    ((0.19714982944994874, 0.2877122934811255), 0.5, 0.5)),
+    ids=("robin-0.999-0.3", "dirichlet-0.999", "robin-seed7"))
+def test_moment_tables_never_form_the_head_singularity(alphas, r, c):
+    # x = b u^p underflows to 0 on most of the head grid at alpha 0.999,
+    # where x^(-alpha) would divide by zero; the head values are bounded
+    # in u, and only u^(p (1 - alpha) - 1) may underflow, on purpose
+    profiles = tuple(plateau_profile(a, math.pi, r) for a in alphas)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for size in (64, 8192):
+            for S, C, err in _moment_tables(profiles, size, c):
+                assert np.all(np.isfinite(S) & np.isfinite(C)
+                              & np.isfinite(err))
 
 
 def _check_plateau_moments(alpha, r, sizes, modes):
@@ -282,8 +299,8 @@ def test_fourier_moments_at_edge_geometry():
     # whole (no lattice cells)
     for r, sizes in ((math.pi / 2, (64, 1024)), (1e-3, (8192,))):
         for size in sizes:
-            (_, w, _), (cells, _, wl) = _table_nodes(
-                plateau_profile(0.25, math.pi, r), size)
+            (_, w, _), (cells, _, wl), _ = _table_nodes(
+                (plateau_profile(0.25, math.pi, r),), size)
             assert np.all(w >= 0.0) and np.all(wl > 0.0), (r, size)
             assert (cells.size > 0) == (r > 10.0 / size), (r, size)
         _check_plateau_moments(0.25, r, sizes,
@@ -318,7 +335,7 @@ def test_lattice_fft_matches_direct_product(size):
     # own (it rounds n x, and its nodes carry pi rounded to double, which
     # alone moves it by up to 2.5 times the FFT term at N = 8192).
     profile = plateau_profile(0.25, math.pi, 0.5)
-    _, (cells, xl, wl) = _table_nodes(profile, size)
+    _, (cells, xl, wl), _ = _table_nodes((profile,), size)
     u = profile(xl) * wl
     direct = _blocked_product(xl.ravel(), [u.ravel()], size)[0]
     n = np.arange(1, size + 1)
@@ -579,10 +596,10 @@ def test_dropped_direct_nodes_are_bounded_and_counted(monkeypatch, size):
                 plateau_profile(0.9, math.pi, 0.5))
     tables = _moment_tables(profiles, size, None)
     [(kept, v_kept, _)] = passes
-    (x, w, w_coarse), _ = _table_nodes(profiles[0], size)
+    (x, w, w_coarse), _, head_grid = _table_nodes(profiles, size)
     rows = []
     for profile in profiles:
-        f = profile(x)
+        f = _profile_values(profile, x, head_grid)
         rows += [w * f, (w - w_coarse) * f]
     # dropped = all nodes minus the kept ones, as multisets of
     # (x, rows) columns: the far ends of a grid repeat abscissae
