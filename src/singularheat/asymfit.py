@@ -51,16 +51,25 @@ class HeatContentSamples:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv_text(cls, text: str) -> "HeatContentSamples":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0].strip() != "t,beta,err":
+    def from_csv_lines(cls, lines) -> "HeatContentSamples":
+        """Parse t,beta,err CSV from an iterable of lines, such as an open
+        file, one line at a time.  Blank lines are skipped; a
+        whitespace-only line is a malformed row unless only blank lines
+        follow it, and the header may carry surrounding whitespace."""
+        rows = (ln for line in lines for ln in line.splitlines() if ln)
+        header = next((ln for ln in rows if not ln.isspace()), "")
+        if header.strip() != "t,beta,err":
             raise RangeError("expected header 't,beta,err'")
-        entries = []
-        for ln in lines[1:]:
+        entries, gap = [], None
+        for ln in rows:
+            if ln.isspace():  # a row that fails below, if one follows
+                gap = gap or ln
+                continue
+            row = gap or ln
             try:
-                t, beta, err = (float(v) for v in ln.split(","))
+                t, beta, err = (float(v) for v in row.split(","))
             except ValueError:
-                raise RangeError(f"malformed t,beta,err row {ln!r}") from None
+                raise RangeError(f"malformed t,beta,err row {row!r}") from None
             entries.append((t, beta, err))
         return cls(entries)
 

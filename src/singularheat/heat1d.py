@@ -37,9 +37,8 @@ routine, so no sum depends on the thread count; the circle sums its
 live modes the same way.
 apply_A / intertwine_residual realize the first-order operators
 A = d/dx + c and A* = -d/dx + c that exchange the Dirichlet and Robin
-flows, giving a simulator-level consistency check on both
-realizations: the spectral sum weighted by lambda_n is the exact
-t-derivative of the heat content.
+flows, giving a consistency check on both realizations: the two flows'
+spectral terms agree mode by mode within their propagated err.
 """
 
 from __future__ import annotations
@@ -103,8 +102,8 @@ def halfline_heat_content(phi: SingularProfile, rho: SingularProfile,
     smallest t of the decade that missed it.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts <= 0):
-        raise RangeError("need t > 0")
+    if not np.all((ts > 0) & (ts < np.inf)):
+        raise RangeError("need finite t > 0")
     if not all(isinstance(f.smooth, PlateauCutoff)
                and f.smooth.r0 <= f.support_end() for f in (phi, rho)):
         raise DomainError("half-line data must be whole plateau profiles")
@@ -516,57 +515,16 @@ def interval_heat_content(phi: SingularProfile, rho: SingularProfile,
     normalized images A sqrt(2/pi) sin(nx), A = d/dx + c, at n^2 + c^2
     for n >= 1, and the n = 0 term, the stationary mode psi_0 ~ e^{cx} at
     lambda_0 = 0, which A* = -d/dx + c annihilates, so it is orthogonal
-    to every A sin(nx) and satisfies both Robin conditions.  The whole
-    grid is one _spectral_sum over n = 0..N; err bounds the truncated
-    tail, the propagated moment error and the rounding.
-    """
-    if np.any(np.asarray(t) <= 0):
-        raise RangeError("need t > 0")
-    return _spectral_sum(phi, rho, bc, c, t)
+    to every A sin(nx) and satisfies both Robin conditions.
 
-
-#: the most exp weights _exp_weighted holds at once, 2 MB
-_BLOCK = 1 << 18
-
-
-def _exp_weighted(ts, lam, cols, power: int = 0):
-    """sum_j lam_j^power e^{-t lam_j} cols[k, j], one row per t in ts and
-    one column per row k of cols.
-
-    The weights are taken in blocks of at most _BLOCK, and each block is
-    combined with cols by one np.einsum.  Without optimize, einsum calls
-    no BLAS routine: each sum runs over j in one inner loop of its own,
-    so its bits depend neither on the thread count nor on the other
-    times in ts.
-    """
-    out = np.empty((ts.size, cols.shape[0]))
-    rows = max(1, _BLOCK // max(lam.size, 1))
-    block = np.empty((min(rows, ts.size), lam.size))
-    for lo in range(0, ts.size, rows):
-        weights = block[:ts.size - lo]  # one buffer: no fresh pages per block
-        np.multiply.outer(-ts[lo:lo + rows], lam, out=weights)
-        np.exp(weights, out=weights)
-        if power:
-            weights *= lam
-        np.einsum("ij,kj->ik", weights, cols, out=out[lo:lo + rows])
-    return out
-
-
-def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
-                  bc: BoundaryConditionKind, c: float, t, power: int = 0):
-    """(sum_{n=0..N} lambda_n^power e^{-t lambda_n} gamma_n(phi)
-    gamma_n(rho), err), lambda_0 = 0 and lambda_n = n^2 + c^2 for n >= 1,
-    power 0 or 1, for a float t (floats) or a 1-D array of t (arrays).
-
-    Power 1 is -d/dt of the power-0 sum; the stationary mode n = 0 drops
-    out of it exactly.  Each sample's N starts at the smallest
-    _SUM_START 2^k with t (N^2 + c^2) >= _TAIL_EXP = ln(1/_TAIL_REL),
-    about 29.9, at most _SUM_CAP, and doubles until the tail bound drops
-    below 1e-13 of the partial sum; TruncationError is raised, before any
-    table is built, when even _SUM_CAP misses _TAIL_EXP for some t, and
-    when the sum at _SUM_CAP does not stop.  At the start
-    e^{-t (N^2 + c^2)} alone meets 1e-13, so the sum stops there whenever
-    the bound times its decay factor is at most the partial sum.
+    Each sample's N starts at the smallest _SUM_START 2^k with
+    t (N^2 + c^2) >= _TAIL_EXP = ln(1/_TAIL_REL), about 29.9, at most
+    _SUM_CAP, and doubles until the tail bound drops below 1e-13 of the
+    partial sum; TruncationError is raised, before any table is built,
+    when even _SUM_CAP misses _TAIL_EXP for some t, and when the sum at
+    _SUM_CAP does not stop.  At the start e^{-t (N^2 + c^2)} alone meets
+    1e-13, so the sum stops there whenever the bound times its decay
+    factor is at most the partial sum.
 
     The samples are summed in groups of one N, smallest first, each
     group by one _exp_weighted pass over rows 0..N of the call's table
@@ -579,21 +537,18 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     larger table differs from the table built for N by at most the sum
     of their propagated errors.
     err is the tail bound plus the propagated moment error plus the
-    rounding of the N + 1 terms, all under the weights
-    lambda_n^power e^{-t lambda_n}.  With B = 2 max |gamma gamma| over
-    the modes N/2 < n <= N of the slice a group sums, taken once per
-    group, as the uniform |gamma gamma| bound, the tail is B e^{-t c^2}
-    times
-    - power 0: sum_{n>N} e^{-t n^2} <= e^{-t N^2} (1 + 1/(2tN));
-    - power 1: that times c^2, plus sum_{n>N} n^2 e^{-t n^2}
-      <= int_N^inf x^2 e^{-t x^2} dx <= e^{-t N^2} (N/(2t) + 1/(4 t^2 N)),
-      where the integral test needs x^2 e^{-t x^2} decreasing on
-      [N, inf), that is t N^2 >= 1, so the sum stops no earlier.
+    rounding of the N + 1 terms, all under the weights e^{-t lambda_n}.
+    With B = 2 max |gamma gamma| over the modes N/2 < n <= N of the slice
+    a group sums, taken once per group, as the uniform |gamma gamma|
+    bound, the tail is B e^{-t c^2} sum_{n>N} e^{-t n^2}
+    <= B e^{-t (N^2 + c^2)} (1 + 1/(2tN)).
     A sample whose sum is not finite, say from a moment whose quadrature
     met x^(-alpha) = inf at a subnormal node of the tail grid, is
     returned with err inf.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((ts > 0) & (ts < np.inf)):
+        raise RangeError("need finite t > 0")
     start = np.full(ts.size, _SUM_START)
     while True:
         low = ts * (start * start + c * c) < _TAIL_EXP
@@ -605,8 +560,7 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     if short.size:
         raise TruncationError(
             f"needed more than {_SUM_CAP} modes at t = {ts[short[0]]:g}")
-    groups = {m: np.flatnonzero(start == m)
-              for m in sorted(set(start.tolist()))}
+    groups = {m: np.flatnonzero(start == m) for m in set(start.tolist())}
     top = max(groups, default=0)
     beta, err = np.empty(ts.size), np.empty(ts.size)
     table = None
@@ -617,20 +571,16 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
             table = _pair_table(phi, rho, bc, c, max(m, top))
         cols, lam = table
         tg = ts[idx]
-        sums = _exp_weighted(tg, lam[:m + 1], cols[:, :m + 1], power)
+        sums = _exp_weighted(tg, lam[:m + 1], cols[:, :m + 1])
         partial = sums[:, 0]
-        decay = 1.0 + 1.0 / (2.0 * tg * m)
-        if power:
-            decay = m / (2.0 * tg) + 1.0 / (4.0 * tg * tg * m) \
-                + c * c * decay
         bound = 2.0 * float(np.max(cols[2, m // 2 + 1:m + 1]))
         finite = np.isfinite(partial)
         # a table that holds inf makes 0 * inf in the tail of a sum that
         # is not finite itself, and that sum's err is inf
         with np.errstate(invalid="ignore"):
-            tail = np.exp(-tg * (m * m + c * c)) * bound * decay
-            done = (tail < _TAIL_REL * np.maximum(np.abs(partial), 1e-300)) \
-                & (tg * (m * m) >= power)
+            tail = np.exp(-tg * (m * m + c * c)) * bound \
+                * (1.0 + 1.0 / (2.0 * tg * m))
+            done = tail < _TAIL_REL * np.maximum(np.abs(partial), 1e-300)
             err[idx] = np.where(finite, tail + sums[:, 1]
                                 + (m + 1) * _EPS * sums[:, 2], math.inf)
         beta[idx] = partial
@@ -645,6 +595,31 @@ def _spectral_sum(phi: SingularProfile, rho: SingularProfile,
     if np.ndim(t) == 0:
         return float(beta[0]), float(err[0])
     return beta, err
+
+
+#: the most exp weights _exp_weighted holds at once, 2 MB
+_BLOCK = 1 << 18
+
+
+def _exp_weighted(ts, lam, cols):
+    """sum_j e^{-t lam_j} cols[k, j], one row per t in ts and one column
+    per row k of cols.
+
+    The weights are taken in blocks of at most _BLOCK, and each block is
+    combined with cols by one np.einsum.  Without optimize, einsum calls
+    no BLAS routine: each sum runs over j in one inner loop of its own,
+    so its bits depend neither on the thread count nor on the other
+    times in ts.
+    """
+    out = np.empty((ts.size, cols.shape[0]))
+    rows = max(1, _BLOCK // max(lam.size, 1))
+    block = np.empty((min(rows, ts.size), lam.size))
+    for lo in range(0, ts.size, rows):
+        weights = block[:ts.size - lo]  # one buffer: no fresh pages per block
+        np.multiply.outer(-ts[lo:lo + rows], lam, out=weights)
+        np.exp(weights, out=weights)
+        np.einsum("ij,kj->ik", weights, cols, out=out[lo:lo + rows])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -665,24 +640,35 @@ def apply_A(profile: SingularProfile, c: float,
 
 
 def intertwine_residual(phi: SingularProfile, rho: SingularProfile,
-                        c: float, t: float, dual: bool = False) -> float:
-    """Relative defect of d/dt beta_R(phi, rho) = -beta_D(A* phi, A* rho).
+                        c: float, dual: bool = False) -> float:
+    """Largest defect of lambda_n gamma_n^R(phi) gamma_n^R(rho) =
+    gamma_n^D(A* phi) gamma_n^D(A* rho), n = 0.._SUM_START, in units of
+    the sum of both sides' propagated err; at most 1 where it holds.
 
-    With dual=True the exchanged identity
-    d/dt beta_D(phi, rho) = -beta_R(A phi, A rho) is tested instead.
-    The t-derivative is exact in the spectral basis: -d/dt beta of the
-    flow is the power-1 _spectral_sum, where the Robin stationary mode
-    n = 0 drops out with its eigenvalue 0.
+    The identity is d/dt beta_R(phi, rho) = -beta_D(A* phi, A* rho) mode
+    by mode: A sqrt(2/pi) sin(nx) / sqrt(lambda_n) is the Robin mode n,
+    and sin(nx) vanishes at both ends, so integrating by parts gives
+    gamma_n^R(phi) = gamma_n^D(A* phi) / sqrt(lambda_n); the Robin
+    stationary mode n = 0 meets the Dirichlet flow's empty n = 0 term
+    with its eigenvalue 0.  With dual=True the exchanged identity
+    d/dt beta_D(phi, rho) = -beta_R(A phi, A rho), which needs data that
+    vanish at both ends, is tested instead; its n = 0 term asks that the
+    Robin zero mode of A phi vanish.  A mode whose bound is 0 counts 0
+    when its defect is 0 and inf otherwise.
     """
     if phi.alpha >= -1.0 or rho.alpha >= -1.0:
         raise DomainError("intertwining identity needs alpha < -1")
     robin, dirichlet = (BoundaryConditionKind.ROBIN,
                         BoundaryConditionKind.DIRICHLET)
     flow, image = (dirichlet, robin) if dual else (robin, dirichlet)
-    rate, _ = _spectral_sum(phi, rho, flow, c, t, power=1)
-    rhs, _ = interval_heat_content(apply_A(phi, c, not dual),
-                                   apply_A(rho, c, not dual), image, c, t)
-    return abs(rhs - rate) / max(abs(rhs), 1e-300)
+    cols, lam = _pair_table(phi, rho, flow, c, _SUM_START)
+    terms, _ = _pair_table(apply_A(phi, c, not dual),
+                           apply_A(rho, c, not dual), image, c, _SUM_START)
+    defect = np.abs(lam * cols[0] - terms[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(defect == 0.0, 0.0,
+                         defect / (lam * cols[1] + terms[1]))
+    return float(np.max(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +688,8 @@ def circle_heat_content(phi_fourier, rho_fourier, t):
     with the times of one size in one pass.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts <= 0):
-        raise RangeError("need t > 0")
+    if not np.all((ts > 0) & (ts < np.inf)):
+        raise RangeError("need finite t > 0")
     m = min(len(phi_fourier), len(rho_fourier))
     k = (np.arange(m) + 1) // 2
     coef = np.bincount(k, np.asarray(phi_fourier[:m], float)

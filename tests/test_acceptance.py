@@ -93,10 +93,13 @@ def test_scaling_homogeneity():
 
 def test_intertwining_residuals():
     # A = d/dx + c maps the Robin flow to the Dirichlet flow; compare
-    # the exact time derivative of one heat content with the other
-    # flow's heat content through A*
+    # lambda_n times each Robin term with the Dirichlet term of A* phi,
+    # mode by mode for n <= 64.  The rows are ratios of the largest
+    # defect to the two tables' propagated err, so 1 is the bound itself:
+    # err is 2.7e-14 of the mode-1 term (1.8e-14 dual) and 2.9e-11 of
+    # the mode-32 term, so an error of 1e-9 in mode 32 reads 35
     start = time.monotonic()
-    check_suite("intertwine", {"intertwine": 1e-12, "intertwine-dual": 1e-12})
+    check_suite("intertwine", {"intertwine": 1.0, "intertwine-dual": 1.0})
     assert time.monotonic() - start < 10.0
 
 

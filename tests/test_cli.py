@@ -28,6 +28,10 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def _read_samples(path):
+    return HeatContentSamples.from_csv_lines(path.read_text().splitlines())
+
+
 def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -122,7 +126,7 @@ def test_simulate_classical_interval_value(capsys, tmp_path):
     out_path = tmp_path / "samples.csv"
     code, _, _ = run(capsys, ["simulate", cfg, "--out", str(out_path)])
     assert code == 0
-    samples = HeatContentSamples.from_csv_text(out_path.read_text())
+    samples = _read_samples(out_path)
     (t, beta, err), = samples.entries
     assert t == 0.01
     # constant unit data: beta(t) = pi - 4 sqrt(t/pi) up to exponentially
@@ -139,7 +143,7 @@ def test_simulate_halfline_monotone_decreasing(capsys, tmp_path):
     out_path = tmp_path / "samples.csv"
     code, _, _ = run(capsys, ["simulate", cfg, "--out", str(out_path)])
     assert code == 0
-    samples = HeatContentSamples.from_csv_text(out_path.read_text())
+    samples = _read_samples(out_path)
     betas = [b for _, b, _ in samples.entries]
     assert len(betas) == 4
     # an absorbing wall only ever removes heat
@@ -155,7 +159,7 @@ def test_simulate_circle_product(capsys, tmp_path):
     out_path = tmp_path / "samples.csv"
     code, _, _ = run(capsys, ["simulate", cfg, "--out", str(out_path)])
     assert code == 0
-    samples = HeatContentSamples.from_csv_text(out_path.read_text())
+    samples = _read_samples(out_path)
     assert len(samples.entries) == 3
     assert all(np.isfinite(b) for _, b, _ in samples.entries)
 
@@ -313,7 +317,7 @@ def test_simulate_tiny_cutoff_returns_its_corner_value(capsys, tmp_path):
         code, _, err = run(capsys, ["simulate", write_config(tmp_path, obj),
                                     "--out", str(out)])
         assert code == 0, (obj, err)
-        entries = HeatContentSamples.from_csv_text(out.read_text()).entries
+        entries = _read_samples(out).entries
         assert len(entries) == 2, obj
         for t, beta, e in entries:
             assert math.isfinite(beta) and math.isfinite(e), (obj, t)
@@ -342,8 +346,7 @@ def test_simulate_neumann_interval_conserves_mass_near_alpha_one(
                                 "--out", str(out)])
     assert code == 0, err
     mass = math.pi ** (1.0 - alpha) / (1.0 - alpha)
-    for t, beta, e in HeatContentSamples.from_csv_text(
-            out.read_text()).entries:
+    for t, beta, e in _read_samples(out).entries:
         assert abs(beta - mass) <= e, t
         assert abs(beta - mass) <= 1e-15 * mass, t
 
@@ -359,7 +362,7 @@ def test_simulate_robin_interval_at_large_c(capsys, tmp_path):
         code, _, err = run(capsys, ["simulate", write_config(tmp_path, obj),
                                     "--out", str(out)])
         assert code == 0, (obj, err)
-        return HeatContentSamples.from_csv_text(out.read_text()).entries
+        return _read_samples(out).entries
 
     robin = {"problem": "interval", "bc": "robin", "alpha1": 0.3,
              "alpha2": 0.4}
@@ -419,7 +422,7 @@ def test_simulate_halfline_over_eight_decades(capsys, tmp_path):
     out = tmp_path / "samples.csv"
     code, _, _ = run(capsys, ["simulate", cfg, "--out", str(out)])
     assert code == 0
-    entries = HeatContentSamples.from_csv_text(out.read_text()).entries
+    entries = _read_samples(out).entries
     assert len(entries) == 40
     assert all(0.0 < err < 1e-11 * beta for _, beta, err in entries)
 
@@ -504,7 +507,7 @@ def test_fit_term_counts(capsys, tmp_path):
         assert code == 2, option
         assert out == "" and "at most 6 simultaneous terms" in err, err
     # --interior-terms N subtracts exactly beta_0..beta_{N-1}
-    samples = HeatContentSamples.from_csv_text(csv_path.read_text())
+    samples = _read_samples(csv_path)
     phi = plateau_profile(0.3, math.pi, 0.5)
     rho = plateau_profile(0.4, math.pi, 0.5)
     betas = [complex(v).real
@@ -580,11 +583,31 @@ def test_fit_subtracts_four_interior_terms_at_alpha_zero(capsys, tmp_path):
     assert abs(model["coefficients"][0] + 2.0 / math.sqrt(math.pi)) <= 1e-6
 
 
+def test_fit_reads_a_padded_csv_as_the_plain_one(capsys, tmp_path):
+    # surrounding blank and whitespace-only lines, blank lines between
+    # rows and a header with spaces read as the plain file
+    rows = [f"{t!r},{2.0 - 1.5 * t ** 0.5 + t!r},0.0"
+            for t in (1e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1)]
+    outputs = []
+    for text in ("t,beta,err\n" + "\n".join(rows) + "\n",
+                 "\n \t\n  t,beta,err \n" + "\n\n".join(rows) + "\n \n\n"):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text(text)
+        code, out, err = run(capsys, ["fit", str(csv_path), "--alpha1", "0",
+                                      "--alpha2", "0", "--interior-terms",
+                                      "1", "--boundary-terms", "2"])
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_fit_rejects_malformed_csv(capsys, tmp_path):
     csv_path = tmp_path / "samples.csv"
     for text in ("time;value\n0.001;1.0\n",
                  "t,beta,err\n0.001,1.0,0.0\nnan,1.0,0.0\n0.1,1.0,0.0\n",
-                 "t,beta,err\n1,2\n"):
+                 "t,beta,err\n1,2\n",
+                 # a whitespace-only line between rows is a malformed row
+                 "t,beta,err\n0.001,1.0,0.0\n \n0.1,1.0,0.0\n"):
         csv_path.write_text(text)
         code, _, _ = run(capsys, ["fit", str(csv_path),
                                   "--alpha1", "0.3", "--alpha2", "0.4"])

@@ -160,6 +160,24 @@ def test_halfline_guards():
                               D, 1e-4)
 
 
+_SIMULATORS = {
+    "halfline": lambda t: halfline_heat_content(
+        plateau_profile(0.3, 4.0, 0.5), plateau_profile(0.3, 4.0, 0.5), D, t),
+    "interval": lambda t: interval_heat_content(
+        plateau_profile(0.3, math.pi, 0.5),
+        plateau_profile(0.3, math.pi, 0.5), R, 0.5, t),
+    "circle": lambda t: circle_heat_content([1.0, 0.5], [1.0, 0.5], t),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, [1e-3, math.nan]],
+                         ids=["nan", "inf", "grid-with-nan"])
+@pytest.mark.parametrize("simulator", sorted(_SIMULATORS))
+def test_simulators_reject_nan_and_infinite_t(simulator, t):
+    with pytest.raises(RangeError, match="need finite t > 0"):
+        _SIMULATORS[simulator](t)
+
+
 # ---------------------------------------------------------------------------
 # interval spectral sums
 
@@ -659,8 +677,6 @@ def test_spectral_and_circle_sums_call_no_blas(monkeypatch):
     beta, err = interval_heat_content(phi, rho, R, 0.5,
                                       np.geomspace(1e-7, 1e-2, 12))
     assert np.all(np.isfinite(beta)) and np.all(err < 1e-8 * beta)
-    heat1d._spectral_sum(phi, phi, D, 0.5, np.geomspace(1e-7, 1e-2, 12),
-                         power=1)
     data = list(np.linspace(1.0, 0.0, 5000))
     circle_heat_content(data, data, np.geomspace(1e-9, 1.0, 12))
 
@@ -775,37 +791,6 @@ def test_eigenmode_decay_rate():
     # with c the Dirichlet modes carry D = -d^2/dx^2 + c^2
     shifted, _ = interval_heat_content(phi, phi, D, 0.5, t)
     assert shifted == pytest.approx(math.exp(-4.25 * t), rel=1e-9)
-    # the power-1 sum is the exact rate -d/dt beta = lambda_2 e^{-t lambda_2}
-    for c in (0.0, 0.5):
-        lam = 4.0 + c * c
-        rate, _ = heat1d._spectral_sum(phi, phi, D, c, t, power=1)
-        assert rate == pytest.approx(lam * math.exp(-lam * t), rel=1e-12)
-
-
-@pytest.mark.parametrize("c", [0.0, 0.5])
-def test_rate_sum_within_err_of_closed_form(monkeypatch, c):
-    # -d/dt beta(t) for phi = rho = 1, Dirichlet: the sum over odd n of
-    # (8/(pi n^2)) (n^2 + c^2) e^{-t (n^2 + c^2)}, here summed far past
-    # the truncation; its tail bound must hold with the extra factor
-    # lambda_n
-    sizes = []
-
-    def recorded(*args):
-        sizes.append(args[-1])
-        return _pair_table(*args)
-
-    monkeypatch.setattr(heat1d, "_pair_table", recorded)
-    one = SingularProfile(0.0, constant(), L=math.pi)
-    n = np.arange(1, 20001, 2, dtype=float)
-    lam = n ** 2 + c * c
-    for t in (1e-3, 1e-2, 0.1):
-        sizes.clear()
-        rate, err = heat1d._spectral_sum(one, one, D, c, t, power=1)
-        want = math.fsum((8.0 / (math.pi * n ** 2) * lam
-                          * np.exp(-t * lam)).tolist())
-        assert abs(rate - want) <= err, t
-        if t == 1e-3:
-            assert max(sizes) > 64
 
 
 # ---------------------------------------------------------------------------
@@ -856,29 +841,47 @@ _INTERTWINE_DATA = pytest.mark.parametrize(
     ids=["polynomial", "handle"])
 
 
-def _check_intertwining(phi, dual):
-    """The exact rate against the image flow, a central difference and
-    the two sides' err."""
-    c, t, dt = 0.5, 0.05, 1e-4
+def _check_intertwining(phi, c, dual):
+    """Every mode n <= 64 within the two tables' err, and the identity
+    through the simulator: a central difference of the flow against the
+    image flow."""
+    t, dt = 0.05, 1e-4
     flow, image = (D, R) if dual else (R, D)
-    assert intertwine_residual(phi, phi, c, t, dual=dual) <= 1e-12
-    rate, err_rate = heat1d._spectral_sum(phi, phi, flow, c, t, power=1)
+    assert intertwine_residual(phi, phi, c, dual=dual) <= 1.0, c
     hi, _ = interval_heat_content(phi, phi, flow, c, t + dt)
     lo, _ = interval_heat_content(phi, phi, flow, c, t - dt)
-    assert rate == pytest.approx(-(hi - lo) / (2 * dt), rel=1e-6)
     a_phi = apply_A(phi, c, not dual)
-    rhs, err_rhs = interval_heat_content(a_phi, a_phi, image, c, t)
-    assert abs(rhs - rate) <= err_rate + err_rhs
+    rhs, _ = interval_heat_content(a_phi, a_phi, image, c, t)
+    assert abs(-(hi - lo) / (2 * dt) - rhs) <= 1e-6 * abs(rhs), c
 
 
 @_INTERTWINE_DATA
 def test_intertwine_residual_robin(profile):
-    _check_intertwining(profile(), dual=False)
+    for c in (0.0, 0.5, 2.0):
+        _check_intertwining(profile(), c, dual=False)
 
 
 @_INTERTWINE_DATA
 def test_intertwine_residual_dual(profile):
-    _check_intertwining(profile(), dual=True)
+    for c in (0.0, 0.5, 2.0):
+        _check_intertwining(profile(), c, dual=True)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_intertwine_residual_sees_one_mode_off_by_1e9(monkeypatch, dual):
+    # mode 32 of the image pair (alpha -0.5) off by 1e-9 relative: its
+    # err bound is about 3e-11 of the term, so the per-mode ratio reads
+    # 35 (24 dual), while a sum at t = 0.05 weights that mode by e^{-51}
+    # and its relative defect reads 1.9e-16 (4.9e-16 dual)
+    def perturbed(phi, rho, bc, c, N):
+        cols, lam = _pair_table(phi, rho, bc, c, N)
+        if phi.alpha == -0.5:
+            cols[0, 32] *= 1.0 + 1e-9
+        return cols, lam
+
+    monkeypatch.setattr(heat1d, "_pair_table", perturbed)
+    assert intertwine_residual(_polynomial_profile(), _polynomial_profile(),
+                               0.5, dual=dual) > 1.0
 
 
 def test_dual_zero_mode_of_a_phi_vanishes():
@@ -893,7 +896,7 @@ def test_dual_zero_mode_of_a_phi_vanishes():
 def test_intertwine_guards():
     shallow = plateau_profile(-0.5, math.pi, 0.5)
     with pytest.raises(DomainError):
-        intertwine_residual(shallow, shallow, 0.5, 0.05)
+        intertwine_residual(shallow, shallow, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +961,7 @@ def test_samples_csv_round_trip():
     s = HeatContentSamples([(1e-3, 3.01, 1e-12), (1e-2, 2.7, 2e-12)])
     text = s.to_csv_text()
     assert text.splitlines()[0] == "t,beta,err"
-    back = HeatContentSamples.from_csv_text(text)
+    back = HeatContentSamples.from_csv_lines(text.splitlines())
     assert back.entries == s.entries
 
 
@@ -973,4 +976,4 @@ def test_samples_validation():
         with pytest.raises(RangeError):
             HeatContentSamples([(0.001, 1.0, 0.0), row])
     with pytest.raises(RangeError):
-        HeatContentSamples.from_csv_text("time,beta\n1,2\n")
+        HeatContentSamples.from_csv_lines(["time,beta", "1,2"])
